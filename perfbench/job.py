@@ -3,10 +3,13 @@
     python3 perfbench/job.py WORKLOAD JOB_SEED SPAWNED [--trace] [--setup-only]
 
 SPAWNED is the parent's time.monotonic() just before it started this process
-(CLOCK_MONOTONIC is shared by all processes), so setup_s includes interpreter
-start-up.  Every job is a new process on purpose: the engine memoises gcds
-in a module-level cache, and a CLI user's run always starts with it empty.
-Jobs that shared a warm cache would measure a different program.
+(CLOCK_MONOTONIC is shared by all processes), so set-up time includes
+interpreter start-up.  An untraced job reports its set-up and verdict wall
+times, and both rescaled to a reference core speed by speed.py.
+
+Every job is a new process on purpose: the engine memoises gcds in a
+module-level cache, and a CLI user's run always starts with it empty.  Jobs
+that shared a warm cache would measure a different program.
 
 Only public entry points are called, with default arguments: no
 `parallel=`, no test hooks, no private caches.  Prints one JSON line.
@@ -55,10 +58,18 @@ def main(argv) -> int:
     spec = WORKLOADS[workload]
     sys.path.insert(0, os.path.join(ROOT, "src"))
 
+    # the traced job is not rescaled, and probes would land in its spans
+    from speed import SpeedProbe, rescale
+
+    speed = None if traced else SpeedProbe()
+    if speed:
+        speed.start()
+
     import hypercourant
     from hypercourant import runfile
 
-    setup_s = time.monotonic() - spawned
+    setup_wall = time.monotonic() - spawned
+    setup_probes = speed.take() if speed else []
     text = structure_text(spec, seed) if "example" in spec else None
     tracer = None
     if traced:
@@ -69,6 +80,8 @@ def main(argv) -> int:
     walls = []
 
     def timed(fn, *args):
+        if speed:
+            speed.take()
         t0 = time.perf_counter()
         result = tracer.root(fn, *args) if tracer else fn(*args)
         walls.append(time.perf_counter() - t0)
@@ -76,25 +89,33 @@ def main(argv) -> int:
 
     if text is not None:
         sf = timed(runfile.parse_structure, text)
-        setup_s += walls[-1]
+        setup_wall += walls[-1]
+        setup_probes += speed.take() if speed else []
+    out = {"setup_wall_s": setup_wall}
+    if speed:
+        out["setup_s"] = rescale(setup_wall, setup_probes)
     if setup_only:
-        print(json.dumps({"setup_s": setup_s}))
+        if speed:
+            speed.stop()
+        print(json.dumps(out))
         return 0
 
-    out = {}
     if text is not None:
         report = timed(runfile.run, sf)
-        out["verdict_s"] = walls[-1]
-        out["report"] = json.loads(timed(runfile.emit, report, "json"))
-        out["suite_s"] = dict(report.timings)
     else:
         checks = timed(
             hypercourant.verify_axioms, spec["dim"], spec["degree"], spec["trials"], seed
         )
-        out["verdict_s"] = walls[-1]
+    out["verdict_wall_s"] = walls[-1]
+    if speed:
+        out["verdict_s"] = rescale(walls[-1], speed.take())
+        speed.stop()
+    if text is not None:
+        out["report"] = json.loads(timed(runfile.emit, report, "json"))
+        out["suite_s"] = dict(report.timings)
+    else:
         out["report"] = {"checks": [c.to_dict() for c in checks]}
         out["suite_s"] = {}
-    out["setup_s"] = setup_s
     out["peak_rss_mb"] = peak_rss_mb()
     if tracer:
         out["trace"] = tracer.metrics()

@@ -266,10 +266,12 @@ def main(argv=None) -> int:
             jobs.append(result)
     loop_s = time.monotonic() - loop_start
     setup = [j["setup_s"] for j in jobs]
+    setup_wall = [j["setup_wall_s"] for j in jobs]
     while jobs and len(setup) < SETUP_SAMPLES and time.monotonic() < deadline:
         result = job("--setup-only")
         if result is not None:
             setup.append(result["setup_s"])
+            setup_wall.append(result["setup_wall_s"])
     # the traced job repeats the first job's input, so the difference in
     # verdict time is the tracing overhead alone
     traced = job("--trace", job_seed=jobs[0]["seed"]) if args.trace and jobs else None
@@ -283,9 +285,12 @@ def main(argv=None) -> int:
         "setup_s": setup,
         "verdict_s": [j["verdict_s"] for j in jobs],
         "peak_rss_mb": [j["peak_rss_mb"] for j in jobs],
+        "setup_wall_s": setup_wall,
+        "verdict_wall_s": [j["verdict_wall_s"] for j in jobs],
     }
     e2e = {name: statistics.median(values) for name, values in samples.items()}
     units = {m["name"]: m["unit"] for m in spec["end_to_end"] + spec["per_layer"]}
+    units.update(setup_wall_s="s", verdict_wall_s="s")
     print(
         f"workload {workload}: {len(jobs)} jobs in {loop_s:.1f} s, "
         "one client, closed loop, fresh interpreter per job"
@@ -293,14 +298,14 @@ def main(argv=None) -> int:
     for name, values in samples.items():
         tail = tail_percentile(values)
         tail_text = f"p{tail[0]} {tail[1]:.4f}" if tail else "no percentile has 10 samples beyond"
-        print(f"  {name:<12} median {e2e[name]:.4f} {units[name]}  n={len(values)}  {tail_text}")
-    print(f"  {'failed_frac':<12} {failed}/{attempted} = {failed / attempted:.4f}")
+        print(f"  {name:<14} median {e2e[name]:.4f} {units[name]}  n={len(values)}  {tail_text}")
+    print(f"  {'failed_frac':<14} {failed}/{attempted} = {failed / attempted:.4f}")
 
     if args.trace:
         layer = dict(traced["trace"])
         for suite in SUITES:
             layer[f"runfile.suite_s.{suite}"] = traced["suite_s"].get(suite, 0.0)
-        layer["trace.overhead_s"] = traced["verdict_s"] - jobs[0]["verdict_s"]
+        layer["trace.overhead_s"] = traced["verdict_wall_s"] - jobs[0]["verdict_wall_s"]
         names = [m["name"] for m in spec["per_layer"]]
         for name in names:
             print(f"  {name:<52} {layer[name]:.6g} {units[name]}")
