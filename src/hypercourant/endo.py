@@ -27,8 +27,8 @@ from .errors import (
     NotInverse,
     UncertifiedStructure,
 )
-from .report import CheckReport, Witness, find_nonzero_point
-from .scalar import ScalarField, scalar_text
+from .report import CheckReport, Witness, nonzero_witness
+from .scalar import ScalarField
 
 
 def _check_matrix(m, n: int) -> tuple:
@@ -244,13 +244,7 @@ def is_orthogonal(endo: GEndo) -> CheckReport:
         for b in range(a, 2 * n):
             residual = pairing(images[a], images[b]) - pairing(basis[a], basis[b])
             if not residual.is_zero():
-                point, value = find_nonzero_point(residual)
-                w = Witness(
-                    label=f"pairing defect on frame pair ({a}, {b})",
-                    expression=scalar_text(residual),
-                    point=tuple(str(x) for x in point),
-                    value=str(value),
-                )
+                w = nonzero_witness(f"pairing defect on frame pair ({a}, {b})", residual)
                 return CheckReport("orthogonality", False, witness=w)
     return CheckReport("orthogonality", True)
 
@@ -261,13 +255,7 @@ def _first_matrix_defect(endo: GEndo, expect: GEndo, what: str) -> Witness | Non
         for i, row in enumerate(blk):
             for j, f in enumerate(row):
                 if not f.is_zero():
-                    point, value = find_nonzero_point(f)
-                    return Witness(
-                        label=f"{what}, block {name}[{i}][{j}]",
-                        expression=scalar_text(f),
-                        point=tuple(str(x) for x in point),
-                        value=str(value),
-                    )
+                    return nonzero_witness(f"{what}, block {name}[{i}][{j}]", f)
     return None
 
 

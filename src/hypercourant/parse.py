@@ -26,6 +26,10 @@ from .scalar import ScalarField
 
 _TOKEN = re.compile(r"\s*(?:(x\d+)|(\d+)|([+\-*/^()]))")
 
+# Parenthesis nesting allowed before the parser refuses the input; each
+# level costs four Python frames of recursion.
+MAX_DEPTH = 100
+
 _INT = "int"
 _VAR = "var"
 _OP = "op"
@@ -62,6 +66,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
         self.nvars = len(variables)
         self.index = {name: k for k, name in enumerate(variables)}
 
@@ -145,8 +150,12 @@ class _Parser:
                 raise UnknownVariable(value, at)
             return ScalarField.coordinate(self.nvars, idx)
         if kind == _OP and value == "(":
+            if self.depth == MAX_DEPTH:
+                raise ScalarSyntaxError(f"parentheses nested deeper than {MAX_DEPTH}", at)
             self.take()
+            self.depth += 1
             inner = self.expr()
+            self.depth -= 1
             self.expect_op(")")
             return inner
         raise ScalarSyntaxError("expected a rational, a variable or '('", at)

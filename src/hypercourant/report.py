@@ -10,15 +10,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import chain, count
 
-from .errors import PoleAtPoint
 from .scalar import ScalarField, scalar_text
 
-# Candidate coordinate values for point witnesses.  A nonzero rational
-# function whose numerator and denominator have total degree below the list
-# length cannot vanish at every grid point (DeMillo-Lipton-Schwartz-Zippel),
-# so the search below always terminates at desk scale.
+# Candidate coordinate values for point witnesses, tried in this order and
+# then extended on demand by 50, 51, 52, ...  For one variable at most
+# deg(num) + deg(den) in that variable can fail, so the search below always
+# ends.  When every variable's degree in num plus den is below the list
+# length, the point found is the lexicographically first grid point of
+# POINT_CANDIDATES^n where num * den is nonzero (Combinatorial
+# Nullstellensatz: such a polynomial cannot vanish on the whole grid).
 POINT_CANDIDATES = tuple(
     [Fraction(0), Fraction(1), Fraction(-1), Fraction(2), Fraction(-2)]
     + [Fraction(1, 2), Fraction(-1, 2), Fraction(3), Fraction(-3), Fraction(3, 2)]
@@ -68,16 +70,38 @@ IdentityReport = CheckReport
 
 
 def find_nonzero_point(f: ScalarField) -> tuple:
-    """A rational point where the nonzero field f has a nonzero value."""
-    n = f.nvars
-    for point in product(POINT_CANDIDATES, repeat=n):
-        try:
-            value = f.evaluate(point)
-        except PoleAtPoint:
-            continue
-        if value != 0:
-            return point, value
-    raise AssertionError("no witness point found; candidate list too small")
+    """A rational point where the nonzero field f has a nonzero value.
+
+    Coordinates are fixed in order: x_i takes the first candidate that
+    leaves both numerator and denominator nonzero after substitution.
+    """
+    if f.is_zero():
+        raise ValueError("the zero field has no nonzero point")
+    num, den = f.num, f.den
+    point = []
+    for var in range(f.nvars):
+        for c in chain(POINT_CANDIDATES, map(Fraction, count(50))):
+            num_c = num.substitute(var, c)
+            if num_c.is_zero():
+                continue
+            den_c = den.substitute(var, c)
+            if not den_c.is_zero():
+                break
+        num, den = num_c, den_c
+        point.append(c)
+    point = tuple(point)
+    return point, f.evaluate(point)
+
+
+def nonzero_witness(label: str, f: ScalarField) -> Witness:
+    """The witness that the nonzero field f is not identically zero."""
+    point, value = find_nonzero_point(f)
+    return Witness(
+        label=label,
+        expression=scalar_text(f),
+        point=tuple(str(v) for v in point),
+        value=str(value),
+    )
 
 
 def _residual_components(residual):
@@ -112,14 +136,7 @@ def witness_for(residual, context: str = "") -> Witness | None:
     for label, f in _residual_components(residual):
         if f.is_zero():
             continue
-        point, value = find_nonzero_point(f)
-        full_label = f"{context}.{label}" if context else label
-        return Witness(
-            label=full_label,
-            expression=scalar_text(f),
-            point=tuple(str(v) for v in point),
-            value=str(value),
-        )
+        return nonzero_witness(f"{context}.{label}" if context else label, f)
     return None
 
 

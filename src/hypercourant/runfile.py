@@ -48,7 +48,6 @@ class StructureFile:
     seed: int
     span_degree: int
     digest: str
-    parallel_trials: bool = False
 
 
 @dataclass
@@ -146,6 +145,8 @@ def parse_structure_text(text: str, digest: str | None = None) -> StructureFile:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"not valid JSON: {exc}") from None
+    except RecursionError:
+        raise SchemaError("not valid JSON: nested too deeply") from None
     _require(isinstance(doc, dict), "top level must be an object")
     unknown = set(doc) - {"dimension", "coordinates", "structure", "sections", "checks", "options"}
     _require(not unknown, f"unknown top-level keys {sorted(unknown)}")

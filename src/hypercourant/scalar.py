@@ -230,6 +230,20 @@ class Polynomial:
             total += term
         return total
 
+    def substitute(self, var: int, value: Coeff) -> "Polynomial":
+        """Set x_var to a constant, as a polynomial with x_var removed
+        (exponent zeroed, same nvars)."""
+        if not 0 <= var < self.nvars:
+            raise IndexOutOfRange(f"variable index {var} not in 0..{self.nvars - 1}")
+        out: dict = {}
+        for m, c in self.terms:
+            e = m[var]
+            if e:
+                c = c * value ** e
+                m = m[:var] + (0,) + m[var + 1:]
+            out[m] = out.get(m, 0) + c
+        return Polynomial._from_dict(self.nvars, {m: _cnorm(c) for m, c in out.items()})
+
     def deg_in(self, var: int) -> int:
         """Degree in one variable; -1 for the zero polynomial."""
         if not self.terms:

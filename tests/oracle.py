@@ -1,4 +1,4 @@
-"""Independent oracle for the Dorfman bracket.
+"""Independent oracles for the Dorfman bracket and the witness search.
 
 The engine computes [[X+xi, Y+eta]] from the closed coordinate formula
 [X,Y] + L_X eta - i_Y d xi.  This oracle never touches that formula: it
@@ -11,14 +11,20 @@ all vanish) and applies only the two scalar Leibniz rules
 term by term, with the frame pairings <e_a, e_b> hardcoded.  Agreement of
 the two routes on random sections is the main correctness evidence for the
 bracket implementation.
+
+The witness search is checked against the plain lexicographic walk over the
+candidate grid, which evaluates the field at every point in turn.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 from hypercourant.cartan import VectorField, exterior_derivative
 from hypercourant.courant import GSection, basis_sections
+from hypercourant.errors import PoleAtPoint
+from hypercourant.report import POINT_CANDIDATES
 from hypercourant.scalar import ScalarField
 
 
@@ -77,3 +83,16 @@ def oracle_concomitant(f, g, x: GSection, y: GSection) -> GSection:
 def oracle_first_slot_defect(f, g, fun, x: GSection, y: GSection) -> GSection:
     """N(fX, Y) - f N(X, Y), both sides on the oracle bracket."""
     return oracle_concomitant(f, g, x.smul(fun), y) - oracle_concomitant(f, g, x, y).smul(fun)
+
+
+def lexicographic_nonzero_point(f: ScalarField) -> tuple:
+    """A rational point where the nonzero field f has a nonzero value."""
+    n = f.nvars
+    for point in product(POINT_CANDIDATES, repeat=n):
+        try:
+            value = f.evaluate(point)
+        except PoleAtPoint:
+            continue
+        if value != 0:
+            return point, value
+    raise AssertionError("no witness point found; candidate list too small")

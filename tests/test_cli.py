@@ -125,6 +125,31 @@ class TestCheck:
         code, _, err = run_cli(capsys, "check", str(path))
         assert code == 2
 
+    def test_deeply_nested_entry_exits_two(self, capsys, tmp_path):
+        doc = {
+            "dimension": 1,
+            "structure": {
+                "I": {"A": [["0"]], "B": [["1"]], "C": [["-1"]], "D": [["0"]]},
+                "J": {"A": [["0"]], "B": [["1"]], "C": [["-1"]], "D": [["0"]]},
+            },
+            "sections": {"deep": ["(" * 3000 + "1" + ")" * 3000, "0"]},
+            "checks": ["certification"],
+        }
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "check", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "nested" in err
+        assert "Traceback" not in err
+
+    def test_deeply_nested_json_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text('{"dimension": ' + "[" * 100000 + "]" * 100000 + "}")
+        code, _, err = run_cli(capsys, "check", str(path))
+        assert code == 2
+        assert err.startswith("error:") and "nested too deeply" in err
+
     def test_mathematical_failure_exits_one(self, capsys, tmp_path):
         doc = {
             "dimension": 1,

@@ -1,7 +1,7 @@
 import pytest
 
 from hypercourant.errors import DivisionByZero, ScalarSyntaxError, UnknownVariable
-from hypercourant.parse import parse_scalar
+from hypercourant.parse import MAX_DEPTH, parse_scalar
 from hypercourant.scalar import ScalarField, scalar_text
 
 
@@ -75,6 +75,14 @@ def test_syntax_error_reports_position():
     with pytest.raises(ScalarSyntaxError) as exc:
         parse_scalar("x1 + )", 2)
     assert exc.value.position == 5
+
+
+def test_nesting_depth_is_bounded():
+    assert parse_scalar("(" * MAX_DEPTH + "x1" + ")" * MAX_DEPTH, 1) == parse_scalar("x1", 1)
+    deeper = MAX_DEPTH + 1
+    with pytest.raises(ScalarSyntaxError) as exc:
+        parse_scalar("(" * deeper + "x1" + ")" * deeper, 1)
+    assert exc.value.position == MAX_DEPTH
 
 
 def test_division_by_zero_field():

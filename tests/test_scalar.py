@@ -228,6 +228,19 @@ class TestPolynomialInternals:
         with pytest.raises(DimensionMismatch):
             sf("x1", 1) + sf("x1", 2)
 
+    def test_substitute_one_variable(self):
+        p = sf("x1^2*x2 - 3*x1 + x2^2", 2).num
+        assert p.substitute(0, Fraction(1, 2)) == sf("1/4*x2 - 3/2 + x2^2", 2).num
+        assert p.substitute(1, 0) == sf("-3*x1", 2).num
+        assert sf("x1 - 2", 2).num.substitute(0, 2).is_zero()
+
+    @given(f=fields())
+    @settings(max_examples=25, deadline=None)
+    def test_substitute_then_evaluate(self, f):
+        p = f.num
+        point = (Fraction(-3, 2), Fraction(5))
+        assert p.substitute(0, point[0]).evaluate((0, point[1])) == p.evaluate(point)
+
 
 class TestPrinting:
     @given(f=fields())
