@@ -10,7 +10,7 @@ to an exact zero; failures come with a symbolic residual and a rational
 point witness.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .cartan import (
     OneForm,
@@ -71,7 +71,6 @@ from .nijenhuis import (
     delta,
     linearity_defect_formula,
     nabla_endo,
-    spanning_family,
     theorem_report,
     torsion,
     torsion_formula_residual,

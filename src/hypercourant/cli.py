@@ -4,7 +4,7 @@ Three subcommands:
 
   verify-axioms --dim N [--degree D] [--trials T] [--seed S]
       run the bracket axiom suite on seeded random sections
-  check FILE [--report OUT] [--format json|text] [--timings] [--parallel]
+  check FILE [--report OUT] [--format json|text] [--timings]
       run the suites selected by a structure file
   examples NAME [--emit FILE]
       write a built-in example structure document
@@ -41,7 +41,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ax.add_argument("--seed", type=int, default=0, help="seed for the random sections")
     ax.add_argument("--format", choices=("json", "text"), default="text")
     ax.add_argument("--report", metavar="FILE", help="write the report here instead of stdout")
-    ax.add_argument("--parallel", action="store_true", help="run trials concurrently")
     # test-only hook; deliberately absent from --help
     ax.add_argument("--corrupt-bracket", action="store_true", help=argparse.SUPPRESS)
 
@@ -50,7 +49,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ck.add_argument("--format", choices=("json", "text"), default="text")
     ck.add_argument("--report", metavar="FILE", help="write the report here instead of stdout")
     ck.add_argument("--timings", action="store_true", help="include wall time per suite")
-    ck.add_argument("--parallel", action="store_true", help="run trials concurrently")
 
     ex = sub.add_parser("examples", help="write a built-in example structure document")
     ex.add_argument("name", choices=EXAMPLE_NAMES)
@@ -69,12 +67,7 @@ def _write(data: bytes, path: str | None) -> None:
 
 def _cmd_verify_axioms(args) -> int:
     checks = verify_axioms(
-        args.dim,
-        args.degree,
-        args.trials,
-        args.seed,
-        _corrupt_bracket=args.corrupt_bracket,
-        parallel=args.parallel,
+        args.dim, args.degree, args.trials, args.seed, _corrupt_bracket=args.corrupt_bracket
     )
     status = "pass" if all(c.passed for c in checks) else "fail"
     report = RunReport(
@@ -96,7 +89,7 @@ def _cmd_verify_axioms(args) -> int:
 
 def _cmd_check(args) -> int:
     sf = parse_structure(args.file)
-    report = run(sf, parallel=args.parallel)
+    report = run(sf)
     _write(emit(report, args.format, include_timings=args.timings), args.report)
     return exit_code(report)
 

@@ -204,7 +204,6 @@ def verify_axioms(
     seed: int = 0,
     *,
     _corrupt_bracket: bool = False,
-    parallel: bool = False,
 ) -> list:
     """Check axioms (1)-(6) and the bracket decomposition on `trials` seeded
     random section triples.  Failures are reported, never raised.
@@ -215,14 +214,8 @@ def verify_axioms(
     if dim < 1:
         raise DimensionMismatch("chart dimension must be at least 1")
     br = _corrupted_dorfman if _corrupt_bracket else dorfman
-    rngs = [suite_rng(seed, f"axioms-{t}") for t in range(trials)]
-    if parallel and trials > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor() as pool:
-            chunks = list(
-                pool.map(lambda t: _axiom_trial(br, dim, degree, rngs[t], t), range(trials))
-            )
-    else:
-        chunks = [_axiom_trial(br, dim, degree, rngs[t], t) for t in range(trials)]
-    return [r for chunk in chunks for r in chunk]
+    return [
+        r
+        for t in range(trials)
+        for r in _axiom_trial(br, dim, degree, suite_rng(seed, f"axioms-{t}"), t)
+    ]

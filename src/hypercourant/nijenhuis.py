@@ -19,10 +19,9 @@ cyclic rotations of (I, J, K); variants are named by the rotation fed in:
     "jki":  the same with (I,J,K) -> (J,K,I)
     "kij":  the same with (I,J,K) -> (K,I,J)
 
-Vanishing of a concomitant is decided exactly on a finite spanning family:
-all frame sections multiplied by monomials up to a degree bound (default 1),
-which suffices because the concomitant restricted to a certified triple is
-bilinear over scalars.
+Vanishing of a concomitant is decided exactly on the 2n x 2n pairs of frame
+sections: restricted to a certified triple the concomitant is bilinear over
+scalars, so it vanishes everywhere exactly when it vanishes on the frame.
 """
 
 from __future__ import annotations
@@ -43,23 +42,10 @@ from .courant import (
 from .endo import GEndo, HKTriple
 from .errors import DimensionMismatch, InconsistentEquivalence
 from .report import Witness, check, witness_for
-from .sampling import monomials_up_to, random_scalar, suite_rng
-from .scalar import Polynomial, ScalarField
+from .sampling import random_scalar, suite_rng
+from .scalar import ScalarField
 
 VARIANTS = ("ijk", "jki", "kij")
-
-
-def _map_trials(worker, inputs, parallel: bool) -> list:
-    """Run independent trial workers, optionally on a thread pool; the
-    result order never depends on the execution order."""
-    if parallel and len(inputs) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor() as pool:
-            chunks = list(pool.map(worker, inputs))
-    else:
-        chunks = [worker(item) for item in inputs]
-    return [r for chunk in chunks for r in chunk]
 
 
 @dataclass(frozen=True)
@@ -216,7 +202,6 @@ def check_connection_laws(
     seed: int = 0,
     degree: int = 1,
     extra_pairs: list | None = None,
-    parallel: bool = False,
     *,
     _flip_sign: bool = False,
 ) -> list:
@@ -248,7 +233,7 @@ def check_connection_laws(
     def nab(a, b):
         return connection(hk, variant, a, b, _flip_sign=_flip_sign)
 
-    def worker(item):
+    def trial(item):
         t, tag, x, y, fun = item
         r1 = nab(x.smul(fun), y) - nab(x, y).smul(fun)
         r2 = nab(x, y.smul(fun)) - y.smul(anchor_apply(x, fun)) - nab(x, y).smul(fun) + delta(
@@ -259,7 +244,7 @@ def check_connection_laws(
             check(f"connection-law-leibniz-delta[{variant}]{tag}", r2, t),
         ]
 
-    return _map_trials(worker, inputs, parallel)
+    return [r for item in inputs for r in trial(item)]
 
 
 def check_identities(
@@ -268,7 +253,6 @@ def check_identities(
     seed: int = 0,
     degree: int = 1,
     extra_pairs: list | None = None,
-    parallel: bool = False,
 ) -> list:
     """The unconditional identities of the primary connection, exactly:
 
@@ -286,7 +270,7 @@ def check_identities(
     ]
     inputs += [(None, x, y) for _, x, y in (extra_pairs or ())]
 
-    def worker(item):
+    def trial(item):
         t, x, y = item
         out = []
         r = nabla_endo(hk, "ijk", hk.j, x, y)
@@ -311,7 +295,7 @@ def check_identities(
         out.append(check("concomitant-skew", r, t))
         return out
 
-    return _map_trials(worker, inputs, parallel)
+    return [r for item in inputs for r in trial(item)]
 
 
 def check_delta_properties(
@@ -319,7 +303,6 @@ def check_delta_properties(
     trials: int = 10,
     seed: int = 0,
     degree: int = 1,
-    parallel: bool = False,
 ) -> list:
     """Delta_f compatibility with I, J, K and its symmetric part."""
     hk.require_certified()
@@ -336,7 +319,7 @@ def check_delta_properties(
         for t in range(trials)
     ]
 
-    def worker(item):
+    def trial(item):
         t, x, y, fun = item
         out = []
         base = delta(hk, fun, x, y)
@@ -347,7 +330,7 @@ def check_delta_properties(
         out.append(check("delta-symmetric-part", r, t))
         return out
 
-    return _map_trials(worker, inputs, parallel)
+    return [r for item in inputs for r in trial(item)]
 
 
 # ---------------------------------------------------------------------------
@@ -355,17 +338,6 @@ def check_delta_properties(
 # ---------------------------------------------------------------------------
 
 CONCOMITANT_KEYS = ("II", "JJ", "KK", "IJ", "JK", "KI")
-
-
-def spanning_family(n: int, degree: int = 1) -> list:
-    """Frame sections times all monomials of total degree <= degree."""
-    basis = basis_sections(n)
-    family = []
-    for mono in monomials_up_to(n, degree):
-        coeff = ScalarField.from_polynomial(Polynomial(n, {mono: 1}))
-        for e in basis:
-            family.append(e.smul(coeff))
-    return family
 
 
 @dataclass(frozen=True)
@@ -385,7 +357,6 @@ class TheoremReport:
     """Observed vanishing pattern and connection-level consequences."""
 
     structure_id: str
-    span_degree: int
     trials: int
     seed: int
     concomitants: dict
@@ -398,7 +369,6 @@ class TheoremReport:
     def to_dict(self) -> dict:
         return {
             "structure-id": self.structure_id,
-            "span-degree": self.span_degree,
             "trials": self.trials,
             "seed": self.seed,
             "concomitants": {k: v.to_dict() for k, v in self.concomitants.items()},
@@ -414,8 +384,8 @@ class TheoremReport:
         return self.consistency == "ok"
 
 
-def concomitant_statuses(hk: HKTriple, span_degree: int = 1) -> dict:
-    """Decide vanishing of all six concomitants on the spanning family.
+def concomitant_statuses(hk: HKTriple) -> dict:
+    """Decide vanishing of all six concomitants on the frame pairs.
 
     Evaluation shares one bracket cache per section pair: the sixteen
     brackets [[P x, Q y]] with P, Q in {1, I, J, K} cover all six
@@ -425,15 +395,15 @@ def concomitant_statuses(hk: HKTriple, span_degree: int = 1) -> dict:
     n = hk.n
     members = {"I": hk.i, "J": hk.j, "K": hk.k}
     products = {(p, q): members[p] @ members[q] for p in "IJK" for q in "IJK"}
-    family = spanning_family(n, span_degree)
-    images = {"1": family}
+    frame = basis_sections(n)
+    images = {"1": frame}
     for name, endo in members.items():
-        images[name] = [endo.apply(s) for s in family]
+        images[name] = [endo.apply(s) for s in frame]
 
     undecided = set(CONCOMITANT_KEYS)
     status = {}
-    for xi in range(len(family)):
-        for yi in range(len(family)):
+    for xi in range(len(frame)):
+        for yi in range(len(frame)):
             if not undecided:
                 break
             brackets: dict = {}
@@ -497,7 +467,6 @@ def theorem_report(
     hk: HKTriple,
     trials: int = 10,
     seed: int = 0,
-    span_degree: int = 1,
     structure_id: str = "unnamed",
     degree: int = 1,
 ) -> TheoremReport:
@@ -508,10 +477,15 @@ def theorem_report(
     must all be parallel, and the torsion formula must hold; when N_IJ != 0
     at least one of those consequences must visibly fail.  A contradiction
     raises InconsistentEquivalence: it would mean the engine itself is wrong.
+
+    The connection-level consequences are sampled on `trials` random section
+    pairs, so at least one trial is required.
     """
+    if trials < 1:
+        raise ValueError("theorem_report needs at least one trial")
     hk.require_certified()
     n = hk.n
-    status = concomitant_statuses(hk, span_degree)
+    status = concomitant_statuses(hk)
 
     rng = suite_rng(seed, "theorem")
     pairs = [
@@ -556,7 +530,6 @@ def theorem_report(
 
     rep = TheoremReport(
         structure_id=structure_id,
-        span_degree=span_degree,
         trials=trials,
         seed=seed,
         concomitants=status,

@@ -30,6 +30,11 @@ _TOKEN = re.compile(r"\s*(?:(x\d+)|(\d+)|([+\-*/^()]))")
 # level costs four Python frames of recursion.
 MAX_DEPTH = 100
 
+# Largest power the parser builds: the product of the exponents on any chain
+# of nested powers, so "(1+x1)^200" and "((1+x1)^20)^20" are both refused
+# before the expansion they would cost.
+MAX_EXPONENT = 32
+
 _INT = "int"
 _VAR = "var"
 _OP = "op"
@@ -67,6 +72,8 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.depth = 0
+        # largest exponent product inside the factors parsed so far
+        self.power = 1
         self.nvars = len(variables)
         self.index = {name: k for k, name in enumerate(variables)}
 
@@ -115,12 +122,19 @@ class _Parser:
                 return value
 
     def factor(self) -> ScalarField:
+        outer, self.power = self.power, 1
         value = self.base()
+        power = self.power
         kind, sym, _ = self.peek()
         if kind == _OP and sym == "^":
             self.take()
+            at = self.peek()[2]
             exp = self.posint("exponent")
+            power *= exp
+            if power > MAX_EXPONENT:
+                raise ScalarSyntaxError(f"power larger than {MAX_EXPONENT}", at)
             value = value ** exp
+        self.power = max(outer, power)
         return value
 
     def posint(self, what: str) -> int:

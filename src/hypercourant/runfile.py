@@ -31,7 +31,11 @@ from .parse import parse_scalar
 
 SUITES = ("axioms", "certification", "connection-laws", "identities", "theorem")
 
-_DEFAULT_OPTIONS = {"trials": 10, "degree": 2, "seed": 0, "span_degree": 1}
+_DEFAULT_OPTIONS = {"trials": 10, "degree": 2, "seed": 0}
+
+# Largest degree of the random trial sections; the cost of a trial grows
+# steeply with it, and every shipped document uses at most 2.
+MAX_DEGREE = 4
 
 
 @dataclass(frozen=True)
@@ -46,7 +50,6 @@ class StructureFile:
     trials: int
     degree: int
     seed: int
-    span_degree: int
     digest: str
 
 
@@ -189,6 +192,8 @@ def parse_structure_text(text: str, digest: str | None = None) -> StructureFile:
         _require(key in options, f"unknown option {key!r}")
         _require(isinstance(value, int) and value >= 0, f"option {key!r} must be a nonnegative integer")
         options[key] = value
+    _require(options["trials"] >= 1, "option 'trials' must be at least 1")
+    _require(options["degree"] <= MAX_DEGREE, f"option 'degree' must be at most {MAX_DEGREE}")
 
     return StructureFile(
         dimension=n,
@@ -199,7 +204,6 @@ def parse_structure_text(text: str, digest: str | None = None) -> StructureFile:
         trials=options["trials"],
         degree=options["degree"],
         seed=options["seed"],
-        span_degree=options["span_degree"],
         digest=digest,
     )
 
@@ -226,7 +230,7 @@ def _suite_status(checks) -> str:
     return "pass" if all(c.passed for c in checks) else "fail"
 
 
-def run(sf: StructureFile, parallel: bool = False) -> RunReport:
+def run(sf: StructureFile) -> RunReport:
     """Run the selected suites in order; failures land in the report."""
     suites = []
     timings = {}
@@ -241,9 +245,7 @@ def run(sf: StructureFile, parallel: bool = False) -> RunReport:
     for suite in sf.checks:
         started = time.perf_counter()
         if suite == "axioms":
-            checks = verify_axioms(
-                sf.dimension, sf.degree, sf.trials, sf.seed, parallel=parallel
-            )
+            checks = verify_axioms(sf.dimension, sf.degree, sf.trials, sf.seed)
             suites.append(SuiteReport(suite, _suite_status(checks), checks))
         elif suite == "certification":
             checks = list(sf.triple.orthogonality) + [sf.triple.quaternionic]
@@ -258,18 +260,15 @@ def run(sf: StructureFile, parallel: bool = False) -> RunReport:
                 checks.extend(
                     check_connection_laws(
                         sf.triple, variant, sf.trials, sf.seed, degree=sf.degree,
-                        extra_pairs=extra_pairs, parallel=parallel,
+                        extra_pairs=extra_pairs,
                     )
                 )
             suites.append(SuiteReport(suite, _suite_status(checks), checks))
         elif suite == "identities":
             checks = check_identities(
-                sf.triple, sf.trials, sf.seed, degree=sf.degree,
-                extra_pairs=extra_pairs, parallel=parallel,
+                sf.triple, sf.trials, sf.seed, degree=sf.degree, extra_pairs=extra_pairs
             )
-            checks += check_delta_properties(
-                sf.triple, sf.trials, sf.seed, degree=sf.degree, parallel=parallel
-            )
+            checks += check_delta_properties(sf.triple, sf.trials, sf.seed, degree=sf.degree)
             suites.append(SuiteReport(suite, _suite_status(checks), checks))
         elif suite == "theorem":
             try:
@@ -277,7 +276,6 @@ def run(sf: StructureFile, parallel: bool = False) -> RunReport:
                     sf.triple,
                     trials=sf.trials,
                     seed=sf.seed,
-                    span_degree=sf.span_degree,
                     structure_id=sf.digest[:19],
                     degree=sf.degree,
                 )
@@ -293,12 +291,7 @@ def run(sf: StructureFile, parallel: bool = False) -> RunReport:
         version=__version__,
         input_digest=sf.digest,
         structure_id=sf.digest[:19],
-        options={
-            "trials": sf.trials,
-            "degree": sf.degree,
-            "seed": sf.seed,
-            "span_degree": sf.span_degree,
-        },
+        options={"trials": sf.trials, "degree": sf.degree, "seed": sf.seed},
         suites=suites,
         verdict=verdict,
         timings=timings,

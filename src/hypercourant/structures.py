@@ -125,7 +125,7 @@ def structure_file(name: str) -> dict:
                 "mixed": ["x2", "0", "0", "1", "0", "x1", "0", "0"],
             },
             "checks": list(_DEFAULT_CHECKS),
-            "options": {"trials": 10, "degree": 2, "seed": 11, "span_degree": 1},
+            "options": {"trials": 10, "degree": 2, "seed": 11},
         }
     if name == "holomorphic-symplectic":
         return {
@@ -140,7 +140,7 @@ def structure_file(name: str) -> dict:
                 "J": {"lift": "diagonal", "j": _matrix_strings(const_matrix(STANDARD_J))},
             },
             "checks": list(_DEFAULT_CHECKS),
-            "options": {"trials": 10, "degree": 2, "seed": 23, "span_degree": 1},
+            "options": {"trials": 10, "degree": 2, "seed": 23},
         }
     if name == "nonintegrable":
         triple = nonintegrable_conjugated()
@@ -157,7 +157,7 @@ def structure_file(name: str) -> dict:
             "coordinates": coords,
             "structure": structure,
             "checks": list(_DEFAULT_CHECKS),
-            "options": {"trials": 6, "degree": 1, "seed": 37, "span_degree": 1},
+            "options": {"trials": 6, "degree": 1, "seed": 37},
         }
     raise KeyError(f"unknown example {name!r}")
 

@@ -14,6 +14,10 @@ bracket implementation.
 
 The witness search is checked against the plain lexicographic walk over the
 candidate grid, which evaluates the field at every point in turn.
+
+Concomitant vanishing, which the engine decides on the 2n frame sections
+alone, is checked against the larger family of frame sections times
+monomials, each pair evaluated with the plain eight-term concomitant.
 """
 
 from __future__ import annotations
@@ -24,8 +28,10 @@ from itertools import product
 from hypercourant.cartan import VectorField, exterior_derivative
 from hypercourant.courant import GSection, basis_sections
 from hypercourant.errors import PoleAtPoint
-from hypercourant.report import POINT_CANDIDATES
-from hypercourant.scalar import ScalarField
+from hypercourant.nijenhuis import CONCOMITANT_KEYS, ConcomitantStatus, concomitant
+from hypercourant.report import POINT_CANDIDATES, witness_for
+from hypercourant.sampling import monomials_up_to
+from hypercourant.scalar import Polynomial, ScalarField
 
 
 def _rho_apply(a: int, n: int, g: ScalarField) -> ScalarField:
@@ -96,3 +102,33 @@ def lexicographic_nonzero_point(f: ScalarField) -> tuple:
         if value != 0:
             return point, value
     raise AssertionError("no witness point found; candidate list too small")
+
+
+def spanning_family(n: int, degree: int = 1) -> list:
+    """Frame sections times all monomials of total degree <= degree."""
+    basis = basis_sections(n)
+    family = []
+    for mono in monomials_up_to(n, degree):
+        coeff = ScalarField.from_polynomial(Polynomial(n, {mono: 1}))
+        for e in basis:
+            family.append(e.smul(coeff))
+    return family
+
+
+def family_statuses(hk, family: list) -> dict:
+    """Vanishing of the six concomitants over all ordered pairs of `family`,
+    in row-major order; the first nonzero residual of a concomitant is its
+    witness, labelled as the engine labels it."""
+    members = {"I": hk.i, "J": hk.j, "K": hk.k}
+    out = {}
+    for key in CONCOMITANT_KEYS:
+        f, g = members[key[0]], members[key[1]]
+        out[key] = ConcomitantStatus(True)
+        pairs = ((xi, yi) for xi in range(len(family)) for yi in range(len(family)))
+        for xi, yi in pairs:
+            residual = concomitant(f, g, family[xi], family[yi])
+            w = witness_for(residual, context=f"N[{key[0]},{key[1]}] on family pair ({xi}, {yi})")
+            if w is not None:
+                out[key] = ConcomitantStatus(False, w)
+                break
+    return out

@@ -3,6 +3,9 @@ import json
 import pytest
 
 from hypercourant.cli import main
+from hypercourant.parse import MAX_EXPONENT
+from hypercourant.runfile import MAX_DEGREE
+from hypercourant.structures import structure_file
 
 
 def run_cli(capsys, *argv):
@@ -67,6 +70,19 @@ class TestVerifyAxioms:
         code, _, err = run_cli(capsys, "verify-axioms", "--dim", "0")
         assert code == 2
         assert "error" in err
+
+
+def example_doc(tmp_path, checks=None, sections=None, **options) -> str:
+    """The nonintegrable example with some fields overridden, as a file."""
+    doc = structure_file("nonintegrable")
+    if checks is not None:
+        doc["checks"] = checks
+    if sections is not None:
+        doc["sections"] = sections
+    doc["options"].update(options)
+    path = tmp_path / "example.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
 
 
 @pytest.fixture(scope="module")
@@ -149,6 +165,48 @@ class TestCheck:
         code, _, err = run_cli(capsys, "check", str(path))
         assert code == 2
         assert err.startswith("error:") and "nested too deeply" in err
+
+    def test_zero_trials_exits_two(self, capsys, tmp_path):
+        # with no sampled trials the theorem suite would see no connection
+        # failure and report an engine bug; the schema refuses the document
+        code, out, err = run_cli(
+            capsys, "check", example_doc(tmp_path, checks=["theorem"], trials=0)
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "'trials' must be at least 1" in err
+        assert "Traceback" not in err
+
+    def test_degree_above_bound_exits_two(self, capsys, tmp_path):
+        code, _, err = run_cli(
+            capsys, "check", example_doc(tmp_path, checks=["axioms"], degree=MAX_DEGREE + 1)
+        )
+        assert code == 2
+        assert err.startswith("error:") and f"at most {MAX_DEGREE}" in err
+
+    def test_span_degree_option_exits_two(self, capsys, tmp_path):
+        code, _, err = run_cli(
+            capsys, "check", example_doc(tmp_path, checks=["theorem"], span_degree=1)
+        )
+        assert code == 2
+        assert err.startswith("error:") and "unknown option 'span_degree'" in err
+
+    def test_large_exponent_entry_exits_two(self, capsys, tmp_path):
+        path = example_doc(
+            tmp_path, checks=["certification"], sections={"big": ["(1+x1+x2)^200"] + ["0"] * 7}
+        )
+        code, out, err = run_cli(capsys, "check", path)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and f"power larger than {MAX_EXPONENT}" in err
+
+    @pytest.mark.parametrize("command", ["check", "verify-axioms"])
+    def test_parallel_flag_is_gone(self, capsys, tmp_path, command):
+        first = example_doc(tmp_path) if command == "check" else "--dim=2"
+        with pytest.raises(SystemExit) as exc:
+            main([command, first, "--parallel"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --parallel" in capsys.readouterr().err
 
     def test_mathematical_failure_exits_one(self, capsys, tmp_path):
         doc = {

@@ -1,7 +1,7 @@
 import pytest
 
 from hypercourant.errors import DivisionByZero, ScalarSyntaxError, UnknownVariable
-from hypercourant.parse import MAX_DEPTH, parse_scalar
+from hypercourant.parse import MAX_DEPTH, MAX_EXPONENT, parse_scalar
 from hypercourant.scalar import ScalarField, scalar_text
 
 
@@ -83,6 +83,21 @@ def test_nesting_depth_is_bounded():
     with pytest.raises(ScalarSyntaxError) as exc:
         parse_scalar("(" * deeper + "x1" + ")" * deeper, 1)
     assert exc.value.position == MAX_DEPTH
+
+
+def test_powers_are_bounded():
+    x1 = ScalarField.coordinate(2, 0)
+    assert parse_scalar(f"x1^{MAX_EXPONENT}", 2) == x1 ** MAX_EXPONENT
+    assert parse_scalar("(x1^4)^8", 2) == x1 ** 32
+    with pytest.raises(ScalarSyntaxError) as exc:
+        parse_scalar("(1+x1+x2)^200", 2)
+    assert exc.value.position == 10
+    # nested powers multiply, so they are bounded by their product
+    with pytest.raises(ScalarSyntaxError) as exc:
+        parse_scalar("((1+x1)^8)^8", 2)
+    assert exc.value.position == 11
+    with pytest.raises(ScalarSyntaxError):
+        parse_scalar("(2^33)^1", 2)
 
 
 def test_division_by_zero_field():

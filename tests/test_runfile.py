@@ -10,6 +10,7 @@ from hypercourant.errors import (
     UnknownVariable,
 )
 from hypercourant.runfile import (
+    MAX_DEGREE,
     SUITES,
     emit,
     exit_code,
@@ -53,7 +54,6 @@ class TestParsing:
         sf = parse_structure_text(json.dumps(small_doc()))
         assert sf.dimension == 4
         assert sf.trials == 2 and sf.seed == 1 and sf.degree == 1
-        assert sf.span_degree == 1
         assert sf.digest.startswith("sha256:")
 
     def test_k_defaults_to_i_compose_j(self):
@@ -98,6 +98,12 @@ class TestParsing:
     def test_unknown_option_rejected(self):
         with pytest.raises(SchemaError):
             parse_structure_text(json.dumps(small_doc(options={"tolerance": 3})))
+
+    def test_degree_is_bounded(self):
+        sf = parse_structure_text(json.dumps(small_doc(options={"degree": MAX_DEGREE})))
+        assert sf.degree == MAX_DEGREE
+        with pytest.raises(SchemaError, match=f"'degree' must be at most {MAX_DEGREE}"):
+            parse_structure_text(json.dumps(small_doc(options={"degree": MAX_DEGREE + 1})))
 
     def test_missing_file_path(self):
         with pytest.raises(SchemaError):
