@@ -22,7 +22,7 @@ import sys
 from . import __version__
 from .courant import verify_axioms
 from .errors import EngineError, InconsistentEquivalence
-from .runfile import RunReport, SuiteReport, emit, exit_code, parse_structure, run
+from .runfile import MAX_DEGREE, RunReport, SuiteReport, emit, exit_code, parse_structure, run
 from .structures import EXAMPLE_NAMES, structure_file
 
 
@@ -36,8 +36,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ax = sub.add_parser("verify-axioms", help="check the bracket axioms on random sections")
     ax.add_argument("--dim", type=int, required=True, help="chart dimension n >= 1")
-    ax.add_argument("--degree", type=int, default=2, help="degree bound for random sections")
-    ax.add_argument("--trials", type=int, default=20, help="number of random triples")
+    ax.add_argument("--degree", type=int, default=2, help=f"section degree bound, 0..{MAX_DEGREE}")
+    ax.add_argument("--trials", type=int, default=20, help="number of random triples, at least 1")
     ax.add_argument("--seed", type=int, default=0, help="seed for the random sections")
     ax.add_argument("--format", choices=("json", "text"), default="text")
     ax.add_argument("--report", metavar="FILE", help="write the report here instead of stdout")
@@ -66,6 +66,10 @@ def _write(data: bytes, path: str | None) -> None:
 
 
 def _cmd_verify_axioms(args) -> int:
+    if args.trials < 1 or not 0 <= args.degree <= MAX_DEGREE:
+        # the bounds a structure document's options have
+        print(f"error: need --trials >= 1 and --degree in 0..{MAX_DEGREE}", file=sys.stderr)
+        return 2
     checks = verify_axioms(
         args.dim, args.degree, args.trials, args.seed, _corrupt_bracket=args.corrupt_bracket
     )

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 from .courant import (
     GSection,
@@ -387,80 +388,24 @@ class TheoremReport:
 def concomitant_statuses(hk: HKTriple) -> dict:
     """Decide vanishing of all six concomitants on the frame pairs.
 
-    Evaluation shares one bracket cache per section pair: the sixteen
-    brackets [[P x, Q y]] with P, Q in {1, I, J, K} cover all six
-    concomitants, and endomorphism applications are cached the same way.
+    Each concomitant is evaluated on the frame pairs in row-major order; the
+    first nonzero pair supplies its witness, and it vanishes when no pair
+    is nonzero.
     """
     hk.require_certified()
-    n = hk.n
     members = {"I": hk.i, "J": hk.j, "K": hk.k}
-    products = {(p, q): members[p] @ members[q] for p in "IJK" for q in "IJK"}
-    frame = basis_sections(n)
-    images = {"1": frame}
-    for name, endo in members.items():
-        images[name] = [endo.apply(s) for s in frame]
-
-    undecided = set(CONCOMITANT_KEYS)
+    frame = basis_sections(hk.n)
     status = {}
-    for xi in range(len(frame)):
-        for yi in range(len(frame)):
-            if not undecided:
-                break
-            brackets: dict = {}
-            apps1: dict = {}
-            apps2: dict = {}
-            prods: dict = {}
-
-            def br(p, q):
-                v = brackets.get((p, q))
-                if v is None:
-                    v = dorfman(images[p][xi], images[q][yi])
-                    brackets[(p, q)] = v
-                return v
-
-            def app1(p, q):
-                v = apps1.get((p, q))
-                if v is None:
-                    v = members[p].apply(br("1", q))
-                    apps1[(p, q)] = v
-                return v
-
-            def app2(p, q):
-                v = apps2.get((p, q))
-                if v is None:
-                    v = members[p].apply(br(q, "1"))
-                    apps2[(p, q)] = v
-                return v
-
-            def prod(p, q):
-                v = prods.get((p, q))
-                if v is None:
-                    v = products[(p, q)].apply(br("1", "1"))
-                    prods[(p, q)] = v
-                return v
-
-            for key in sorted(undecided):
-                f, g = key
-                residual = (
-                    br(f, g)
-                    - app1(f, g)
-                    - app2(g, f)
-                    + prod(f, g)
-                    + br(g, f)
-                    - app1(g, f)
-                    - app2(f, g)
-                    + prod(g, f)
-                )
-                w = witness_for(residual, context=f"N[{f},{g}] on family pair ({xi}, {yi})")
-                if w is not None:
-                    status[key] = ConcomitantStatus(False, w)
-                    undecided.discard(key)
-        if not undecided:
-            break
     for key in CONCOMITANT_KEYS:
-        if key not in status:
-            status[key] = ConcomitantStatus(True)
-    return {key: status[key] for key in CONCOMITANT_KEYS}
+        f, g = key
+        status[key] = ConcomitantStatus(True)
+        for (xi, x), (yi, y) in product(enumerate(frame), repeat=2):
+            residual = concomitant(members[f], members[g], x, y)
+            w = witness_for(residual, context=f"N[{f},{g}] on family pair ({xi}, {yi})")
+            if w is not None:
+                status[key] = ConcomitantStatus(False, w)
+                break
+    return status
 
 
 def theorem_report(
@@ -493,30 +438,18 @@ def theorem_report(
         for _ in range(trials)
     ]
 
-    connections_agree = True
+    connections_agree = torsion_ok = True
+    parallel = {"I": True, "J": True, "K": True}
     for x, y in pairs:
         base = connection(hk, "ijk", x, y)
-        if (base - connection(hk, "jki", x, y)).is_zero() and (
-            base - connection(hk, "kij", x, y)
-        ).is_zero():
-            continue
-        connections_agree = False
-        break
-
-    parallel = {}
-    for name, endo in (("I", hk.i), ("J", hk.j), ("K", hk.k)):
-        ok = True
-        for x, y in pairs:
-            if not nabla_endo(hk, "ijk", endo, x, y).is_zero():
-                ok = False
-                break
-        parallel[name] = ok
-
-    torsion_ok = True
-    for x, y in pairs:
-        if not torsion_formula_residual(hk, "ijk", x, y).is_zero():
-            torsion_ok = False
-            break
+        connections_agree = connections_agree and all(
+            (base - connection(hk, v, x, y)).is_zero() for v in ("jki", "kij")
+        )
+        for name, endo in (("I", hk.i), ("J", hk.j), ("K", hk.k)):
+            parallel[name] = parallel[name] and (
+                connection(hk, "ijk", x, endo.apply(y)) - endo.apply(base)
+            ).is_zero()
+        torsion_ok = torsion_ok and torsion_formula_residual(hk, "ijk", x, y).is_zero()
 
     cond_pair = status["II"].vanishes and status["JJ"].vanishes
     cond_ij = status["IJ"].vanishes

@@ -155,7 +155,7 @@ def parse_structure_text(text: str, digest: str | None = None) -> StructureFile:
     _require(not unknown, f"unknown top-level keys {sorted(unknown)}")
 
     n = doc.get("dimension")
-    _require(isinstance(n, int) and n >= 1, "'dimension' must be an integer >= 1")
+    _require(type(n) is int and n >= 1, "'dimension' must be an integer >= 1")
     coords = tuple(doc.get("coordinates", [f"x{k + 1}" for k in range(n)]))
     _require(
         list(coords) == [f"x{k + 1}" for k in range(n)],
@@ -190,7 +190,7 @@ def parse_structure_text(text: str, digest: str | None = None) -> StructureFile:
     options = dict(_DEFAULT_OPTIONS)
     for key, value in (doc.get("options") or {}).items():
         _require(key in options, f"unknown option {key!r}")
-        _require(isinstance(value, int) and value >= 0, f"option {key!r} must be a nonnegative integer")
+        _require(type(value) is int and value >= 0, f"option {key!r} must be a nonnegative integer")
         options[key] = value
     _require(options["trials"] >= 1, "option 'trials' must be at least 1")
     _require(options["degree"] <= MAX_DEGREE, f"option 'degree' must be at most {MAX_DEGREE}")

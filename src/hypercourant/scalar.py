@@ -506,23 +506,7 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     hit = _GCD_CACHE.get(key)
     if hit is not None:
         return hit
-    g = None
-    # mutual divisibility settles full cancellations without any recursion
-    da, db = pa.total_degree(), pb.total_degree()
-    if db <= da:
-        try:
-            pa.divexact(pb)
-            g = pb
-        except ArithmeticError:
-            g = None
-    if g is None and da <= db:
-        try:
-            pb.divexact(pa)
-            g = pa
-        except ArithmeticError:
-            g = None
-    if g is None:
-        g = _gcd_int(pa, pb)
+    g = _gcd_int(pa, pb)
     if len(_GCD_CACHE) >= _GCD_CACHE_LIMIT:
         _GCD_CACHE.clear()
     _GCD_CACHE[key] = g
@@ -620,9 +604,6 @@ class ScalarField:
             if g.is_one():
                 return ScalarField._raw(num, d1)
             return _monic(num.divexact(g), d1.divexact(g))
-        if d1.is_one() and d2.is_one():
-            num = n1 + n2
-            return ScalarField._raw(num, d1) if not num.is_zero() else ScalarField.zero(self.nvars)
         # Henrici: with reduced inputs only gcd(d1, d2) can cancel
         g0 = poly_gcd(d1, d2)
         if g0.is_one():

@@ -71,6 +71,34 @@ class TestVerifyAxioms:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--trials", "0"),
+            ("--trials", "-3"),
+            ("--degree", "-1"),
+            ("--degree", str(MAX_DEGREE + 1)),
+            ("--degree", "40"),
+        ],
+    )
+    def test_out_of_bounds_argument_exits_two(self, capsys, flag, value):
+        code, out, err = run_cli(
+            capsys, "verify-axioms", "--dim", "3", "--trials", "1", flag, value
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: need --trials >= 1 and --degree in 0..{MAX_DEGREE}\n"
+
+    def test_bounds_are_inclusive(self, capsys):
+        code, _, _ = run_cli(
+            capsys, "verify-axioms", "--dim", "1", "--trials", "1", "--degree", "0"
+        )
+        assert code == 0
+        code, _, _ = run_cli(
+            capsys, "verify-axioms", "--dim", "1", "--trials", "1", "--degree", str(MAX_DEGREE)
+        )
+        assert code == 0
+
 
 def example_doc(tmp_path, checks=None, sections=None, **options) -> str:
     """The nonintegrable example with some fields overridden, as a file."""
@@ -176,6 +204,24 @@ class TestCheck:
         assert out == ""
         assert err.startswith("error:") and "'trials' must be at least 1" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("option, value", [("trials", True), ("seed", False), ("degree", True)])
+    def test_boolean_option_exits_two(self, capsys, tmp_path, option, value):
+        code, out, err = run_cli(
+            capsys, "check", example_doc(tmp_path, checks=["theorem"], **{option: value})
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: option {option!r} must be a nonnegative integer\n"
+
+    def test_boolean_dimension_exits_two(self, capsys, tmp_path):
+        doc = structure_file("nonintegrable")
+        doc["dimension"] = True
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run_cli(capsys, "check", str(path))
+        assert code == 2
+        assert err == "error: 'dimension' must be an integer >= 1\n"
 
     def test_degree_above_bound_exits_two(self, capsys, tmp_path):
         code, _, err = run_cli(

@@ -1,4 +1,6 @@
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -308,6 +310,14 @@ class TestTheoremReport:
     def test_needs_a_trial(self, flat):
         with pytest.raises(ValueError):
             theorem_report(flat, trials=0)
+
+    @pytest.mark.parametrize("name", ["flat", "holomorphic-symplectic", "nonintegrable"])
+    def test_matches_recorded_report(self, all_triples, name):
+        # recorded from the earlier three-loop implementation of the sampled
+        # checks and the bracket-cached concomitant evaluation
+        golden = json.loads(Path(__file__).with_name("theorem_golden.json").read_text())
+        rep = theorem_report(all_triples[name], trials=2, seed=101, structure_id="golden")
+        assert rep.to_dict() == golden[name]
 
     def test_frame_decides_like_spanning_family(self, noni):
         # the concomitants of a certified triple are bilinear over scalars,

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -240,6 +241,40 @@ class TestPolynomialInternals:
         p = f.num
         point = (Fraction(-3, 2), Fraction(5))
         assert p.substitute(0, point[0]).evaluate((0, point[1])) == p.evaluate(point)
+
+
+X = sympy.symbols("x1:4")
+
+
+def to_sympy(p: Polynomial) -> sympy.Poly:
+    return sympy.Poly.from_dict({m: sympy.Rational(c) for m, c in p.terms}, *X[: p.nvars])
+
+
+def assert_gcd_matches_sympy(a: Polynomial, b: Polynomial):
+    # sympy keeps the integer content and orders terms lexicographically, so
+    # compare primitive parts up to sign
+    expected = sympy.gcd(to_sympy(a), to_sympy(b)).primitive()[1]
+    got = to_sympy(poly_gcd(a, b))
+    assert got in (expected, -expected)
+
+
+@st.composite
+def nonzero_polynomials(draw, nvars=3):
+    p = draw(polynomials(nvars))
+    return p if not p.is_zero() else Polynomial.variable(nvars, draw(st.integers(0, nvars - 1)))
+
+
+class TestGcdAgainstSympy:
+    @given(p=nonzero_polynomials(), q=nonzero_polynomials(), r=nonzero_polynomials())
+    @settings(max_examples=40, deadline=None)
+    def test_common_factor(self, p, q, r):
+        assert_gcd_matches_sympy(p * r, q * r)
+
+    @given(p=nonzero_polynomials(), q=nonzero_polynomials())
+    @settings(max_examples=40, deadline=None)
+    def test_one_argument_divides_the_other(self, p, q):
+        assert_gcd_matches_sympy(p * q, q)
+        assert_gcd_matches_sympy(q, p * q)
 
 
 class TestPrinting:
