@@ -31,89 +31,55 @@ def _check_components(components: tuple) -> tuple:
 
 
 @dataclass(frozen=True)
-class VectorField:
+class _Components:
+    """n scalar components over an n-dimensional chart; the subclass says
+    whether they are a vector field's or a 1-form's."""
+
+    components: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "components", _check_components(self.components))
+
+    @property
+    def dim(self) -> int:
+        return len(self.components)
+
+    @classmethod
+    def zero(cls, n: int):
+        z = ScalarField.zero(n)
+        return cls((z,) * n)
+
+    @classmethod
+    def basis(cls, n: int, i: int):
+        """d/dx_{i+1} or dx_{i+1} (0-based index)."""
+        z = ScalarField.zero(n)
+        one = ScalarField.one(n)
+        return cls(tuple(one if k == i else z for k in range(n)))
+
+    def is_zero(self) -> bool:
+        return all(f.is_zero() for f in self.components)
+
+    def __add__(self, other):
+        _check_dim(self, other)
+        return type(self)(tuple(a + b for a, b in zip(self.components, other.components)))
+
+    def __sub__(self, other):
+        _check_dim(self, other)
+        return type(self)(tuple(a - b for a, b in zip(self.components, other.components)))
+
+    def __neg__(self):
+        return type(self)(tuple(-a for a in self.components))
+
+    def smul(self, f: ScalarField):
+        return type(self)(tuple(f * a for a in self.components))
+
+
+class VectorField(_Components):
     """X = sum_i X^i d/dx_i."""
 
-    components: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "components", _check_components(self.components))
-
-    @property
-    def dim(self) -> int:
-        return len(self.components)
-
-    @classmethod
-    def zero(cls, n: int) -> "VectorField":
-        z = ScalarField.zero(n)
-        return cls((z,) * n)
-
-    @classmethod
-    def basis(cls, n: int, i: int) -> "VectorField":
-        """d/dx_{i+1} (0-based index)."""
-        z = ScalarField.zero(n)
-        one = ScalarField.one(n)
-        return cls(tuple(one if k == i else z for k in range(n)))
-
-    def is_zero(self) -> bool:
-        return all(f.is_zero() for f in self.components)
-
-    def __add__(self, other: "VectorField") -> "VectorField":
-        _check_dim(self, other)
-        return VectorField(tuple(a + b for a, b in zip(self.components, other.components)))
-
-    def __sub__(self, other: "VectorField") -> "VectorField":
-        _check_dim(self, other)
-        return VectorField(tuple(a - b for a, b in zip(self.components, other.components)))
-
-    def __neg__(self) -> "VectorField":
-        return VectorField(tuple(-a for a in self.components))
-
-    def smul(self, f: ScalarField) -> "VectorField":
-        return VectorField(tuple(f * a for a in self.components))
-
-
-@dataclass(frozen=True)
-class OneForm:
+class OneForm(_Components):
     """xi = sum_i xi_i dx_i."""
-
-    components: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "components", _check_components(self.components))
-
-    @property
-    def dim(self) -> int:
-        return len(self.components)
-
-    @classmethod
-    def zero(cls, n: int) -> "OneForm":
-        z = ScalarField.zero(n)
-        return cls((z,) * n)
-
-    @classmethod
-    def basis(cls, n: int, i: int) -> "OneForm":
-        """dx_{i+1} (0-based index)."""
-        z = ScalarField.zero(n)
-        one = ScalarField.one(n)
-        return cls(tuple(one if k == i else z for k in range(n)))
-
-    def is_zero(self) -> bool:
-        return all(f.is_zero() for f in self.components)
-
-    def __add__(self, other: "OneForm") -> "OneForm":
-        _check_dim(self, other)
-        return OneForm(tuple(a + b for a, b in zip(self.components, other.components)))
-
-    def __sub__(self, other: "OneForm") -> "OneForm":
-        _check_dim(self, other)
-        return OneForm(tuple(a - b for a, b in zip(self.components, other.components)))
-
-    def __neg__(self) -> "OneForm":
-        return OneForm(tuple(-a for a in self.components))
-
-    def smul(self, f: ScalarField) -> "OneForm":
-        return OneForm(tuple(f * a for a in self.components))
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,8 @@ import sys
 from . import __version__
 from .courant import verify_axioms
 from .errors import EngineError, InconsistentEquivalence
-from .runfile import MAX_DEGREE, RunReport, SuiteReport, emit, exit_code, parse_structure, run
+from .runfile import MAX_DEGREE, MAX_DIMENSION, RunReport, SuiteReport, emit, exit_code
+from .runfile import parse_structure, run
 from .structures import EXAMPLE_NAMES, structure_file
 
 
@@ -66,9 +67,12 @@ def _write(data: bytes, path: str | None) -> None:
 
 
 def _cmd_verify_axioms(args) -> int:
+    # the bounds a structure document has
     if args.trials < 1 or not 0 <= args.degree <= MAX_DEGREE:
-        # the bounds a structure document's options have
         print(f"error: need --trials >= 1 and --degree in 0..{MAX_DEGREE}", file=sys.stderr)
+        return 2
+    if not 1 <= args.dim <= MAX_DIMENSION:
+        print(f"error: need --dim in 1..{MAX_DIMENSION}", file=sys.stderr)
         return 2
     checks = verify_axioms(
         args.dim, args.degree, args.trials, args.seed, _corrupt_bracket=args.corrupt_bracket

@@ -1,6 +1,6 @@
 """Endomorphisms of TM (+) T*M, lifts, and structure certification.
 
-A GEndo is stored in 2x2 block form acting on component columns:
+A GEndo is one 2n x 2n matrix in 2x2 block form acting on component columns:
 
     (X, xi)  |->  (A X + B xi, C X + D xi)
 
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cartan import OneForm, TwoForm, VectorField
+from .cartan import TwoForm
 from .courant import GSection, basis_sections, pairing
 from .errors import (
     DimensionMismatch,
@@ -106,23 +106,28 @@ def mat_eq(a, b) -> bool:
     return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GEndo:
-    """Block endomorphism of the generalized tangent bundle."""
+    """Endomorphism of the generalized tangent bundle: one 2n x 2n matrix
+    [[A, B], [C, D]] acting on the 2n components of a section."""
 
-    a: tuple
-    b: tuple
-    c: tuple
-    d: tuple
+    matrix: tuple
 
-    def __post_init__(self):
-        n = len(self.a)
-        for name in ("a", "b", "c", "d"):
-            object.__setattr__(self, name, _check_matrix(getattr(self, name), n))
+    def __init__(self, a, b, c, d):
+        n = len(a)
+        a, b, c, d = (_check_matrix(blk, n) for blk in (a, b, c, d))
+        top = tuple(ra + rb for ra, rb in zip(a, b))
+        object.__setattr__(self, "matrix", top + tuple(rc + rd for rc, rd in zip(c, d)))
+
+    @classmethod
+    def _of(cls, matrix: tuple) -> "GEndo":
+        out = object.__new__(cls)
+        object.__setattr__(out, "matrix", matrix)
+        return out
 
     @property
     def n(self) -> int:
-        return len(self.a)
+        return len(self.matrix) // 2
 
     @classmethod
     def identity(cls, n: int) -> "GEndo":
@@ -136,22 +141,13 @@ class GEndo:
     def apply(self, s: GSection) -> "GSection":
         if s.dim != self.n:
             raise DimensionMismatch("section and endomorphism chart dimensions differ")
-        v = s.vec.components
-        f = s.form.components
-        vec = tuple(x + y for x, y in zip(mat_apply(self.a, v), mat_apply(self.b, f)))
-        form = tuple(x + y for x, y in zip(mat_apply(self.c, v), mat_apply(self.d, f)))
-        return GSection(VectorField(vec), OneForm(form))
+        return GSection.from_components(mat_apply(self.matrix, s.components))
 
     def compose(self, other: "GEndo") -> "GEndo":
         """self after other."""
         if self.n != other.n:
             raise DimensionMismatch("endomorphism dimensions differ")
-        return GEndo(
-            mat_add(mat_mul(self.a, other.a), mat_mul(self.b, other.c)),
-            mat_add(mat_mul(self.a, other.b), mat_mul(self.b, other.d)),
-            mat_add(mat_mul(self.c, other.a), mat_mul(self.d, other.c)),
-            mat_add(mat_mul(self.c, other.b), mat_mul(self.d, other.d)),
-        )
+        return GEndo._of(mat_mul(self.matrix, other.matrix))
 
     def __matmul__(self, other: "GEndo") -> "GEndo":
         return self.compose(other)
@@ -159,44 +155,29 @@ class GEndo:
     def __add__(self, other: "GEndo") -> "GEndo":
         if self.n != other.n:
             raise DimensionMismatch("endomorphism dimensions differ")
-        return GEndo(
-            mat_add(self.a, other.a),
-            mat_add(self.b, other.b),
-            mat_add(self.c, other.c),
-            mat_add(self.d, other.d),
-        )
+        return GEndo._of(mat_add(self.matrix, other.matrix))
 
     def __neg__(self) -> "GEndo":
-        return GEndo(mat_neg(self.a), mat_neg(self.b), mat_neg(self.c), mat_neg(self.d))
+        return GEndo._of(mat_neg(self.matrix))
 
     def __sub__(self, other: "GEndo") -> "GEndo":
         return self + (-other)
 
     def scale(self, f: ScalarField) -> "GEndo":
-        return GEndo(
-            mat_scale(self.a, f),
-            mat_scale(self.b, f),
-            mat_scale(self.c, f),
-            mat_scale(self.d, f),
-        )
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, GEndo)
-            and self.n == other.n
-            and mat_eq(self.a, other.a)
-            and mat_eq(self.b, other.b)
-            and mat_eq(self.c, other.c)
-            and mat_eq(self.d, other.d)
-        )
+        return GEndo._of(mat_scale(self.matrix, f))
 
     def is_zero(self) -> bool:
-        return all(
-            f.is_zero() for blk in (self.a, self.b, self.c, self.d) for row in blk for f in row
-        )
+        return all(f.is_zero() for row in self.matrix for f in row)
 
     def blocks(self) -> dict:
-        return {"A": self.a, "B": self.b, "C": self.c, "D": self.d}
+        n = self.n
+        top, bottom = self.matrix[:n], self.matrix[n:]
+        return {
+            "A": tuple(row[:n] for row in top),
+            "B": tuple(row[n:] for row in top),
+            "C": tuple(row[:n] for row in bottom),
+            "D": tuple(row[n:] for row in bottom),
+        }
 
 
 # ---------------------------------------------------------------------------

@@ -155,21 +155,14 @@ def _rotation(hk: HKTriple, variant: str) -> tuple:
     raise ValueError(f"unknown connection variant {variant!r}")
 
 
-def connection(
-    hk: HKTriple, variant: str, x: GSection, y: GSection, *, _flip_sign: bool = False
-) -> GSection:
-    """The canonical connection for one cyclic rotation of the triple.
-
-    `_flip_sign` corrupts the last term; it exists only so the suites can
-    demonstrate that a wrong formula is caught by the connection laws.
-    """
+def connection(hk: HKTriple, variant: str, x: GSection, y: GSection) -> GSection:
+    """The canonical connection for one cyclic rotation of the triple."""
     hk.require_certified()
     p, q, r = _rotation(hk, variant)
     px = p.apply(x)
     qy = q.apply(y)
     inner = dorfman(qy, px) - q.apply(dorfman(y, px)) - p.apply(dorfman(qy, x))
-    last = q.apply(p.apply(dorfman(y, x)))
-    inner = inner - last if _flip_sign else inner + last
+    inner = inner + q.apply(p.apply(dorfman(y, x)))
     return r.apply(inner).smul(ScalarField.const(x.dim, Fraction(-1, 2)))
 
 
@@ -203,8 +196,6 @@ def check_connection_laws(
     seed: int = 0,
     degree: int = 1,
     extra_pairs: list | None = None,
-    *,
-    _flip_sign: bool = False,
 ) -> list:
     """Exactly verify the two defining laws of the connection:
 
@@ -231,15 +222,12 @@ def check_connection_laws(
     for name, x, y in extra_pairs or ():
         inputs.append((None, f"[sections:{name}]", x, y, ScalarField.coordinate(n, 0)))
 
-    def nab(a, b):
-        return connection(hk, variant, a, b, _flip_sign=_flip_sign)
-
     def trial(item):
         t, tag, x, y, fun = item
-        r1 = nab(x.smul(fun), y) - nab(x, y).smul(fun)
-        r2 = nab(x, y.smul(fun)) - y.smul(anchor_apply(x, fun)) - nab(x, y).smul(fun) + delta(
-            hk, fun, x, y
-        )
+        f_nab = connection(hk, variant, x, y).smul(fun)
+        r1 = connection(hk, variant, x.smul(fun), y) - f_nab
+        r2 = connection(hk, variant, x, y.smul(fun)) - y.smul(anchor_apply(x, fun)) - f_nab
+        r2 = r2 + delta(hk, fun, x, y)
         return [
             check(f"connection-law-tensorial[{variant}]{tag}", r1, t),
             check(f"connection-law-leibniz-delta[{variant}]{tag}", r2, t),
@@ -274,20 +262,22 @@ def check_identities(
     def trial(item):
         t, x, y = item
         out = []
-        r = nabla_endo(hk, "ijk", hk.j, x, y)
+        nab_xy = connection(hk, "ijk", x, y)
+        r = connection(hk, "ijk", x, hk.j.apply(y)) - hk.j.apply(nab_xy)
         out.append(check("nabla-j-vanishes", r, t))
 
         nij_y = concomitant(hk.i, hk.j, x, y)
         nij_iy = concomitant(hk.i, hk.j, x, hk.i.apply(y))
         r = (
-            nabla_endo(hk, "ijk", hk.i, x, y)
+            connection(hk, "ijk", x, hk.i.apply(y))
+            - hk.i.apply(nab_xy)
             - hk.k.apply(nij_iy).smul(half)
             - hk.j.apply(nij_y).smul(half)
         )
         out.append(check("nabla-i-concomitant-formula", r, t))
 
         lhs = dorfman(x, y) + hk.k.apply(nij_y).smul(half)
-        rhs = connection(hk, "ijk", x, y) - connection(hk, "ijk", y, x) + d_map(pairing(x, y))
+        rhs = nab_xy - connection(hk, "ijk", y, x) + d_map(pairing(x, y))
         for endo in (hk.i, hk.j, hk.k):
             rhs = rhs - endo.apply(d_map(pairing(x, endo.apply(y))))
         out.append(check("bracket-decomposition", lhs - rhs, t))

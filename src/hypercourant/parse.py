@@ -54,7 +54,12 @@ def _tokenize(text: str):
         if var:
             tokens.append((_VAR, var, start))
         elif num:
-            tokens.append((_INT, int(num), start))
+            try:
+                tokens.append((_INT, int(num), start))
+            except ValueError:  # beyond the interpreter's int() digit limit
+                raise ScalarSyntaxError(
+                    f"integer literal of {len(num)} digits is too long", start
+                ) from None
         elif op:
             tokens.append((_OP, op, start))
         pos = m.end()

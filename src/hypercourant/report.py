@@ -140,7 +140,7 @@ def witness_for(residual, context: str = "") -> Witness | None:
     return None
 
 
-def check(check_id: str, residual, trial: int | None = None, context: str = "") -> CheckReport:
+def check(check_id: str, residual, trial: int | None = None) -> CheckReport:
     """Report whether a residual is identically zero."""
-    w = witness_for(residual, context)
+    w = witness_for(residual)
     return CheckReport(check_id=check_id, passed=w is None, trial=trial, witness=w)

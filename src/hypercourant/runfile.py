@@ -37,6 +37,10 @@ _DEFAULT_OPTIONS = {"trials": 10, "degree": 2, "seed": 0}
 # steeply with it, and every shipped document uses at most 2.
 MAX_DEGREE = 4
 
+# Largest chart dimension; one axiom trial at degree 2 already takes about
+# 10 s at n = 8, and the cost grows steeply with n.
+MAX_DIMENSION = 8
+
 
 @dataclass(frozen=True)
 class StructureFile:
@@ -106,12 +110,17 @@ def _require(cond: bool, message: str):
         raise SchemaError(message)
 
 
+def _parse_entry(entry, coords, what: str):
+    _require(isinstance(entry, str), f"{what}: entries must be strings in the scalar grammar")
+    return parse_scalar(entry, coords)
+
+
 def _parse_matrix(rows, n: int, coords, what: str):
     if not isinstance(rows, list) or len(rows) != n or any(
         not isinstance(r, list) or len(r) != n for r in rows
     ):
         raise DimensionMismatch(f"{what} must be a {n}x{n} array")
-    return tuple(tuple(parse_scalar(entry, coords) for entry in row) for row in rows)
+    return tuple(tuple(_parse_entry(entry, coords, what) for entry in row) for row in rows)
 
 
 def _parse_endo(spec, n: int, coords, what: str) -> GEndo:
@@ -148,6 +157,8 @@ def parse_structure_text(text: str, digest: str | None = None) -> StructureFile:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"not valid JSON: {exc}") from None
+    except ValueError:  # an integer beyond the interpreter's int() digit limit
+        raise SchemaError("not valid JSON: a number has too many digits") from None
     except RecursionError:
         raise SchemaError("not valid JSON: nested too deeply") from None
     _require(isinstance(doc, dict), "top level must be an object")
@@ -156,9 +167,10 @@ def parse_structure_text(text: str, digest: str | None = None) -> StructureFile:
 
     n = doc.get("dimension")
     _require(type(n) is int and n >= 1, "'dimension' must be an integer >= 1")
-    coords = tuple(doc.get("coordinates", [f"x{k + 1}" for k in range(n)]))
+    _require(n <= MAX_DIMENSION, f"'dimension' must be at most {MAX_DIMENSION}")
+    coords = tuple(f"x{k + 1}" for k in range(n))
     _require(
-        list(coords) == [f"x{k + 1}" for k in range(n)],
+        doc.get("coordinates", list(coords)) == list(coords),
         "'coordinates' must be x1..xn in order (the scalar grammar fixes the names)",
     )
 
@@ -172,23 +184,29 @@ def parse_structure_text(text: str, digest: str | None = None) -> StructureFile:
     k_endo = _parse_endo(st["K"], n, coords, "K") if "K" in st else None
     triple = HKTriple.certify(i_endo, j_endo, k_endo)
 
+    named = doc.get("sections") or {}
+    _require(isinstance(named, dict), "'sections' must be an object")
     sections = {}
-    for name, comps in (doc.get("sections") or {}).items():
+    for name, comps in named.items():
         _require(
             isinstance(comps, list) and len(comps) == 2 * n,
             f"section {name!r} must have 2n = {2 * n} components",
         )
         sections[name] = GSection.from_components(
-            tuple(parse_scalar(c, coords) for c in comps)
+            tuple(_parse_entry(c, coords, f"section {name!r}") for c in comps)
         )
 
-    checks = tuple(doc.get("checks", SUITES))
+    checks = doc.get("checks", list(SUITES))
+    _require(isinstance(checks, list), "'checks' must be a list of suite names")
+    checks = tuple(checks)
     for c in checks:
         _require(c in SUITES, f"unknown check suite {c!r} (known: {', '.join(SUITES)})")
     _require(len(set(checks)) == len(checks), "'checks' must not repeat suites")
 
+    given = doc.get("options") or {}
+    _require(isinstance(given, dict), "'options' must be an object")
     options = dict(_DEFAULT_OPTIONS)
-    for key, value in (doc.get("options") or {}).items():
+    for key, value in given.items():
         _require(key in options, f"unknown option {key!r}")
         _require(type(value) is int and value >= 0, f"option {key!r} must be a nonnegative integer")
         options[key] = value

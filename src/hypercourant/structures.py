@@ -146,12 +146,7 @@ def structure_file(name: str) -> dict:
         triple = nonintegrable_conjugated()
         structure = {}
         for member, endo in (("I", triple.i), ("J", triple.j)):
-            structure[member] = {
-                "A": _matrix_strings(endo.a),
-                "B": _matrix_strings(endo.b),
-                "C": _matrix_strings(endo.c),
-                "D": _matrix_strings(endo.d),
-            }
+            structure[member] = {k: _matrix_strings(v) for k, v in endo.blocks().items()}
         return {
             "dimension": DIM,
             "coordinates": coords,

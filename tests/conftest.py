@@ -1,10 +1,15 @@
 import pytest
+from hypothesis import settings
 
 from hypercourant.structures import (
     flat_quaternionic,
     holomorphic_symplectic,
     nonintegrable_conjugated,
 )
+
+# exact arithmetic on drawn inputs varies too much in time for a deadline
+settings.register_profile("hypercourant", deadline=None)
+settings.load_profile("hypercourant")
 
 
 @pytest.fixture(scope="session")

@@ -1,10 +1,11 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from hypercourant.cli import main
 from hypercourant.parse import MAX_EXPONENT
-from hypercourant.runfile import MAX_DEGREE
+from hypercourant.runfile import MAX_DEGREE, MAX_DIMENSION
 from hypercourant.structures import structure_file
 
 
@@ -42,6 +43,12 @@ class TestVerifyAxioms:
         assert failing
         witness = failing[0]["witness"]
         assert witness["expression"] and witness["point"] and witness["value"] != "0"
+
+    def test_corrupted_bracket_matches_recorded_report(self, capsys):
+        golden = json.loads(Path(__file__).with_name("mutant_golden.json").read_text())
+        golden = golden["verify-axioms"]
+        code, out, _ = run_cli(capsys, *golden["argv"])
+        assert (code, out) == (golden["exit"], golden["stdout"])
 
     def test_text_format_prints_failures(self, capsys):
         # n = 1 would hide the mutation (every 2-form on a line vanishes)
@@ -88,6 +95,12 @@ class TestVerifyAxioms:
         assert code == 2
         assert out == ""
         assert err == f"error: need --trials >= 1 and --degree in 0..{MAX_DEGREE}\n"
+
+    @pytest.mark.parametrize("dim", ["0", str(MAX_DIMENSION + 1), "30"])
+    def test_dimension_out_of_bounds_exits_two(self, capsys, dim):
+        code, out, err = run_cli(capsys, "verify-axioms", "--dim", dim, "--trials", "1")
+        assert (code, out) == (2, "")
+        assert err == f"error: need --dim in 1..{MAX_DIMENSION}\n"
 
     def test_bounds_are_inclusive(self, capsys):
         code, _, _ = run_cli(
@@ -222,6 +235,30 @@ class TestCheck:
         code, _, err = run_cli(capsys, "check", str(path))
         assert code == 2
         assert err == "error: 'dimension' must be an integer >= 1\n"
+
+    def test_dimension_above_bound_exits_two(self, capsys, tmp_path):
+        doc = structure_file("nonintegrable")
+        doc["dimension"] = MAX_DIMENSION + 1
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "check", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: 'dimension' must be at most {MAX_DIMENSION}\n"
+
+    def test_huge_integer_literal_exits_two(self, capsys, tmp_path):
+        path = example_doc(
+            tmp_path, checks=["certification"], sections={"big": ["1" * 5000] + ["0"] * 7}
+        )
+        code, out, err = run_cli(capsys, "check", path)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "5000 digits" in err
+
+    def test_huge_json_number_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "big.json"
+        path.write_text('{"dimension": ' + "1" * 5000 + "}")
+        code, out, err = run_cli(capsys, "check", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: not valid JSON: a number has too many digits\n"
 
     def test_degree_above_bound_exits_two(self, capsys, tmp_path):
         code, _, err = run_cli(

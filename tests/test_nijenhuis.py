@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from hypercourant.courant import GSection, basis_sections, random_section
+import hypercourant.nijenhuis
+from hypercourant.courant import GSection, basis_sections, dorfman, random_section
 from hypercourant.endo import GEndo, HKTriple
 from hypercourant.errors import InconsistentEquivalence, UncertifiedStructure
 from hypercourant.nijenhuis import (
@@ -24,6 +25,7 @@ from hypercourant.nijenhuis import (
     theorem_report,
     torsion,
     torsion_formula_residual,
+    _rotation,
 )
 from hypercourant.parse import parse_scalar
 from hypercourant.report import CheckReport
@@ -36,6 +38,21 @@ from oracle import (
     oracle_first_slot_defect,
     spanning_family,
 )
+
+
+MUTANT_GOLDEN = json.loads(Path(__file__).with_name("mutant_golden.json").read_text())
+
+
+@pytest.fixture
+def flipped_connection(monkeypatch):
+    """Replace the connection with the mutant whose last inner term,
+    QP[[Y, X]], enters with the wrong sign."""
+
+    def flipped(hk, variant, x, y):
+        p, q, r = _rotation(hk, variant)
+        return connection(hk, variant, x, y) + r.apply(q.apply(p.apply(dorfman(y, x))))
+
+    monkeypatch.setattr(hypercourant.nijenhuis, "connection", flipped)
 
 
 def random_endo(rng, n, degree=1):
@@ -259,12 +276,18 @@ class TestSuites:
             reports = check_connection_laws(flat, variant, trials=2, seed=4)
             assert all(r.passed for r in reports)
 
-    def test_mutated_connection_fails_leibniz_law(self, flat):
-        reports = check_connection_laws(flat, "ijk", trials=2, seed=5, _flip_sign=True)
+    def test_mutated_connection_fails_leibniz_law(self, flat, flipped_connection):
+        reports = check_connection_laws(flat, "ijk", trials=2, seed=5)
         leibniz = [r for r in reports if "leibniz-delta" in r.check_id]
         assert any(not r.passed for r in leibniz)
         bad = next(r for r in leibniz if not r.passed)
         assert bad.witness is not None
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_mutated_connection_matches_recorded_reports(self, flat, flipped_connection, variant):
+        reports = check_connection_laws(flat, variant, trials=2, seed=5)
+        expected = MUTANT_GOLDEN["connection-laws"]["reports"][variant]
+        assert [r.to_dict() for r in reports] == expected
 
     def test_identities_all_structures(self, all_triples):
         for hk in all_triples.values():

@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hypercourant.errors import DivisionByZero, ScalarSyntaxError, UnknownVariable
+from hypercourant.errors import DivisionByZero, EngineError, ScalarSyntaxError, UnknownVariable
 from hypercourant.parse import MAX_DEPTH, MAX_EXPONENT, parse_scalar
 from hypercourant.scalar import ScalarField, scalar_text
 
@@ -100,6 +102,14 @@ def test_powers_are_bounded():
         parse_scalar("(2^33)^1", 2)
 
 
+def test_integer_literals_past_the_digit_limit_are_refused():
+    # int() refuses more than 4,300 digits by default
+    assert parse_scalar("1" * 4300, 1) == ScalarField.const(1, int("1" * 4300))
+    with pytest.raises(ScalarSyntaxError) as exc:
+        parse_scalar("x1 + " + "1" * 5000, 1)
+    assert exc.value.position == 5
+
+
 def test_division_by_zero_field():
     with pytest.raises(DivisionByZero):
         parse_scalar("x1/(x2 - x2)", 2)
@@ -118,3 +128,20 @@ def test_print_parse_round_trip_on_canonical_forms():
     for text in samples:
         f = parse_scalar(text, 2)
         assert parse_scalar(scalar_text(f), 2) == f
+
+
+# grammar characters, with digits and variable names weighted up
+GRAMMAR_TEXT = st.lists(
+    st.sampled_from(["x1", "x2", "x3", "0", "1", "2", "7", "12", " "] + list("x+-*/^()9")),
+    max_size=24,
+).map("".join)
+
+
+@given(text=st.one_of(GRAMMAR_TEXT, st.text(max_size=24)))
+@settings(max_examples=300)
+def test_fuzzed_text_parses_or_raises_engine_error(text):
+    try:
+        f = parse_scalar(text, 2)
+    except EngineError:
+        return
+    assert parse_scalar(scalar_text(f), 2) == f

@@ -45,7 +45,7 @@ def witness_fields(draw):
 
 
 @given(f=witness_fields())
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 def test_same_point_and_value_as_grid_walk(f):
     assert find_nonzero_point(f) == lexicographic_nonzero_point(f)
 

@@ -1,9 +1,12 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypercourant.errors import (
     DimensionMismatch,
+    EngineError,
     InconsistentEquivalence,
     SchemaError,
     ScalarSyntaxError,
@@ -18,7 +21,7 @@ from hypercourant.runfile import (
     parse_structure_text,
     run,
 )
-from hypercourant.structures import structure_file
+from hypercourant.structures import EXAMPLE_NAMES, structure_file
 
 
 def _matrix_strings(rows):
@@ -47,6 +50,43 @@ def small_doc(**overrides):
     }
     doc.update(overrides)
     return doc
+
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-10, 10)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from(["0", "1", "-1", "x1", "x9", "1/0", "(", "diagonal", "theorem"])
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=10,
+)
+
+
+@st.composite
+def mutated_documents(draw):
+    """A built-in example document with one node replaced by random JSON;
+    the node is a top-level value, or one or more levels below it."""
+    doc = structure_file(draw(st.sampled_from(EXAMPLE_NAMES)))
+    parent, key = None, None
+    node = doc
+    while isinstance(node, (dict, list)) and node and (parent is None or draw(st.booleans())):
+        keys = sorted(node) if isinstance(node, dict) else range(len(node))
+        parent, key = node, draw(st.sampled_from(keys))
+        node = parent[key]
+    parent[key] = draw(JSON_VALUES)
+    return json.dumps(doc)
+
+
+@given(text=st.one_of(mutated_documents(), st.text(max_size=40)))
+@settings(max_examples=300)
+def test_fuzzed_documents_parse_or_raise_engine_error(text):
+    try:
+        parse_structure_text(text)
+    except EngineError:
+        pass
 
 
 class TestParsing:

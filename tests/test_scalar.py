@@ -149,7 +149,7 @@ class TestCanonicalForm:
 
 class TestRingLaws:
     @given(a=fields(), b=fields(), c=fields())
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     def test_add_mul_laws(self, a, b, c):
         assert (a + b) + c == a + (b + c)
         assert a + b == b + a
@@ -158,19 +158,19 @@ class TestRingLaws:
         assert a * (b + c) == a * b + a * c
 
     @given(a=fields())
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     def test_sub_and_div_round_trip(self, a):
         assert (a - a).is_zero()
         if not a.is_zero():
             assert a / a == ScalarField.one(NVARS)
 
     @given(f=fields())
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     def test_partials_commute(self, f):
         assert f.derivative(0).derivative(1) == f.derivative(1).derivative(0)
 
     @given(f=fields(), g=fields())
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     def test_leibniz(self, f, g):
         lhs = (f * g).derivative(0)
         assert lhs == f.derivative(0) * g + f * g.derivative(0)
@@ -186,7 +186,7 @@ class TestEqualityVsEvaluation:
     ]
 
     @given(a=fields(), b=fields())
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     def test_equal_fields_agree_everywhere(self, a, b):
         diff = a - b
         if diff.is_zero():
@@ -236,7 +236,7 @@ class TestPolynomialInternals:
         assert sf("x1 - 2", 2).num.substitute(0, 2).is_zero()
 
     @given(f=fields())
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     def test_substitute_then_evaluate(self, f):
         p = f.num
         point = (Fraction(-3, 2), Fraction(5))
@@ -266,20 +266,44 @@ def nonzero_polynomials(draw, nvars=3):
 
 class TestGcdAgainstSympy:
     @given(p=nonzero_polynomials(), q=nonzero_polynomials(), r=nonzero_polynomials())
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     def test_common_factor(self, p, q, r):
         assert_gcd_matches_sympy(p * r, q * r)
 
     @given(p=nonzero_polynomials(), q=nonzero_polynomials())
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     def test_one_argument_divides_the_other(self, p, q):
         assert_gcd_matches_sympy(p * q, q)
         assert_gcd_matches_sympy(q, p * q)
 
 
+def field_to_sympy(f: ScalarField):
+    return to_sympy(f.num).as_expr() / to_sympy(f.den).as_expr()
+
+
+@st.composite
+def field_pairs(draw):
+    n = draw(st.integers(1, 3))
+    return draw(fields(n)), draw(fields(n))
+
+
+class TestArithmeticAgainstSympy:
+    @given(pair=field_pairs())
+    @settings(max_examples=40)
+    def test_operations_and_derivatives(self, pair):
+        f, g = pair
+        a, b = field_to_sympy(f), field_to_sympy(g)
+        cases = [(f + g, a + b), (f - g, a - b), (f * g, a * b)]
+        if not g.is_zero():
+            cases.append((f / g, a / b))
+        cases += [(f.derivative(i), sympy.diff(a, X[i])) for i in range(f.nvars)]
+        for got, expected in cases:
+            assert sympy.cancel(field_to_sympy(got) - expected) == 0
+
+
 class TestPrinting:
     @given(f=fields())
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     def test_round_trip(self, f):
         assert parse_scalar(scalar_text(f), NVARS) == f
 

@@ -68,7 +68,8 @@ class TestBuilders:
         from hypercourant.endo import mat_mul
 
         frame, frame_inv = conjugating_frame()
-        j_conj = mat_mul(mat_mul(frame.a, const_matrix(QUAT_J)), frame_inv.a)
+        a, a_inv = frame.blocks()["A"], frame_inv.blocks()["A"]
+        j_conj = mat_mul(mat_mul(a, const_matrix(QUAT_J)), a_inv)
         assert noni.j == lift_diagonal(j_conj)
 
 
