@@ -22,7 +22,7 @@ import sys
 from . import __version__
 from .courant import verify_axioms
 from .errors import EngineError, InconsistentEquivalence
-from .runfile import MAX_DEGREE, MAX_DIMENSION, RunReport, SuiteReport, emit, exit_code
+from .runfile import MAX_DEGREE, MAX_DIMENSION, MAX_TRIALS, RunReport, SuiteReport, emit, exit_code
 from .runfile import parse_structure, run
 from .structures import EXAMPLE_NAMES, structure_file
 
@@ -38,7 +38,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ax = sub.add_parser("verify-axioms", help="check the bracket axioms on random sections")
     ax.add_argument("--dim", type=int, required=True, help="chart dimension n >= 1")
     ax.add_argument("--degree", type=int, default=2, help=f"section degree bound, 0..{MAX_DEGREE}")
-    ax.add_argument("--trials", type=int, default=20, help="number of random triples, at least 1")
+    ax.add_argument("--trials", type=int, default=20, help=f"number of random triples, 1..{MAX_TRIALS}")
     ax.add_argument("--seed", type=int, default=0, help="seed for the random sections")
     ax.add_argument("--format", choices=("json", "text"), default="text")
     ax.add_argument("--report", metavar="FILE", help="write the report here instead of stdout")
@@ -70,6 +70,9 @@ def _cmd_verify_axioms(args) -> int:
     # the bounds a structure document has
     if args.trials < 1 or not 0 <= args.degree <= MAX_DEGREE:
         print(f"error: need --trials >= 1 and --degree in 0..{MAX_DEGREE}", file=sys.stderr)
+        return 2
+    if args.trials > MAX_TRIALS:
+        print(f"error: need --trials at most {MAX_TRIALS}", file=sys.stderr)
         return 2
     if not 1 <= args.dim <= MAX_DIMENSION:
         print(f"error: need --dim in 1..{MAX_DIMENSION}", file=sys.stderr)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, count
 
-from .scalar import ScalarField, scalar_text
+from .scalar import ScalarField, coeff_text, scalar_text
 
 # Candidate coordinate values for point witnesses, tried in this order and
 # then extended on demand by 50, 51, 52, ...  For one variable at most
@@ -100,7 +100,7 @@ def nonzero_witness(label: str, f: ScalarField) -> Witness:
         label=label,
         expression=scalar_text(f),
         point=tuple(str(v) for v in point),
-        value=str(value),
+        value=coeff_text(value),
     )
 
 

@@ -41,6 +41,10 @@ MAX_DEGREE = 4
 # 10 s at n = 8, and the cost grows steeply with n.
 MAX_DIMENSION = 8
 
+# Most random trials per suite; the shipped documents use 6 to 10 and
+# verify-axioms defaults to 20, while the run time grows linearly with it.
+MAX_TRIALS = 100
+
 
 @dataclass(frozen=True)
 class StructureFile:
@@ -210,7 +214,10 @@ def parse_structure_text(text: str, digest: str | None = None) -> StructureFile:
         _require(key in options, f"unknown option {key!r}")
         _require(type(value) is int and value >= 0, f"option {key!r} must be a nonnegative integer")
         options[key] = value
-    _require(options["trials"] >= 1, "option 'trials' must be at least 1")
+    _require(
+        1 <= options["trials"] <= MAX_TRIALS,
+        f"option 'trials' must be at least 1 and at most {MAX_TRIALS}",
+    )
     _require(options["degree"] <= MAX_DEGREE, f"option 'degree' must be at most {MAX_DEGREE}")
 
     return StructureFile(

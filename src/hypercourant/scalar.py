@@ -18,10 +18,17 @@ no floating point anywhere.  Values are immutable and safe to share.
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd as _int_gcd
 from typing import Iterable, Mapping, Sequence, Union
 
-from .errors import DimensionMismatch, DivisionByZero, IndexOutOfRange, PoleAtPoint
+from .errors import (
+    DimensionMismatch,
+    DivisionByZero,
+    EngineError,
+    IndexOutOfRange,
+    PoleAtPoint,
+)
 
 Rational = Fraction
 Coeff = Union[int, Fraction]
@@ -45,6 +52,34 @@ def _cdiv(a: Coeff, b: Coeff) -> Coeff:
 def _grlex(item) -> tuple:
     mono = item[0]
     return (sum(mono), mono)
+
+
+# Packed monomials (Monagan & Pearce): one int per exponent vector, the total
+# degree in the top field of `width` bits, then e1 ... en with e1 most
+# significant.  Adding two packed monomials multiplies them, and int order is
+# graded-lexicographic order, as long as no field reaches 2**width.
+
+
+def _pack(terms: tuple, width: int) -> list:
+    out = []
+    for mono, c in terms:
+        k = sum(mono)
+        for e in mono:
+            k = (k << width) | e
+        out.append((k, c))
+    return out
+
+
+def _unpack(packed: dict, nvars: int, width: int) -> tuple:
+    """Canonical terms from packed monomial -> coefficient, zeros dropped."""
+    mask = (1 << width) - 1
+    shifts = range((nvars - 1) * width, -1, -width)
+    terms = []
+    for k in sorted(packed, reverse=True):
+        c = _cnorm(packed[k])
+        if c:
+            terms.append((tuple([(k >> s) & mask for s in shifts]), c))
+    return tuple(terms)
 
 
 class Polynomial:
@@ -171,18 +206,20 @@ class Polynomial:
         self._check(other)
         if not self.terms or not other.terms:
             return Polynomial.zero(self.nvars)
-        if self.is_one():
-            return other
-        if other.is_one():
-            return self
+        if self.is_const():
+            return other.scale(self.terms[0][1])
+        if other.is_const():
+            return self.scale(other.terms[0][1])
+        # no exponent of the product reaches 2**width, so packed sums never carry
+        width = max(8, (self.total_degree() + other.total_degree()).bit_length())
         out: dict = {}
-        for m1, c1 in self.terms:
-            for m2, c2 in other.terms:
-                m = tuple(a + b for a, b in zip(m1, m2))
-                c = c1 * c2
-                v = out.get(m)
-                out[m] = c if v is None else v + c
-        return Polynomial._from_dict(self.nvars, {m: _cnorm(c) for m, c in out.items()})
+        get = out.get
+        right = _pack(other.terms, width)
+        for k1, c1 in _pack(self.terms, width):
+            for k2, c2 in right:
+                k = k1 + k2
+                out[k] = get(k, 0) + c1 * c2
+        return Polynomial._raw(self.nvars, _unpack(out, self.nvars, width))
 
     def scale(self, c: Coeff) -> "Polynomial":
         if not isinstance(c, (int, Fraction)):
@@ -271,24 +308,43 @@ class Polynomial:
         if d.is_const():
             dc = d.const_value()
             return Polynomial._raw(self.nvars, tuple((m, _cdiv(c, dc)) for m, c in self.terms))
-        rem = dict(self.terms)
-        out = {}
-        dm0, dc0 = d.terms[0]
+        # a new remainder term is a leading one times a term of d, so its
+        # degree stays within deg self and packed sums never carry; a heap of
+        # negated keys yields the leading term, skipping cancelled ones
+        width = max(8, self.total_degree().bit_length())
+        rem = dict(_pack(self.terms, width))
+        heap = [-k for k in rem]
+        heapify(heap)
+        (dk0, dc0), *tail = _pack(d.terms, width)
+        dm0 = d.terms[0][0]
+        mask = (1 << width) - 1
+        shifts = range((self.nvars - 1) * width, -1, -width)
+        out = []
         while rem:
-            m = max(rem, key=lambda mo: (sum(mo), mo))
-            qm = tuple(a - b for a, b in zip(m, dm0))
+            k = -heappop(heap)
+            c = rem.pop(k, None)
+            if c is None:
+                continue
+            qm = tuple([((k >> s) & mask) - e for s, e in zip(shifts, dm0)])
             if any(e < 0 for e in qm):
                 raise ArithmeticError("polynomial division is not exact")
-            qc = _cdiv(rem[m], dc0)
-            out[qm] = qc
-            for dm, dc in d.terms:
-                mm = tuple(a + b for a, b in zip(qm, dm))
-                v = _cnorm(rem.get(mm, 0) - qc * dc)
-                if v:
-                    rem[mm] = v
+            qk = k - dk0
+            qc = _cdiv(c, dc0)
+            out.append((qm, qc))
+            for dk, dc in tail:
+                mk = qk + dk
+                v = rem.get(mk)
+                if v is None:
+                    heappush(heap, -mk)
+                    rem[mk] = _cnorm(-qc * dc)
                 else:
-                    rem.pop(mm, None)
-        return Polynomial._from_dict(self.nvars, out)
+                    v = _cnorm(v - qc * dc)
+                    if v:
+                        rem[mk] = v
+                    else:
+                        del rem[mk]
+        # quotient terms come out in decreasing order
+        return Polynomial._raw(self.nvars, tuple(out))
 
     # -- comparison / hashing ----------------------------------------------
 
@@ -773,10 +829,13 @@ def eval_at(f: ScalarField, point: Sequence[Coeff]) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _coeff_text(c: Coeff) -> str:
-    if type(c) is int:
+def coeff_text(c: Coeff) -> str:
+    """Decimal text of an exact rational.  A number past the interpreter's
+    int() digit limit raises EngineError: the parser could not read it back."""
+    try:
         return str(c)
-    return f"{c.numerator}/{c.denominator}"
+    except ValueError:  # beyond the interpreter's str(int) digit limit
+        raise EngineError("a number in the result has too many digits to print") from None
 
 
 def _mono_text(mono) -> str:
@@ -798,15 +857,15 @@ def polynomial_text(p: Polynomial) -> str:
         mt = _mono_text(mono)
         mag = abs(c)
         if not mt:
-            body = _coeff_text(mag)
+            body = coeff_text(mag)
         elif mag == 1:
             body = mt
         else:
-            body = f"{_coeff_text(mag)}*{mt}"
+            body = f"{coeff_text(mag)}*{mt}"
         if idx == 0:
             if c < 0:
                 # the grammar has no unary minus on variables, keep "-1*"
-                body = f"-{_coeff_text(mag)}*{mt}" if mt else f"-{_coeff_text(mag)}"
+                body = f"-{coeff_text(mag)}*{mt}" if mt else f"-{coeff_text(mag)}"
             pieces.append(body)
         else:
             pieces.append(f"{'-' if c < 0 else '+'} {body}")

@@ -18,6 +18,9 @@ candidate grid, which evaluates the field at every point in turn.
 Concomitant vanishing, which the engine decides on the 2n frame sections
 alone, is checked against the larger family of frame sections times
 monomials, each pair evaluated with the plain eight-term concomitant.
+
+The polynomial product, which the engine computes on packed monomials, is
+checked against the schoolbook product on exponent tuples.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from hypercourant.errors import PoleAtPoint
 from hypercourant.nijenhuis import CONCOMITANT_KEYS, ConcomitantStatus, concomitant
 from hypercourant.report import POINT_CANDIDATES, witness_for
 from hypercourant.sampling import monomials_up_to
-from hypercourant.scalar import Polynomial, ScalarField
+from hypercourant.scalar import Polynomial, ScalarField, _cnorm
 
 
 def _rho_apply(a: int, n: int, g: ScalarField) -> ScalarField:
@@ -132,3 +135,22 @@ def family_statuses(hk, family: list) -> dict:
                 out[key] = ConcomitantStatus(False, w)
                 break
     return out
+
+
+def schoolbook_mul(self: Polynomial, other: Polynomial) -> Polynomial:
+    """Product term by term on exponent tuples, sorted by the grlex key."""
+    self._check(other)
+    if not self.terms or not other.terms:
+        return Polynomial.zero(self.nvars)
+    if self.is_one():
+        return other
+    if other.is_one():
+        return self
+    out: dict = {}
+    for m1, c1 in self.terms:
+        for m2, c2 in other.terms:
+            m = tuple(a + b for a, b in zip(m1, m2))
+            c = c1 * c2
+            v = out.get(m)
+            out[m] = c if v is None else v + c
+    return Polynomial._from_dict(self.nvars, {m: _cnorm(c) for m, c in out.items()})

@@ -5,7 +5,7 @@ import pytest
 
 from hypercourant.cli import main
 from hypercourant.parse import MAX_EXPONENT
-from hypercourant.runfile import MAX_DEGREE, MAX_DIMENSION
+from hypercourant.runfile import MAX_DEGREE, MAX_DIMENSION, MAX_TRIALS
 from hypercourant.structures import structure_file
 
 
@@ -111,6 +111,16 @@ class TestVerifyAxioms:
             capsys, "verify-axioms", "--dim", "1", "--trials", "1", "--degree", str(MAX_DEGREE)
         )
         assert code == 0
+        code, _, _ = run_cli(
+            capsys, "verify-axioms", "--dim", "1", "--trials", str(MAX_TRIALS), "--degree", "0"
+        )
+        assert code == 0
+
+    @pytest.mark.parametrize("trials", [str(MAX_TRIALS + 1), "10000000"])
+    def test_trials_above_bound_exits_two(self, capsys, trials):
+        code, out, err = run_cli(capsys, "verify-axioms", "--dim", "1", "--trials", trials)
+        assert (code, out) == (2, "")
+        assert err == f"error: need --trials at most {MAX_TRIALS}\n"
 
 
 def example_doc(tmp_path, checks=None, sections=None, **options) -> str:
@@ -217,6 +227,27 @@ class TestCheck:
         assert out == ""
         assert err.startswith("error:") and "'trials' must be at least 1" in err
         assert "Traceback" not in err
+
+    def test_trials_bound_is_inclusive(self, capsys, tmp_path):
+        doc = example_doc(tmp_path, checks=["certification"], trials=MAX_TRIALS)
+        code, _, _ = run_cli(capsys, "check", doc)
+        assert code == 0
+        code, out, err = run_cli(
+            capsys, "check", example_doc(tmp_path, checks=["certification"], trials=MAX_TRIALS + 1)
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and f"at most {MAX_TRIALS}" in err
+
+    def test_unprintable_coefficient_exits_two(self, capsys, tmp_path):
+        # a 4,000-digit entry parses, but J^2 + 1 has 8,000 digits, past the
+        # limit of the interpreter's int() that the parser also enforces
+        block = {"A": [["9" * 4000]], "B": [["0"]], "C": [["0"]], "D": [["0"]]}
+        doc = {"dimension": 1, "structure": {"I": block, "J": block}, "checks": ["certification"]}
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "check", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "digits" in err
 
     @pytest.mark.parametrize("option, value", [("trials", True), ("seed", False), ("degree", True)])
     def test_boolean_option_exits_two(self, capsys, tmp_path, option, value):

@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from oracle import schoolbook_mul
 
 from hypercourant.errors import (
     DimensionMismatch,
@@ -311,3 +312,89 @@ class TestPrinting:
         f = sf("0 - x1 + 5", 1)
         text = scalar_text(f)
         assert parse_scalar(text, 1) == f
+
+
+# -- packed product against the schoolbook oracle ------------------------------
+
+# per-variable exponent caps on both sides of the 8-bit field: two factors
+# with exponents up to 127 keep the product below 2**8, up to 128 reach it
+EXPONENT_CAPS = [1, 2, 127, 128, 200]
+
+
+@st.composite
+def wide_polynomials(draw, nvars, cap, max_terms=4):
+    coeffs = st.one_of(
+        st.integers(-(10**12), 10**12),
+        st.fractions(min_value=-1000, max_value=1000, max_denominator=50),
+    )
+    terms = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        mono = tuple(draw(st.integers(0, cap)) for _ in range(nvars))
+        terms[mono] = draw(coeffs)
+    return Polynomial(nvars, terms)
+
+
+@st.composite
+def wide_pairs(draw):
+    nvars = draw(st.integers(0, 8))
+    cap = draw(st.sampled_from(EXPONENT_CAPS))
+    return draw(wide_polynomials(nvars, cap)), draw(wide_polynomials(nvars, cap))
+
+
+def assert_same_terms(got: Polynomial, expected: Polynomial):
+    assert got.terms == expected.terms
+    assert [type(c) for _, c in got.terms] == [type(c) for _, c in expected.terms]
+
+
+def monomial(*exponents) -> Polynomial:
+    return Polynomial(len(exponents), {exponents: 1})
+
+
+class TestPackedProduct:
+    @given(pair=wide_pairs())
+    @settings(max_examples=150)
+    def test_matches_schoolbook(self, pair):
+        a, b = pair
+        assert_same_terms(a * b, schoolbook_mul(a, b))
+        assert_same_terms(b * a, schoolbook_mul(b, a))
+
+    def test_degree_past_eight_bits(self):
+        # 255 + 1 fills the 8-bit field, so the field widens to 9 bits
+        assert_same_terms(monomial(255) * monomial(1), monomial(256))
+        p = Polynomial(2, {(255, 0): 1, (0, 1): -1})
+        assert_same_terms(p * p, schoolbook_mul(p, p))
+
+    def test_exponents_in_two_variables_of_three(self):
+        assert_same_terms(monomial(200, 0, 0) * monomial(0, 100, 0), monomial(200, 100, 0))
+
+    def test_no_variables(self):
+        a, b = Polynomial.const(0, 6), Polynomial.const(0, Fraction(-1, 4))
+        assert (a * b).terms == (((), Fraction(-3, 2)),)
+        assert_same_terms(a * Polynomial.const(0, Fraction(1, 6)), Polynomial.one(0))
+        assert (a * Polynomial.zero(0)).is_zero()
+
+    def test_constant_times_polynomial(self):
+        p = sf("x1^2*x3 - 3/2*x2 + 4").num
+        for c in (Fraction(2, 3), -2, 1):
+            k = Polynomial.const(3, c)
+            assert_same_terms(k * p, schoolbook_mul(k, p))
+            assert_same_terms(p * k, schoolbook_mul(p, k))
+        assert_same_terms(Polynomial.const(3, Fraction(2, 3)) * p, p.scale(Fraction(2, 3)))
+
+
+class TestDivexact:
+    @given(pair=wide_pairs())
+    @settings(max_examples=100)
+    def test_product_divides_back(self, pair):
+        p, q = pair
+        assume(not q.is_zero())
+        assert_same_terms((p * q).divexact(q), p)
+
+    @given(pair=wide_pairs())
+    @settings(max_examples=100)
+    def test_inexact_division_raises(self, pair):
+        p, q = pair
+        # a non-constant q divides p*q + 1 only if it divides 1
+        assume(not q.is_const())
+        with pytest.raises(ArithmeticError):
+            (p * q + Polynomial.one(q.nvars)).divexact(q)
