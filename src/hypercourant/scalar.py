@@ -5,20 +5,28 @@ coefficients in this module, and every identity check in the package reduces
 to "is this ScalarField structurally zero".  That works because both layers
 keep a unique canonical form:
 
-  Polynomial   sparse terms, exponent vector -> nonzero coefficient, stored
-               as a tuple sorted in decreasing graded-lexicographic order.
+  Polynomial   sparse terms, stored packed (Monagan & Pearce): a tuple of
+               (key, nonzero coefficient) pairs in decreasing key order.  A
+               key is one int holding the total degree, then e1 ... en, each
+               in a field of `width` bits, e1 most significant, so int order
+               is graded-lexicographic order and adding two keys multiplies
+               the monomials.  The width is max(8, degree.bit_length()), so
+               (nvars, width, packed) is unique; the width follows from the
+               leading key.  `terms`, the (exponent vector, coefficient)
+               pairs in the same order, is decoded on demand.
   ScalarField  quotient num/den of Polynomials with gcd(num, den) = 1 and
                den normalized monic (leading graded-lex coefficient 1); the
                zero field is 0/1.
 
 Coefficients are ints wherever the value is integral and Fraction otherwise;
-no floating point anywhere.  Values are immutable and safe to share.
+no floating point anywhere.  Values are immutable and safe to share; zero
+and one are shared per number of variables.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from math import gcd as _int_gcd
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -49,43 +57,64 @@ def _cdiv(a: Coeff, b: Coeff) -> Coeff:
     return _cnorm(a / b)
 
 
-def _grlex(item) -> tuple:
-    mono = item[0]
-    return (sum(mono), mono)
+# A key at width w: deg << (n * w) | e1 << ((n - 1) * w) | ... | en.  No field
+# of a polynomial's own keys reaches 2**w, and a product is computed at the
+# width of its degree, so key sums never carry.
 
 
-# Packed monomials (Monagan & Pearce): one int per exponent vector, the total
-# degree in the top field of `width` bits, then e1 ... en with e1 most
-# significant.  Adding two packed monomials multiplies them, and int order is
-# graded-lexicographic order, as long as no field reaches 2**width.
+def _width(degree: int) -> int:
+    return max(8, degree.bit_length())
 
 
-def _pack(terms: tuple, width: int) -> list:
+def _field(nvars: int, width: int, var: int) -> tuple:
+    """Shift and mask of the field of x_var (0-based) in a key, and the key
+    of x_var itself: subtracting e times it removes x_var^e."""
+    s = (nvars - 1 - var) * width
+    return s, (1 << width) - 1, (1 << (nvars * width)) | (1 << s)
+
+
+def _repack(packed: tuple, nvars: int, old: int, new: int) -> tuple:
+    """The same terms at another width; the order is unchanged."""
+    mask = (1 << old) - 1
+    shifts = range(nvars * old, -1, -old)
     out = []
-    for mono, c in terms:
-        k = sum(mono)
-        for e in mono:
-            k = (k << width) | e
-        out.append((k, c))
-    return out
+    for k, c in packed:
+        r = 0
+        for s in shifts:
+            r = (r << new) | ((k >> s) & mask)
+        out.append((r, c))
+    return tuple(out)
 
 
-def _unpack(packed: dict, nvars: int, width: int) -> tuple:
-    """Canonical terms from packed monomial -> coefficient, zeros dropped."""
-    mask = (1 << width) - 1
-    shifts = range((nvars - 1) * width, -1, -width)
-    terms = []
-    for k in sorted(packed, reverse=True):
-        c = _cnorm(packed[k])
-        if c:
-            terms.append((tuple([(k >> s) & mask for s in shifts]), c))
-    return tuple(terms)
+def _make(nvars: int, width: int, packed: tuple) -> "Polynomial":
+    """A polynomial from sorted nonzero terms at `width`, re-packed at the
+    canonical width if its degree has fallen below that width's range."""
+    if not packed:
+        return Polynomial.zero(nvars)
+    if width > 8:
+        w = _width(packed[0][0] >> (nvars * width))
+        if w != width:
+            packed = _repack(packed, nvars, width, w)
+            width = w
+    return Polynomial._raw(nvars, width, packed)
+
+
+def _collect(nvars: int, width: int, out: dict) -> "Polynomial":
+    """A polynomial from key -> coefficient at `width`, zeros dropped."""
+    terms = [
+        (k, c if type(c) is int else _cnorm(c)) for k in sorted(out, reverse=True) if (c := out[k])
+    ]
+    return _make(nvars, width, tuple(terms))
+
+
+_ZERO: dict = {}
+_ONE: dict = {}
 
 
 class Polynomial:
-    """A multivariate polynomial in canonical sparse form."""
+    """A multivariate polynomial in canonical packed sparse form."""
 
-    __slots__ = ("nvars", "terms", "_hash")
+    __slots__ = ("nvars", "width", "packed", "_hash")
 
     def __init__(self, nvars: int, terms: Mapping | Iterable = ()):
         if nvars < 0:
@@ -103,73 +132,91 @@ class Polynomial:
                 cleaned[mono] = c
             else:
                 cleaned.pop(mono, None)
+        width = _width(max(map(sum, cleaned), default=0))
+        keyed = {}
+        for mono, c in cleaned.items():
+            k = sum(mono)
+            for e in mono:
+                k = (k << width) | e
+            keyed[k] = c
         self.nvars = nvars
-        self.terms = tuple(sorted(cleaned.items(), key=_grlex, reverse=True))
+        self.width = width
+        self.packed = tuple([(k, keyed[k]) for k in sorted(keyed, reverse=True)])
         self._hash = None
 
     @classmethod
-    def _raw(cls, nvars: int, sorted_terms: tuple) -> "Polynomial":
+    def _raw(cls, nvars: int, width: int, packed: tuple) -> "Polynomial":
         p = object.__new__(cls)
         p.nvars = nvars
-        p.terms = sorted_terms
+        p.width = width
+        p.packed = packed
         p._hash = None
         return p
 
     @classmethod
-    def _from_dict(cls, nvars: int, d: dict) -> "Polynomial":
-        terms = [(m, c) for m, c in d.items() if c]
-        terms.sort(key=_grlex, reverse=True)
-        return cls._raw(nvars, tuple(terms))
-
-    @classmethod
     def zero(cls, nvars: int) -> "Polynomial":
-        return cls._raw(nvars, ())
+        p = _ZERO.get(nvars)
+        if p is None:
+            p = _ZERO[nvars] = cls._raw(nvars, 8, ())
+        return p
 
     @classmethod
     def const(cls, nvars: int, value: Coeff) -> "Polynomial":
         value = _cnorm(value if isinstance(value, (int, Fraction)) else Fraction(value))
         if not value:
             return cls.zero(nvars)
-        return cls._raw(nvars, (((0,) * nvars, value),))
+        if value == 1:
+            return cls.one(nvars)
+        return cls._raw(nvars, 8, ((0, value),))
 
     @classmethod
     def one(cls, nvars: int) -> "Polynomial":
-        return cls.const(nvars, 1)
+        p = _ONE.get(nvars)
+        if p is None:
+            p = _ONE[nvars] = cls._raw(nvars, 8, ((0, 1),))
+        return p
 
     @classmethod
     def variable(cls, nvars: int, index: int) -> "Polynomial":
         """The coordinate x_{index+1} (0-based index)."""
         if not 0 <= index < nvars:
             raise IndexOutOfRange(f"variable index {index} not in 0..{nvars - 1}")
-        mono = tuple(1 if k == index else 0 for k in range(nvars))
-        return cls._raw(nvars, ((mono, 1),))
+        return cls._raw(nvars, 8, ((_field(nvars, 8, index)[2], 1),))
+
+    @property
+    def terms(self) -> tuple:
+        """(exponent vector, coefficient) pairs in decreasing graded-lex order."""
+        shifts = range((self.nvars - 1) * self.width, -1, -self.width)
+        mask = (1 << self.width) - 1
+        return tuple([(tuple([(k >> s) & mask for s in shifts]), c) for k, c in self.packed])
 
     # -- predicates ---------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.packed
 
     def is_const(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and sum(self.terms[0][0]) == 0)
+        # key 0 is the constant monomial and the least key
+        return not self.packed or self.packed[0][0] == 0
 
     def is_one(self) -> bool:
-        return len(self.terms) == 1 and sum(self.terms[0][0]) == 0 and self.terms[0][1] == 1
+        return self.packed == ((0, 1),)
 
     def const_value(self) -> Coeff:
-        if not self.terms:
+        if not self.packed:
             return 0
         if not self.is_const():
             raise ValueError("not a constant polynomial")
-        return self.terms[0][1]
+        return self.packed[0][1]
 
     def total_degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
+        if not self.packed:
             return -1
-        return sum(self.terms[0][0])
+        return self.packed[0][0] >> (self.nvars * self.width)
 
     def leading_coeff(self) -> Coeff:
-        return self.terms[0][1] if self.terms else 0
+        return self.packed[0][1] if self.packed else 0
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -177,49 +224,57 @@ class Polynomial:
         if self.nvars != other.nvars:
             raise DimensionMismatch(f"{self.nvars} vs {other.nvars} variables")
 
+    def _at(self, width: int) -> tuple:
+        """The packed terms at a width no smaller than the polynomial's."""
+        if width == self.width:
+            return self.packed
+        return _repack(self.packed, self.nvars, self.width, width)
+
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
-        if not self.terms:
+        if not self.packed:
             return other
-        if not other.terms:
+        if not other.packed:
             return self
-        out = dict(self.terms)
-        for m, c in other.terms:
-            v = out.get(m)
-            if v is None:
-                out[m] = c
-            else:
-                v = _cnorm(v + c)
-                if v:
-                    out[m] = v
-                else:
-                    del out[m]
-        return Polynomial._from_dict(self.nvars, out)
+        width = max(self.width, other.width)
+        out = dict(self._at(width))
+        get = out.get
+        for k, c in other._at(width):
+            out[k] = get(k, 0) + c
+        return _collect(self.nvars, width, out)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial._raw(self.nvars, tuple((m, -c) for m, c in self.terms))
+        return Polynomial._raw(self.nvars, self.width, tuple([(k, -c) for k, c in self.packed]))
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
-        if not self.terms or not other.terms:
+        if not self.packed or not other.packed:
             return Polynomial.zero(self.nvars)
         if self.is_const():
-            return other.scale(self.terms[0][1])
+            return other.scale(self.packed[0][1])
         if other.is_const():
-            return self.scale(other.terms[0][1])
-        # no exponent of the product reaches 2**width, so packed sums never carry
-        width = max(8, (self.total_degree() + other.total_degree()).bit_length())
+            return self.scale(other.packed[0][1])
+        # the product's degree is the sum of the degrees, so this is its
+        # canonical width
+        width = _width(self.total_degree() + other.total_degree())
+        a, b = self._at(width), other._at(width)
+        if len(a) == 1:
+            a, b = b, a
+        if len(b) == 1:
+            # adding one key to every key keeps their order
+            ((km, cm),) = b
+            shifted = tuple([(k + km, _cnorm(c * cm)) for k, c in a])
+            return Polynomial._raw(self.nvars, width, shifted)
         out: dict = {}
         get = out.get
-        right = _pack(other.terms, width)
-        for k1, c1 in _pack(self.terms, width):
-            for k2, c2 in right:
+        for k1, c1 in a:
+            for k2, c2 in b:
                 k = k1 + k2
                 out[k] = get(k, 0) + c1 * c2
-        return Polynomial._raw(self.nvars, _unpack(out, self.nvars, width))
+        return _collect(self.nvars, width, out)
 
     def scale(self, c: Coeff) -> "Polynomial":
         if not isinstance(c, (int, Fraction)):
@@ -229,7 +284,8 @@ class Polynomial:
             return Polynomial.zero(self.nvars)
         if c == 1:
             return self
-        return Polynomial._raw(self.nvars, tuple((m, _cnorm(k * c)) for m, k in self.terms))
+        out = tuple([(k, _cnorm(x * c)) for k, x in self.packed])
+        return Polynomial._raw(self.nvars, self.width, out)
 
     def __pow__(self, e: int) -> "Polynomial":
         if e < 0:
@@ -247,13 +303,14 @@ class Polynomial:
         """Partial derivative with respect to coordinate `var` (0-based)."""
         if not 0 <= var < self.nvars:
             raise IndexOutOfRange(f"variable index {var} not in 0..{self.nvars - 1}")
-        out = {}
-        for m, c in self.terms:
-            e = m[var]
+        s, mask, unit = _field(self.nvars, self.width, var)
+        # every surviving key loses the same x_var, so the order holds
+        out = []
+        for k, c in self.packed:
+            e = (k >> s) & mask
             if e:
-                dm = m[:var] + (e - 1,) + m[var + 1:]
-                out[dm] = _cnorm(out.get(dm, 0) + c * e)
-        return Polynomial._from_dict(self.nvars, out)
+                out.append((k - unit, _cnorm(c * e)))
+        return _make(self.nvars, self.width, tuple(out))
 
     def evaluate(self, point: Sequence[Coeff]) -> Fraction:
         if len(point) != self.nvars:
@@ -272,65 +329,74 @@ class Polynomial:
         (exponent zeroed, same nvars)."""
         if not 0 <= var < self.nvars:
             raise IndexOutOfRange(f"variable index {var} not in 0..{self.nvars - 1}")
+        s, mask, unit = _field(self.nvars, self.width, var)
         out: dict = {}
-        for m, c in self.terms:
-            e = m[var]
+        for k, c in self.packed:
+            e = (k >> s) & mask
             if e:
                 c = c * value ** e
-                m = m[:var] + (0,) + m[var + 1:]
-            out[m] = out.get(m, 0) + c
-        return Polynomial._from_dict(self.nvars, {m: _cnorm(c) for m, c in out.items()})
+                k -= e * unit
+            out[k] = out.get(k, 0) + c
+        return _collect(self.nvars, self.width, out)
 
     def deg_in(self, var: int) -> int:
         """Degree in one variable; -1 for the zero polynomial."""
-        if not self.terms:
+        if not self.packed:
             return -1
-        return max(m[var] for m, _ in self.terms)
+        s, mask, _ = _field(self.nvars, self.width, var)
+        return max((k >> s) & mask for k, _ in self.packed)
 
     def coeff_in(self, var: int, power: int) -> "Polynomial":
         """Coefficient of x_var^power, as a polynomial with x_var removed
         (exponent zeroed, same nvars)."""
-        out = {}
-        for m, c in self.terms:
-            if m[var] == power:
-                out[m[:var] + (0,) + m[var + 1:]] = c
-        return Polynomial._from_dict(self.nvars, out)
+        s, mask, unit = _field(self.nvars, self.width, var)
+        step = power * unit
+        out = tuple([(k - step, c) for k, c in self.packed if (k >> s) & mask == power])
+        return _make(self.nvars, self.width, out)
 
     def divexact(self, d: "Polynomial") -> "Polynomial":
         """Exact division; raises ArithmeticError if d does not divide self."""
         self._check(d)
         if d.is_zero():
             raise DivisionByZero("exact division by the zero polynomial")
-        if not self.terms:
+        if not self.packed or d.is_one():
             return self
-        if d.is_one():
-            return self
-        if d.is_const():
-            dc = d.const_value()
-            return Polynomial._raw(self.nvars, tuple((m, _cdiv(c, dc)) for m, c in self.terms))
-        # a new remainder term is a leading one times a term of d, so its
-        # degree stays within deg self and packed sums never carry; a heap of
-        # negated keys yields the leading term, skipping cancelled ones
-        width = max(8, self.total_degree().bit_length())
-        rem = dict(_pack(self.terms, width))
-        heap = [-k for k in rem]
-        heapify(heap)
-        (dk0, dc0), *tail = _pack(d.terms, width)
-        dm0 = d.terms[0][0]
+        width = self.width
+        if d.total_degree() > self.total_degree():
+            raise ArithmeticError("polynomial division is not exact")
+        # the quotient is computed at the dividend's width: a new remainder
+        # term is a leading one times a term of d, so its degree stays within
+        # deg self and key sums never carry
+        (dk0, dc0), *tail = d._at(width)
         mask = (1 << width) - 1
         shifts = range((self.nvars - 1) * width, -1, -width)
+        fields = [(s, e) for s in shifts if (e := (dk0 >> s) & mask)]
+        if not tail:
+            # dividing by one key keeps the order of the keys
+            out = []
+            for k, c in self.packed:
+                for s, e in fields:
+                    if (k >> s) & mask < e:
+                        raise ArithmeticError("polynomial division is not exact")
+                out.append((k - dk0, _cdiv(c, dc0)))
+            return _make(self.nvars, width, tuple(out))
+        # a heap of negated keys yields the leading remainder term, skipping
+        # cancelled ones; the keys of self in decreasing order, negated, are
+        # already a heap
+        rem = dict(self.packed)
+        heap = [-k for k, _ in self.packed]
         out = []
         while rem:
             k = -heappop(heap)
             c = rem.pop(k, None)
             if c is None:
                 continue
-            qm = tuple([((k >> s) & mask) - e for s, e in zip(shifts, dm0)])
-            if any(e < 0 for e in qm):
-                raise ArithmeticError("polynomial division is not exact")
+            for s, e in fields:
+                if (k >> s) & mask < e:
+                    raise ArithmeticError("polynomial division is not exact")
             qk = k - dk0
             qc = _cdiv(c, dc0)
-            out.append((qm, qc))
+            out.append((qk, qc))
             for dk, dc in tail:
                 mk = qk + dk
                 v = rem.get(mk)
@@ -344,7 +410,7 @@ class Polynomial:
                     else:
                         del rem[mk]
         # quotient terms come out in decreasing order
-        return Polynomial._raw(self.nvars, tuple(out))
+        return _make(self.nvars, width, tuple(out))
 
     # -- comparison / hashing ----------------------------------------------
 
@@ -352,13 +418,13 @@ class Polynomial:
         return (
             isinstance(other, Polynomial)
             and self.nvars == other.nvars
-            and self.terms == other.terms
+            and self.packed == other.packed
         )
 
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
-            h = hash((self.nvars, self.terms))
+            h = hash((self.nvars, self.packed))
             self._hash = h
         return h
 
@@ -376,7 +442,7 @@ _GCD_CACHE_LIMIT = 1 << 17
 
 def _int_content(p: Polynomial) -> int:
     g = 0
-    for _, c in p.terms:
+    for _, c in p.packed:
         g = _int_gcd(g, abs(c))
         if g == 1:
             break
@@ -387,26 +453,31 @@ def _primitive_int(p: Polynomial) -> Polynomial:
     """Scale a nonzero polynomial to integer coefficients, content 1 and
     positive leading coefficient.  Drops the rational unit factor."""
     lcm = 1
-    for _, c in p.terms:
+    for _, c in p.packed:
         if type(c) is not int:
             d = c.denominator
             lcm = lcm // _int_gcd(lcm, d) * d
     if lcm != 1:
         p = p.scale(lcm)
     g = _int_content(p)
-    if p.terms[0][1] < 0:
+    if p.packed[0][1] < 0:
         g = -g
     if g != 1:
-        p = Polynomial._raw(p.nvars, tuple((m, c // g) for m, c in p.terms))
+        p = Polynomial._raw(p.nvars, p.width, tuple([(k, c // g) for k, c in p.packed]))
     return p
 
 
 def _vars_present(p: Polynomial) -> frozenset:
+    # fields never carry, so a field of the or of all keys is nonzero
+    # exactly when the variable occurs
+    acc = 0
+    for k, _ in p.packed:
+        acc |= k
     present = set()
-    for m, _ in p.terms:
-        for i, e in enumerate(m):
-            if e:
-                present.add(i)
+    for i in range(p.nvars):
+        s, mask, _ = _field(p.nvars, p.width, i)
+        if (acc >> s) & mask:
+            present.add(i)
     return frozenset(present)
 
 
@@ -421,8 +492,7 @@ def _prem(a: Polynomial, b: Polynomial, var: int) -> Polynomial:
         if r.is_zero() or dr < db:
             return r
         lr = r.coeff_in(var, dr)
-        shift_mono = tuple(dr - db if k == var else 0 for k in range(n))
-        shift = Polynomial._raw(n, ((shift_mono, 1),))
+        shift = Polynomial(n, {tuple(dr - db if k == var else 0 for k in range(n)): 1})
         r = lb * r - lr * shift * b
 
 
@@ -477,8 +547,9 @@ def _univ_gcd(a: list, b: list) -> list:
 
 def _to_univ(p: Polynomial, var: int) -> list:
     coeffs = [Fraction(0)] * (p.deg_in(var) + 1)
-    for m, c in p.terms:
-        coeffs[m[var]] += c
+    s, mask, _ = _field(p.nvars, p.width, var)
+    for k, c in p.packed:
+        coeffs[(k >> s) & mask] += c
     return coeffs
 
 
@@ -494,10 +565,12 @@ def _from_univ(coeffs: list, var: int, nvars: int) -> Polynomial:
 def _gcd_vs_univariate(a: Polynomial, b: Polynomial, var: int) -> Polynomial:
     """gcd(a, b) where b is univariate in `var`; a is arbitrary."""
     g = _to_univ(b, var)
+    s, mask, unit = _field(a.nvars, a.width, var)
     groups: dict = {}
-    for m, c in a.terms:
-        key = m[:var] + (0,) + m[var + 1:]
-        groups.setdefault(key, []).append((m[var], c))
+    for k, c in a.packed:
+        e = (k >> s) & mask
+        # grouped by the key with x_var removed
+        groups.setdefault(k - e * unit, []).append((e, c))
     for pairs in groups.values():
         top = max(e for e, _ in pairs)
         coeffs = [Fraction(0)] * (top + 1)
@@ -556,9 +629,11 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     pb = _primitive_int(b)
     if pa.is_const() or pb.is_const():
         return Polynomial.one(a.nvars)
-    if pa.terms == pb.terms:
+    if pa.packed == pb.packed:
         return pa
-    key = (pa.terms, pb.terms) if pa.terms <= pb.terms else (pb.terms, pa.terms)
+    # (nvars, packed) determines a polynomial, its width included
+    first, second = sorted((pa.packed, pb.packed))
+    key = (a.nvars, first, second)
     hit = _GCD_CACHE.get(key)
     if hit is not None:
         return hit
@@ -572,6 +647,9 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
 # ---------------------------------------------------------------------------
 # rational functions
 # ---------------------------------------------------------------------------
+
+_FIELD_ZERO: dict = {}
+_FIELD_ONE: dict = {}
 
 
 class ScalarField:
@@ -605,11 +683,17 @@ class ScalarField:
 
     @classmethod
     def zero(cls, nvars: int) -> "ScalarField":
-        return cls._raw(Polynomial.zero(nvars), Polynomial.one(nvars))
+        f = _FIELD_ZERO.get(nvars)
+        if f is None:
+            f = _FIELD_ZERO[nvars] = cls._raw(Polynomial.zero(nvars), Polynomial.one(nvars))
+        return f
 
     @classmethod
     def one(cls, nvars: int) -> "ScalarField":
-        return cls.const(nvars, 1)
+        f = _FIELD_ONE.get(nvars)
+        if f is None:
+            f = _FIELD_ONE[nvars] = cls._raw(Polynomial.one(nvars), Polynomial.one(nvars))
+        return f
 
     @classmethod
     def const(cls, nvars: int, value: Coeff) -> "ScalarField":
@@ -629,7 +713,7 @@ class ScalarField:
         return self.num.nvars
 
     def is_zero(self) -> bool:
-        return not self.num.terms
+        return not self.num.packed
 
     def is_const(self) -> bool:
         return self.num.is_const() and self.den.is_one()
@@ -650,7 +734,7 @@ class ScalarField:
         if other.is_zero():
             return self
         n1, d1, n2, d2 = self.num, self.den, other.num, other.den
-        if d1.terms == d2.terms:
+        if d1 is d2 or d1.packed == d2.packed:
             num = n1 + n2
             if num.is_zero():
                 return ScalarField.zero(self.nvars)
@@ -736,8 +820,10 @@ class ScalarField:
         if not 0 <= var < self.nvars:
             raise IndexOutOfRange(f"variable index {var} not in 0..{self.nvars - 1}")
         if self.den.is_one():
+            if self.num.is_const():
+                return ScalarField.zero(self.nvars)
             d = self.num.derivative(var)
-            return ScalarField._raw(d, self.den) if not d.is_zero() else ScalarField.zero(self.nvars)
+            return ScalarField._raw(d, self.den) if d.packed else ScalarField.zero(self.nvars)
         num = self.num.derivative(var) * self.den - self.num * self.den.derivative(var)
         return ScalarField(num, self.den * self.den)
 
@@ -751,14 +837,14 @@ class ScalarField:
         return (
             isinstance(other, ScalarField)
             and self.num.nvars == other.num.nvars
-            and self.num.terms == other.num.terms
-            and self.den.terms == other.den.terms
+            and self.num.packed == other.num.packed
+            and self.den.packed == other.den.packed
         )
 
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
-            h = hash((self.num.terms, self.den.terms, self.nvars))
+            h = hash((self.num.packed, self.den.packed, self.nvars))
             self._hash = h
         return h
 

@@ -19,8 +19,9 @@ Concomitant vanishing, which the engine decides on the 2n frame sections
 alone, is checked against the larger family of frame sections times
 monomials, each pair evaluated with the plain eight-term concomitant.
 
-The polynomial product, which the engine computes on packed monomials, is
-checked against the schoolbook product on exponent tuples.
+Polynomial arithmetic, which the engine computes on packed monomials, is
+checked against the schoolbook product, the dict sum and the derivative on
+exponent tuples.
 """
 
 from __future__ import annotations
@@ -137,6 +138,17 @@ def family_statuses(hk, family: list) -> dict:
     return out
 
 
+def _grlex(item) -> tuple:
+    mono = item[0]
+    return (sum(mono), mono)
+
+
+def _from_dict(nvars: int, d: dict) -> Polynomial:
+    terms = [(m, c) for m, c in d.items() if c]
+    terms.sort(key=_grlex, reverse=True)
+    return Polynomial(nvars, terms)
+
+
 def schoolbook_mul(self: Polynomial, other: Polynomial) -> Polynomial:
     """Product term by term on exponent tuples, sorted by the grlex key."""
     self._check(other)
@@ -153,4 +165,37 @@ def schoolbook_mul(self: Polynomial, other: Polynomial) -> Polynomial:
             c = c1 * c2
             v = out.get(m)
             out[m] = c if v is None else v + c
-    return Polynomial._from_dict(self.nvars, {m: _cnorm(c) for m, c in out.items()})
+    return _from_dict(self.nvars, {m: _cnorm(c) for m, c in out.items()})
+
+
+def dict_add(self: Polynomial, other: Polynomial) -> Polynomial:
+    """Sum on exponent tuples: a dict of both operands, sorted by the grlex
+    key."""
+    self._check(other)
+    if not self.terms:
+        return other
+    if not other.terms:
+        return self
+    out = dict(self.terms)
+    for m, c in other.terms:
+        v = out.get(m)
+        if v is None:
+            out[m] = c
+        else:
+            v = _cnorm(v + c)
+            if v:
+                out[m] = v
+            else:
+                del out[m]
+    return _from_dict(self.nvars, out)
+
+
+def tuple_derivative(self: Polynomial, var: int) -> Polynomial:
+    """Partial derivative on exponent tuples."""
+    out = {}
+    for m, c in self.terms:
+        e = m[var]
+        if e:
+            dm = m[:var] + (e - 1,) + m[var + 1:]
+            out[dm] = _cnorm(out.get(dm, 0) + c * e)
+    return _from_dict(self.nvars, out)

@@ -4,7 +4,7 @@ import pytest
 import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracle import schoolbook_mul
+from oracle import dict_add, schoolbook_mul, tuple_derivative
 
 from hypercourant.errors import (
     DimensionMismatch,
@@ -16,6 +16,7 @@ from hypercourant.parse import parse_scalar
 from hypercourant.scalar import (
     Polynomial,
     ScalarField,
+    _cnorm,
     arith,
     eval_at,
     partial,
@@ -398,3 +399,80 @@ class TestDivexact:
         assume(not q.is_const())
         with pytest.raises(ArithmeticError):
             (p * q + Polynomial.one(q.nvars)).divexact(q)
+
+
+# -- packed storage against the tuple oracles ----------------------------------
+
+COEFFS = st.one_of(
+    st.integers(-(10**6), 10**6).filter(bool),
+    st.fractions(min_value=-100, max_value=100, max_denominator=12).filter(bool),
+)
+
+
+def tuple_neg(p: Polynomial) -> Polynomial:
+    return Polynomial(p.nvars, [(m, -c) for m, c in p.terms])
+
+
+def tuple_scale(p: Polynomial, k) -> Polynomial:
+    return Polynomial(p.nvars, [(m, _cnorm(c * k)) for m, c in p.terms])
+
+
+def assert_canonical(p: Polynomial):
+    # the decoded terms rebuild the same value, hash included
+    again = Polynomial(p.nvars, p.terms)
+    assert again == p and hash(again) == hash(p)
+    assert again.width == p.width == max(8, max(p.total_degree(), 0).bit_length())
+
+
+class TestPackedArithmetic:
+    @given(pair=wide_pairs(), k=COEFFS)
+    @settings(max_examples=150)
+    def test_matches_tuple_oracles(self, pair, k):
+        a, b = pair
+        cases = [
+            (a + b, dict_add(a, b)),
+            (a - b, dict_add(a, tuple_neg(b))),
+            (a * b, schoolbook_mul(a, b)),
+            (a.scale(k), tuple_scale(a, k)),
+        ]
+        cases += [(a.derivative(v), tuple_derivative(a, v)) for v in range(a.nvars)]
+        if not b.is_zero():
+            cases.append(((a * b).divexact(b), a))
+        for got, expected in cases:
+            assert_same_terms(got, expected)
+            assert_canonical(got)
+
+    def test_sum_falls_below_width(self):
+        wide = monomial(256)
+        assert wide.width == 9
+        got = (wide + monomial(1)) - wide
+        assert got.width == 8
+        assert got == monomial(1) and hash(got) == hash(monomial(1))
+
+    def test_derivative_falls_below_width(self):
+        got = monomial(256).derivative(0)
+        assert got.width == 8
+        assert got == Polynomial(1, {(255,): 256})
+
+    def test_quotient_falls_below_width(self):
+        p = Polynomial(2, {(250, 0): 3, (1, 1): -1})
+        q = Polynomial(2, {(10, 0): 1, (0, 1): Fraction(1, 2)})
+        assert (p * q).width == 9
+        got = (p * q).divexact(q)
+        assert got.width == 8 and got == p
+        # by a single term, which keeps the order of the keys
+        got = monomial(300, 1).divexact(monomial(100, 0))
+        assert got.width == 8 and got == monomial(200, 1)
+
+    def test_substitute_and_coefficient_fall_below_width(self):
+        p = Polynomial(2, {(300, 1): 1, (0, 1): 2})
+        assert_same_terms(p.substitute(0, 1), Polynomial(2, {(0, 1): 3}))
+        assert p.coeff_in(0, 300).width == 8
+        assert_same_terms(p.coeff_in(0, 300), monomial(0, 1))
+
+    def test_zero_and_one_are_shared(self):
+        assert Polynomial.zero(3) is Polynomial.zero(3) is (monomial(0, 0, 1) * Polynomial.zero(3))
+        assert Polynomial.const(3, 1) is Polynomial.one(3)
+        assert ScalarField.zero(3) is ScalarField.zero(3)
+        assert ScalarField.one(3) is ScalarField.one(3)
+        assert sf("7/2").derivative(1) is ScalarField.zero(3)
