@@ -820,10 +820,8 @@ class ScalarField:
         if not 0 <= var < self.nvars:
             raise IndexOutOfRange(f"variable index {var} not in 0..{self.nvars - 1}")
         if self.den.is_one():
-            if self.num.is_const():
-                return ScalarField.zero(self.nvars)
             d = self.num.derivative(var)
-            return ScalarField._raw(d, self.den) if d.packed else ScalarField.zero(self.nvars)
+            return ScalarField._raw(d, self.den) if not d.is_zero() else ScalarField.zero(self.nvars)
         num = self.num.derivative(var) * self.den - self.num * self.den.derivative(var)
         return ScalarField(num, self.den * self.den)
 

@@ -21,7 +21,8 @@ monomials, each pair evaluated with the plain eight-term concomitant.
 
 Polynomial arithmetic, which the engine computes on packed monomials, is
 checked against the schoolbook product, the dict sum and the derivative on
-exponent tuples.
+exponent tuples; each oracle returns its terms in the order of its own grlex
+sort key, so the comparison checks the engine's term order as well.
 """
 
 from __future__ import annotations
@@ -143,21 +144,18 @@ def _grlex(item) -> tuple:
     return (sum(mono), mono)
 
 
-def _from_dict(nvars: int, d: dict) -> Polynomial:
+def grlex_terms(d: dict) -> tuple:
+    """The nonzero terms of an exponent-tuple dict, sorted by decreasing
+    graded-lex order with the grlex key, without the engine's packing."""
     terms = [(m, c) for m, c in d.items() if c]
     terms.sort(key=_grlex, reverse=True)
-    return Polynomial(nvars, terms)
+    return tuple(terms)
 
 
-def schoolbook_mul(self: Polynomial, other: Polynomial) -> Polynomial:
-    """Product term by term on exponent tuples, sorted by the grlex key."""
+def schoolbook_mul(self: Polynomial, other: Polynomial) -> tuple:
+    """Terms of the product, term by term on exponent tuples, sorted by the
+    grlex key."""
     self._check(other)
-    if not self.terms or not other.terms:
-        return Polynomial.zero(self.nvars)
-    if self.is_one():
-        return other
-    if other.is_one():
-        return self
     out: dict = {}
     for m1, c1 in self.terms:
         for m2, c2 in other.terms:
@@ -165,37 +163,25 @@ def schoolbook_mul(self: Polynomial, other: Polynomial) -> Polynomial:
             c = c1 * c2
             v = out.get(m)
             out[m] = c if v is None else v + c
-    return _from_dict(self.nvars, {m: _cnorm(c) for m, c in out.items()})
+    return grlex_terms({m: _cnorm(c) for m, c in out.items()})
 
 
-def dict_add(self: Polynomial, other: Polynomial) -> Polynomial:
-    """Sum on exponent tuples: a dict of both operands, sorted by the grlex
-    key."""
+def dict_add(self: Polynomial, other: Polynomial) -> tuple:
+    """Terms of the sum: a dict of both operands, sorted by the grlex key."""
     self._check(other)
-    if not self.terms:
-        return other
-    if not other.terms:
-        return self
     out = dict(self.terms)
     for m, c in other.terms:
-        v = out.get(m)
-        if v is None:
-            out[m] = c
-        else:
-            v = _cnorm(v + c)
-            if v:
-                out[m] = v
-            else:
-                del out[m]
-    return _from_dict(self.nvars, out)
+        out[m] = _cnorm(out.get(m, 0) + c)
+    return grlex_terms(out)
 
 
-def tuple_derivative(self: Polynomial, var: int) -> Polynomial:
-    """Partial derivative on exponent tuples."""
+def tuple_derivative(self: Polynomial, var: int) -> tuple:
+    """Terms of the partial derivative on exponent tuples, sorted by the grlex
+    key."""
     out = {}
     for m, c in self.terms:
         e = m[var]
         if e:
             dm = m[:var] + (e - 1,) + m[var + 1:]
             out[dm] = _cnorm(out.get(dm, 0) + c * e)
-    return _from_dict(self.nvars, out)
+    return grlex_terms(out)

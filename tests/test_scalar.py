@@ -4,7 +4,7 @@ import pytest
 import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracle import dict_add, schoolbook_mul, tuple_derivative
+from oracle import _grlex, dict_add, grlex_terms, schoolbook_mul, tuple_derivative
 
 from hypercourant.errors import (
     DimensionMismatch,
@@ -342,9 +342,15 @@ def wide_pairs(draw):
     return draw(wide_polynomials(nvars, cap)), draw(wide_polynomials(nvars, cap))
 
 
-def assert_same_terms(got: Polynomial, expected: Polynomial):
-    assert got.terms == expected.terms
-    assert [type(c) for _, c in got.terms] == [type(c) for _, c in expected.terms]
+def assert_same_terms(got: Polynomial, expected):
+    """`expected` is an oracle's term tuple or a Polynomial; either way the
+    decoded terms must also be in the order of the oracle's grlex key."""
+    if isinstance(expected, Polynomial):
+        expected = expected.terms
+    terms = got.terms
+    assert list(terms) == sorted(terms, key=_grlex, reverse=True)
+    assert terms == expected
+    assert [type(c) for _, c in terms] == [type(c) for _, c in expected]
 
 
 def monomial(*exponents) -> Polynomial:
@@ -413,8 +419,8 @@ def tuple_neg(p: Polynomial) -> Polynomial:
     return Polynomial(p.nvars, [(m, -c) for m, c in p.terms])
 
 
-def tuple_scale(p: Polynomial, k) -> Polynomial:
-    return Polynomial(p.nvars, [(m, _cnorm(c * k)) for m, c in p.terms])
+def tuple_scale(p: Polynomial, k) -> tuple:
+    return grlex_terms({m: _cnorm(c * k) for m, c in p.terms})
 
 
 def assert_canonical(p: Polynomial):
