@@ -4,6 +4,10 @@ Vector fields and 1-forms are component tuples over the chart; 2-forms are
 full antisymmetric component matrices (uniform indexing beats the storage
 saving of a triangle at this scale).  The degree ladder stops at 2-forms:
 d of a 2-form is deliberately not provided.
+
+Each component of a bracket, Lie derivative, interior product or form-vector
+pairing is one call to scalar.sum_of_products, which fuses the n or 2n
+products of the coordinate formula into one polynomial accumulator.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DimensionMismatch, NotAntisymmetric
-from .scalar import ScalarField
+from .scalar import ScalarField, sum_of_products
 
 
 def _check_dim(a, b):
@@ -141,20 +145,17 @@ def lie_bracket(x: VectorField, y: VectorField) -> VectorField:
     """[X, Y]^k = sum_i (X^i d_i Y^k - Y^i d_i X^k)."""
     _check_dim(x, y)
     n = x.dim
-    out = []
-    for k in range(n):
-        acc = ScalarField.zero(n)
-        yk = y.components[k]
-        xk = x.components[k]
-        for i in range(n):
-            xi = x.components[i]
-            yi = y.components[i]
-            if not xi.is_zero():
-                acc = acc + xi * yk.derivative(i)
-            if not yi.is_zero():
-                acc = acc - yi * xk.derivative(i)
-        out.append(acc)
-    return VectorField(tuple(out))
+    xs, ys = x.components, y.components
+    return VectorField(
+        tuple(
+            sum_of_products(
+                n,
+                [(xi, yk.derivative(i)) for i, xi in enumerate(xs) if not xi.is_zero()],
+                [(yi, xk.derivative(i)) for i, yi in enumerate(ys) if not yi.is_zero()],
+            )
+            for xk, yk in zip(xs, ys)
+        )
+    )
 
 
 def exterior_derivative(arg):
@@ -176,44 +177,27 @@ def lie_derivative(x: VectorField, eta: OneForm) -> OneForm:
     """(L_X eta)_j = sum_i (X^i d_i eta_j + eta_i d_j X^i)."""
     _check_dim(x, eta)
     n = x.dim
-    out = []
-    for j in range(n):
-        acc = ScalarField.zero(n)
-        for i in range(n):
-            xi = x.components[i]
-            ei = eta.components[i]
-            if not xi.is_zero():
-                acc = acc + xi * eta.components[j].derivative(i)
-            if not ei.is_zero():
-                acc = acc + ei * xi.derivative(j)
-        out.append(acc)
-    return OneForm(tuple(out))
+    xs, es = x.components, eta.components
+    return OneForm(
+        tuple(
+            sum_of_products(
+                n,
+                [(xi, ej.derivative(i)) for i, xi in enumerate(xs) if not xi.is_zero()]
+                + [(ei, xs[i].derivative(j)) for i, ei in enumerate(es) if not ei.is_zero()],
+            )
+            for j, ej in enumerate(es)
+        )
+    )
 
 
 def interior_product(y: VectorField, omega: TwoForm) -> OneForm:
     """(i_Y omega)_j = sum_i Y^i omega_ij."""
     _check_dim(y, omega)
     n = y.dim
-    out = []
-    for j in range(n):
-        acc = ScalarField.zero(n)
-        for i in range(n):
-            yi = y.components[i]
-            w = omega.entries[i][j]
-            if not yi.is_zero() and not w.is_zero():
-                acc = acc + yi * w
-        out.append(acc)
-    return OneForm(tuple(out))
+    return OneForm(tuple(sum_of_products(n, zip(y.components, col)) for col in zip(*omega.entries)))
 
 
 def pair_form_vector(xi: OneForm, y: VectorField) -> ScalarField:
     """xi(Y) = sum_i xi_i Y^i."""
     _check_dim(xi, y)
-    n = xi.dim
-    acc = ScalarField.zero(n)
-    for i in range(n):
-        a = xi.components[i]
-        b = y.components[i]
-        if not a.is_zero() and not b.is_zero():
-            acc = acc + a * b
-    return acc
+    return sum_of_products(xi.dim, zip(xi.components, y.components))

@@ -30,7 +30,7 @@ from .cartan import (
 from .errors import DimensionMismatch
 from .report import check
 from .sampling import random_scalar, suite_rng
-from .scalar import ScalarField
+from .scalar import ScalarField, sum_of_products
 
 
 @dataclass(frozen=True)
@@ -101,12 +101,9 @@ def anchor_apply(s: GSection, f: ScalarField) -> ScalarField:
     n = s.dim
     if f.nvars != n:
         raise DimensionMismatch("scalar lives on a different chart")
-    acc = ScalarField.zero(n)
-    for i in range(n):
-        xi = s.vec.components[i]
-        if not xi.is_zero():
-            acc = acc + xi * f.derivative(i)
-    return acc
+    return sum_of_products(
+        n, [(xi, f.derivative(i)) for i, xi in enumerate(s.vec.components) if not xi.is_zero()]
+    )
 
 
 def pairing(s: GSection, t: GSection) -> ScalarField:

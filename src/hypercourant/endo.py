@@ -9,6 +9,10 @@ cotangent, D : cotangent -> cotangent.  The dual map of a tangent
 endomorphism is its transpose in the coordinate frame, which is forced by
 dx^i(j d/dx_k) = j^i_k.
 
+Every entry of a product or an image is one call to scalar.sum_of_products,
+which skips zero entries, so the mostly-zero quaternion and lift blocks cost
+no products.
+
 Certification checks orthogonality against the canonical pairing on the 2n
 frame sections (enough, since both sides are bilinear over scalars) and the
 quaternionic relations I^2 = J^2 = K^2 = IJK = -1 as exact matrix
@@ -28,7 +32,7 @@ from .errors import (
     UncertifiedStructure,
 )
 from .report import CheckReport, Witness, nonzero_witness
-from .scalar import ScalarField
+from .scalar import ScalarField, sum_of_products
 
 
 def _check_matrix(m, n: int) -> tuple:
@@ -54,21 +58,9 @@ def mat_zero(n: int) -> tuple:
 
 
 def mat_mul(a, b) -> tuple:
-    n = len(a)
-    zero = ScalarField.zero(a[0][0].nvars)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = zero
-            for k in range(n):
-                x = a[i][k]
-                y = b[k][j]
-                if not x.is_zero() and not y.is_zero():
-                    acc = acc + x * y
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
+    nvars = a[0][0].nvars
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum_of_products(nvars, zip(row, col)) for col in cols) for row in a)
 
 
 def mat_add(a, b) -> tuple:
@@ -88,18 +80,8 @@ def mat_transpose(a) -> tuple:
 
 
 def mat_apply(a, v: tuple) -> tuple:
-    n = len(a)
-    zero = ScalarField.zero(a[0][0].nvars)
-    out = []
-    for i in range(n):
-        acc = zero
-        for k in range(n):
-            x = a[i][k]
-            y = v[k]
-            if not x.is_zero() and not y.is_zero():
-                acc = acc + x * y
-        out.append(acc)
-    return tuple(out)
+    nvars = a[0][0].nvars
+    return tuple(sum_of_products(nvars, zip(row, v)) for row in a)
 
 
 def mat_eq(a, b) -> bool:

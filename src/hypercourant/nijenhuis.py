@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 from .courant import (
@@ -87,12 +88,18 @@ def concomitant(f: GEndo, g: GEndo, x: GSection, y: GSection) -> GSection:
     """The eight-term Nijenhuis concomitant N_{F,G}(X,Y)."""
     if not (f.n == g.n == x.dim == y.dim):
         raise DimensionMismatch("concomitant operands live on different charts")
+    return _concomitant(dorfman, f, g, x, y)
+
+
+def _concomitant(br, f: GEndo, g: GEndo, x: GSection, y: GSection) -> GSection:
+    # the eight terms, with the bracket `br` passed in so that a caller can
+    # share brackets between concomitants
     fx, gx = f.apply(x), g.apply(x)
     fy, gy = f.apply(y), g.apply(y)
-    b_xy = dorfman(x, y)
-    out = dorfman(fx, gy) - f.apply(dorfman(x, gy)) - g.apply(dorfman(fx, y))
+    b_xy = br(x, y)
+    out = br(fx, gy) - f.apply(br(x, gy)) - g.apply(br(fx, y))
     out = out + f.apply(g.apply(b_xy))
-    out = out + dorfman(gx, fy) - g.apply(dorfman(x, fy)) - f.apply(dorfman(gx, y))
+    out = out + br(gx, fy) - g.apply(br(x, fy)) - f.apply(br(gx, y))
     out = out + g.apply(f.apply(b_xy))
     return out
 
@@ -380,9 +387,11 @@ def concomitant_statuses(hk: HKTriple) -> dict:
 
     Each concomitant is evaluated on the frame pairs in row-major order; the
     first nonzero pair supplies its witness, and it vanishes when no pair
-    is nonzero.
+    is nonzero.  The six concomitants bracket the same images of frame
+    sections, so each distinct bracket is computed once per call.
     """
     hk.require_certified()
+    br = lru_cache(maxsize=None)(dorfman)
     members = {"I": hk.i, "J": hk.j, "K": hk.k}
     frame = basis_sections(hk.n)
     status = {}
@@ -390,7 +399,7 @@ def concomitant_statuses(hk: HKTriple) -> dict:
         f, g = key
         status[key] = ConcomitantStatus(True)
         for (xi, x), (yi, y) in product(enumerate(frame), repeat=2):
-            residual = concomitant(members[f], members[g], x, y)
+            residual = _concomitant(br, members[f], members[g], x, y)
             w = witness_for(residual, context=f"N[{f},{g}] on family pair ({xi}, {yi})")
             if w is not None:
                 status[key] = ConcomitantStatus(False, w)

@@ -21,6 +21,11 @@ keep a unique canonical form:
 Coefficients are ints wherever the value is integral and Fraction otherwise;
 no floating point anywhere.  Values are immutable and safe to share; zero
 and one are shared per number of variables.
+
+sum_of_products is the one kernel under the Cartan, Dorfman and
+endomorphism layers: it fuses a whole sum of polynomial products into one
+packed accumulator instead of building and sorting a Polynomial per product
+and per partial sum.
 """
 
 from __future__ import annotations
@@ -523,33 +528,57 @@ def _univar_index(p: Polynomial):
     return None
 
 
-def _univ_mod(a: list, b: list) -> list:
-    """Remainder of dense Fraction coefficient lists (low degree first)."""
+def _univ_primitive(c: list) -> list:
+    """A nonzero dense int coefficient list (low degree first) divided by its
+    content, with positive leading coefficient."""
+    g = 0
+    for x in c:
+        g = _int_gcd(g, x)
+        if g == 1:
+            break
+    if c[-1] < 0:
+        g = -g
+    return c if g == 1 else [x // g for x in c]
+
+
+def _univ_prem(a: list, b: list) -> list:
+    """Pseudo-remainder of dense int coefficient lists: lc(b)^k a mod b."""
     r = list(a)
     db = len(b) - 1
-    lead = b[db]
-    for i in range(len(r) - 1, db - 1, -1):
-        f = r[i] / lead
-        if f:
-            r[i] = Fraction(0)
-            for k in range(db):
-                r[i - db + k] -= f * b[k]
-    while r and not r[-1]:
-        r.pop()
+    lb = b[db]
+    while len(r) > db:
+        lr = r.pop()
+        s = len(r) - db
+        if lb != 1:
+            r = [lb * x for x in r]
+        for k in range(db):
+            r[s + k] -= lr * b[k]
+        while r and not r[-1]:
+            r.pop()
     return r
 
 
 def _univ_gcd(a: list, b: list) -> list:
+    """Primitive gcd of nonzero dense int coefficient lists, by the primitive
+    pseudo-remainder sequence: integers throughout, contents removed at each
+    step so the coefficients do not swell."""
+    a, b = _univ_primitive(a), _univ_primitive(b)
+    if len(a) < len(b):
+        a, b = b, a
     while b:
-        a, b = b, _univ_mod(a, b)
+        r = _univ_prem(a, b)
+        a, b = b, (_univ_primitive(r) if r else r)
     return a
 
 
 def _to_univ(p: Polynomial, var: int) -> list:
-    coeffs = [Fraction(0)] * (p.deg_in(var) + 1)
+    """The dense int coefficients in `var` of a polynomial univariate in it,
+    denominators cleared."""
+    p = _primitive_int(p)
+    coeffs = [0] * (p.deg_in(var) + 1)
     s, mask, _ = _field(p.nvars, p.width, var)
     for k, c in p.packed:
-        coeffs[(k >> s) & mask] += c
+        coeffs[(k >> s) & mask] = c
     return coeffs
 
 
@@ -565,6 +594,7 @@ def _from_univ(coeffs: list, var: int, nvars: int) -> Polynomial:
 def _gcd_vs_univariate(a: Polynomial, b: Polynomial, var: int) -> Polynomial:
     """gcd(a, b) where b is univariate in `var`; a is arbitrary."""
     g = _to_univ(b, var)
+    a = _primitive_int(a)
     s, mask, unit = _field(a.nvars, a.width, var)
     groups: dict = {}
     for k, c in a.packed:
@@ -573,9 +603,9 @@ def _gcd_vs_univariate(a: Polynomial, b: Polynomial, var: int) -> Polynomial:
         groups.setdefault(k - e * unit, []).append((e, c))
     for pairs in groups.values():
         top = max(e for e, _ in pairs)
-        coeffs = [Fraction(0)] * (top + 1)
+        coeffs = [0] * (top + 1)
         for e, c in pairs:
-            coeffs[e] += c
+            coeffs[e] = c
         g = _univ_gcd(g, coeffs)
         if len(g) == 1:
             return Polynomial.one(a.nvars)
@@ -874,6 +904,61 @@ def _reduce(num: Polynomial, den: Polynomial) -> tuple:
         den = den.divexact(g)
     f = _monic(num, den)
     return f.num, f.den
+
+
+# ---------------------------------------------------------------------------
+# sums of products
+# ---------------------------------------------------------------------------
+
+
+def sum_of_products(nvars: int, plus: Iterable, minus: Iterable = ()) -> ScalarField:
+    """Sum of f*g over the (f, g) pairs of `plus`, minus the sum over `minus`.
+
+    Every bracket, pairing and matrix entry downstream is such a sum.  Pairs
+    of polynomials (both denominators 1) are fused, as in Monagan & Pearce's
+    sparse products: every term product goes into one packed key ->
+    coefficient dict at the canonical width of the largest product degree,
+    and the dict is sorted once.  Pairs with a denominator go through
+    ScalarField `*` and `+`, and the fused polynomial part is added to them
+    once, at the end.  Pairs with a zero operand are skipped.  The result is
+    canonical, so it equals the fold of `*` and `+` exactly.
+    """
+    fused = []
+    top = 0
+    rest = None
+    for sign, pairs in ((1, plus), (-1, minus)):
+        for f, g in pairs:
+            a, b = f.num, g.num
+            if a.nvars != nvars or b.nvars != nvars:
+                raise DimensionMismatch(f"{a.nvars} and {b.nvars} vs {nvars} variables")
+            if not a.packed or not b.packed:
+                continue
+            if f.den.is_one() and g.den.is_one():
+                degree = a.total_degree() + b.total_degree()
+                if degree > top:
+                    top = degree
+                fused.append((a, b, sign))
+            elif rest is None:
+                rest = f * g if sign > 0 else -(f * g)
+            else:
+                rest = rest + f * g if sign > 0 else rest - f * g
+    if fused:
+        width = _width(top)
+        out: dict = {}
+        get = out.get
+        for a, b, sign in fused:
+            b = b._at(width)
+            for k1, c1 in a._at(width):
+                if sign < 0:
+                    c1 = -c1
+                for k2, c2 in b:
+                    k = k1 + k2
+                    out[k] = get(k, 0) + c1 * c2
+        num = _collect(nvars, width, out)
+        if num.packed:
+            total = ScalarField._raw(num, Polynomial.one(nvars))
+            return total if rest is None else rest + total
+    return ScalarField.zero(nvars) if rest is None else rest
 
 
 # ---------------------------------------------------------------------------

@@ -348,6 +348,20 @@ class TestTheoremReport:
         # down to the first witness
         assert concomitant_statuses(noni) == family_statuses(noni, spanning_family(4, 1))
 
+    def test_concomitant_statuses_share_brackets(self, flat, monkeypatch):
+        # every concomitant vanishes on the flat triple, so all six visit all
+        # (2n)^2 frame pairs; without sharing that is 7 brackets a pair
+        calls = []
+
+        def counted(s, t):
+            calls.append((s, t))
+            return dorfman(s, t)
+
+        monkeypatch.setattr(hypercourant.nijenhuis, "dorfman", counted)
+        status = concomitant_statuses(flat)
+        assert all(s.vanishes for s in status.values())
+        assert 0 < len(calls) <= 16 * (2 * flat.n) ** 2
+
     def test_forged_certification_raises_inconsistency(self):
         # identity triple with forged passing reports: all concomitants
         # vanish but the torsion formula cannot hold, which the engine must

@@ -22,6 +22,7 @@ from hypercourant.scalar import (
     partial,
     poly_gcd,
     scalar_text,
+    sum_of_products,
 )
 
 
@@ -253,10 +254,11 @@ def to_sympy(p: Polynomial) -> sympy.Poly:
 
 
 def assert_gcd_matches_sympy(a: Polynomial, b: Polynomial):
-    # sympy keeps the integer content and orders terms lexicographically, so
-    # compare primitive parts up to sign
-    expected = sympy.gcd(to_sympy(a), to_sympy(b)).primitive()[1]
-    got = to_sympy(poly_gcd(a, b))
+    # sympy keeps the integer content, orders terms lexicographically and
+    # works over QQ when a coefficient is a fraction, so compare primitive
+    # parts up to sign, as expressions
+    expected = sympy.gcd(to_sympy(a), to_sympy(b)).primitive()[1].as_expr()
+    got = to_sympy(poly_gcd(a, b)).as_expr()
     assert got in (expected, -expected)
 
 
@@ -482,3 +484,124 @@ class TestPackedArithmetic:
         assert ScalarField.zero(3) is ScalarField.zero(3)
         assert ScalarField.one(3) is ScalarField.one(3)
         assert sf("7/2").derivative(1) is ScalarField.zero(3)
+
+
+# -- the sum-of-products kernel against the fold of * and + --------------------
+
+
+def fold_sum_of_products(nvars, plus, minus=()):
+    acc = ScalarField.zero(nvars)
+    for f, g in plus:
+        acc = acc + f * g
+    for f, g in minus:
+        acc = acc - f * g
+    return acc
+
+
+@st.composite
+def kernel_operands(draw, nvars):
+    """Zero, a polynomial, a rational function, or a polynomial of degree
+    past 255, whose products need keys wider than 8 bits."""
+    kind = draw(st.sampled_from(["zero", "polynomial", "rational", "wide"]))
+    if kind == "zero":
+        return ScalarField.zero(nvars)
+    if kind == "polynomial":
+        return ScalarField.from_polynomial(draw(polynomials(nvars)))
+    if kind == "rational":
+        return draw(fields(nvars))
+    return ScalarField.from_polynomial(draw(wide_polynomials(nvars, 200, max_terms=3)))
+
+
+@st.composite
+def kernel_sums(draw):
+    n = draw(st.integers(1, 3))
+    pairs = st.lists(st.tuples(kernel_operands(n), kernel_operands(n)), max_size=5)
+    return n, draw(pairs), draw(pairs)
+
+
+def assert_same_field(got: ScalarField, expected: ScalarField):
+    assert got == expected and hash(got) == hash(expected)
+    assert_canonical(got.num)
+    assert_canonical(got.den)
+
+
+class TestSumOfProducts:
+    @given(case=kernel_sums())
+    @settings(max_examples=150)
+    def test_matches_fold(self, case):
+        n, plus, minus = case
+        assert_same_field(sum_of_products(n, plus, minus), fold_sum_of_products(n, plus, minus))
+        assert_same_field(sum_of_products(n, iter(plus)), fold_sum_of_products(n, plus))
+
+    @given(case=kernel_sums())
+    @settings(max_examples=50)
+    def test_cancelling_sum_is_the_shared_zero(self, case):
+        n, plus, _ = case
+        assert sum_of_products(n, plus, plus) is ScalarField.zero(n)
+
+    def test_empty_and_zero_operands(self):
+        zero = ScalarField.zero(3)
+        assert sum_of_products(3, []) is zero
+        assert sum_of_products(3, [], []) is zero
+        assert sum_of_products(3, [(zero, sf("x1")), (sf("1/(1 + x2)"), zero)]) is zero
+
+    def test_mixed_pairs(self):
+        plus = [(sf("x1"), sf("x2 + 1")), (sf("1/(1 + x1)"), sf("x1 + 1"))]
+        minus = [(sf("x3"), sf("1/(x3 + 2)"))]
+        expected = sf("x1*x2 + x1 + 1 - x3/(x3 + 2)")
+        assert_same_field(sum_of_products(3, plus, minus), expected)
+
+    def test_wide_products_fall_back_to_canonical_width(self):
+        x = sf("x1", 1)
+        high = [(x**200, x**100), (x, sf("1", 1))]
+        got = sum_of_products(1, high, [(x**150, x**150)])
+        assert got.num.width == 8
+        assert_same_field(got, x)
+        got = sum_of_products(1, [(x**200, x**100)])
+        assert got.num.width == 9
+        assert_same_field(got, x**300)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            sum_of_products(3, [(sf("x1"), sf("x1", 2))])
+        with pytest.raises(DimensionMismatch):
+            sum_of_products(2, [], [(sf("x1"), sf("x2"))])
+
+
+# -- the univariate gcd path, with rational coefficients -------------------------
+
+
+@st.composite
+def univariate_polynomials(draw, nvars, var, max_degree=3):
+    coeffs = st.fractions(min_value=-20, max_value=20, max_denominator=6)
+    terms = {}
+    for e in range(draw(st.integers(0, max_degree)) + 1):
+        terms[tuple(e if k == var else 0 for k in range(nvars))] = draw(coeffs)
+    top = tuple(max_degree + 1 if k == var else 0 for k in range(nvars))
+    # at least degree 1 in `var`, so the gcd shares that variable
+    terms[top] = draw(coeffs.filter(bool))
+    return Polynomial(nvars, terms)
+
+
+@st.composite
+def rational_polynomials(draw, nvars=3):
+    coeffs = st.fractions(min_value=-20, max_value=20, max_denominator=6).filter(bool)
+    terms = {}
+    for _ in range(draw(st.integers(1, 4))):
+        terms[tuple(draw(st.integers(0, 2)) for _ in range(nvars))] = draw(coeffs)
+    return Polynomial(nvars, terms)
+
+
+class TestUnivariateGcdAgainstSympy:
+    @given(
+        var=st.integers(0, 2),
+        data=st.data(),
+    )
+    @settings(max_examples=60)
+    def test_univariate_against_multivariate(self, var, data):
+        u = data.draw(univariate_polynomials(3, var, max_degree=2))
+        r = data.draw(univariate_polynomials(3, var, max_degree=1))
+        p = data.draw(rational_polynomials())
+        assert_gcd_matches_sympy(p * r, u * r)
+        assert_gcd_matches_sympy(u * r, p * r)
+        assert_gcd_matches_sympy(p, u)
