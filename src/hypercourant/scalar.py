@@ -938,10 +938,9 @@ def sum_of_products(nvars: int, plus: Iterable, minus: Iterable = ()) -> ScalarF
                 if degree > top:
                     top = degree
                 fused.append((a, b, sign))
-            elif rest is None:
-                rest = f * g if sign > 0 else -(f * g)
             else:
-                rest = rest + f * g if sign > 0 else rest - f * g
+                p = f * g if sign > 0 else -(f * g)
+                rest = p if rest is None else rest + p
     if fused:
         width = _width(top)
         out: dict = {}
