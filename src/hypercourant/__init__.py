@@ -59,8 +59,6 @@ from .errors import (
 )
 from .nijenhuis import (
     VARIANTS,
-    CanonicalConnection,
-    Concomitant,
     TheoremReport,
     check_connection_laws,
     check_delta_properties,
@@ -76,7 +74,7 @@ from .nijenhuis import (
     torsion_formula_residual,
 )
 from .parse import parse_scalar
-from .report import CheckReport, IdentityReport, Witness
+from .report import CheckReport, Witness
 from .runfile import RunReport, StructureFile, emit, parse_structure, run
 from .scalar import Polynomial, Rational, ScalarField, arith, eval_at, partial, scalar_text
 

@@ -1,27 +1,33 @@
 """Nijenhuis concomitants, canonical connections, torsion, and the full
 identity suites for almost hypercomplex structures on TM (+) T*M.
 
-The concomitant of two endomorphisms F, G is the eight-term expression
+Everything here is built on one four-term expression of two endomorphisms
+F, G and a bracket br:
 
-    N_{F,G}(X,Y) = [[FX,GY]] - F[[X,GY]] - G[[FX,Y]] + FG[[X,Y]]
-                 + [[GX,FY]] - G[[X,FY]] - F[[GX,Y]] + GF[[X,Y]]
+    H_{F,G}(X,Y) = br(FX,GY) - F br(X,GY) - G br(FX,Y) + FG br(X,Y)
 
-built on the Dorfman bracket.  It is symmetric in F and G and always
-scalar-linear in its second slot; first-slot linearity needs F and G to be
-pairing-orthogonal with square -1 and (for F != G) anticommuting, which every
-pair drawn from a certified triple satisfies.  The defect is computed and
-reported rather than assumed away (see linearity_defect_formula).
+Three formulas use it:
 
-The three canonical connections come from one formula evaluated on the three
-cyclic rotations of (I, J, K); variants are named by the rotation fed in:
+  - the Nijenhuis concomitant, with the Dorfman bracket:
+        N_{F,G}(X,Y) = H_{F,G}(X,Y) + H_{G,F}(X,Y);
+  - the canonical connection of the cyclic rotation (P, Q, R) of (I, J, K),
+    with the Dorfman bracket:
+        nabla_X Y = -1/2 R H_{Q,P}(Y,X);
+    the variants "ijk", "jki" and "kij" are named by the rotation fed in;
+  - the closed form of the first-slot linearity defect
+    N(fX,Y) - f N(X,Y), with br(a,b) = 2<a,b> Df in both halves.
 
-    "ijk":  nabla_X Y  = -1/2 K( [[JY,IX]] - J[[Y,IX]] - I[[JY,X]] + JI[[Y,X]] )
-    "jki":  the same with (I,J,K) -> (J,K,I)
-    "kij":  the same with (I,J,K) -> (K,I,J)
+The concomitant is symmetric in F and G and always scalar-linear in its
+second slot; first-slot linearity needs F and G to be pairing-orthogonal
+with square -1 and (for F != G) anticommuting, which every pair drawn from a
+certified triple satisfies.  The defect is computed and reported rather than
+assumed away (see linearity_defect_formula).
 
 Vanishing of a concomitant is decided exactly on the 2n x 2n pairs of frame
 sections: restricted to a certified triple the concomitant is bilinear over
 scalars, so it vanishes everywhere exactly when it vanishes on the frame.
+The connection laws, the identities, the Delta properties and the theorem's
+connection checks run on seeded random inputs drawn by one runner, _inputs.
 """
 
 from __future__ import annotations
@@ -50,58 +56,20 @@ from .scalar import ScalarField
 VARIANTS = ("ijk", "jki", "kij")
 
 
-@dataclass(frozen=True)
-class Concomitant:
-    """The concomitant of a fixed endomorphism pair, as a callable on
-    section pairs.  Symmetric in the two endomorphisms."""
-
-    f: GEndo
-    g: GEndo
-
-    def __call__(self, x: GSection, y: GSection) -> GSection:
-        return concomitant(self.f, self.g, x, y)
-
-
-@dataclass(frozen=True)
-class CanonicalConnection:
-    """One of the three canonical connections of a certified triple."""
-
-    hk: HKTriple
-    variant: str = "ijk"
-
-    def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown connection variant {self.variant!r}")
-        self.hk.require_certified()
-
-    def __call__(self, x: GSection, y: GSection) -> GSection:
-        return connection(self.hk, self.variant, x, y)
-
-    def torsion(self, x: GSection, y: GSection) -> GSection:
-        return torsion(self.hk, self.variant, x, y)
-
-    def nabla(self, f: GEndo, x: GSection, y: GSection) -> GSection:
-        return nabla_endo(self.hk, self.variant, f, x, y)
+def _four_terms(br, f: GEndo, g: GEndo, x: GSection, y: GSection) -> GSection:
+    """H_{F,G}(X,Y) = br(FX,GY) - F br(X,GY) - G br(FX,Y) + FG br(X,Y)."""
+    fx, gy = f.apply(x), g.apply(y)
+    out = br(fx, gy) - f.apply(br(x, gy)) - g.apply(br(fx, y))
+    return out + f.apply(g.apply(br(x, y)))
 
 
 def concomitant(f: GEndo, g: GEndo, x: GSection, y: GSection) -> GSection:
     """The eight-term Nijenhuis concomitant N_{F,G}(X,Y)."""
     if not (f.n == g.n == x.dim == y.dim):
         raise DimensionMismatch("concomitant operands live on different charts")
-    return _concomitant(dorfman, f, g, x, y)
-
-
-def _concomitant(br, f: GEndo, g: GEndo, x: GSection, y: GSection) -> GSection:
-    # the eight terms, with the bracket `br` passed in so that a caller can
-    # share brackets between concomitants
-    fx, gx = f.apply(x), g.apply(x)
-    fy, gy = f.apply(y), g.apply(y)
-    b_xy = br(x, y)
-    out = br(fx, gy) - f.apply(br(x, gy)) - g.apply(br(fx, y))
-    out = out + f.apply(g.apply(b_xy))
-    out = out + br(gx, fy) - g.apply(br(x, fy)) - f.apply(br(gx, y))
-    out = out + g.apply(f.apply(b_xy))
-    return out
+    # the two halves share [[X,Y]]
+    br = lru_cache(maxsize=None)(dorfman)
+    return _four_terms(br, f, g, x, y) + _four_terms(br, g, f, x, y)
 
 
 def concomitant_linearity_defect(
@@ -124,22 +92,19 @@ def linearity_defect_formula(
     """Closed form of the first-slot defect:
 
         2<FX,GY>Df - 2<X,GY>F Df - 2<FX,Y>G Df + 2<X,Y>FG Df
-        + (the same four terms with F and G exchanged).
+        + (the same four terms with F and G exchanged),
 
-    Derived by expanding every bracket of N(fX, Y) with the two Leibniz rules
-    of the Dorfman bracket; verified against brute force in the test suite.
+    that is H_{F,G}(X,Y) + H_{G,F}(X,Y) with br(a,b) = 2<a,b>Df.  Derived by
+    expanding every bracket of N(fX, Y) with the two Leibniz rules of the
+    Dorfman bracket; verified against brute force in the test suite.
     """
     two = ScalarField.const(x.dim, 2)
     df = d_map(fun)
-    fdf, gdf = f.apply(df), g.apply(df)
-    fgdf, gfdf = f.apply(gdf), g.apply(fdf)
-    fx, gx = f.apply(x), g.apply(x)
-    fy, gy = f.apply(y), g.apply(y)
-    out = df.smul(two * pairing(fx, gy)) - fdf.smul(two * pairing(x, gy))
-    out = out - gdf.smul(two * pairing(fx, y)) + fgdf.smul(two * pairing(x, y))
-    out = out + df.smul(two * pairing(gx, fy)) - gdf.smul(two * pairing(x, fy))
-    out = out - fdf.smul(two * pairing(gx, y)) + gfdf.smul(two * pairing(x, y))
-    return out
+
+    def br(a, b):
+        return df.smul(two * pairing(a, b))
+
+    return _four_terms(br, f, g, x, y) + _four_terms(br, g, f, x, y)
 
 
 def delta(hk: HKTriple, fun: ScalarField, x: GSection, y: GSection) -> GSection:
@@ -147,7 +112,7 @@ def delta(hk: HKTriple, fun: ScalarField, x: GSection, y: GSection) -> GSection:
     hk.require_certified()
     df = d_map(fun)
     out = df.smul(pairing(x, y))
-    for endo in (hk.i, hk.j, hk.k):
+    for endo in hk.members().values():
         out = out + endo.apply(df).smul(pairing(endo.apply(x), y))
     return out
 
@@ -163,13 +128,11 @@ def _rotation(hk: HKTriple, variant: str) -> tuple:
 
 
 def connection(hk: HKTriple, variant: str, x: GSection, y: GSection) -> GSection:
-    """The canonical connection for one cyclic rotation of the triple."""
+    """The canonical connection for one cyclic rotation (P, Q, R) of the
+    triple: nabla_X Y = -1/2 R H_{Q,P}(Y,X)."""
     hk.require_certified()
     p, q, r = _rotation(hk, variant)
-    px = p.apply(x)
-    qy = q.apply(y)
-    inner = dorfman(qy, px) - q.apply(dorfman(y, px)) - p.apply(dorfman(qy, x))
-    inner = inner + q.apply(p.apply(dorfman(y, x)))
+    inner = _four_terms(dorfman, q, p, y, x)
     return r.apply(inner).smul(ScalarField.const(x.dim, Fraction(-1, 2)))
 
 
@@ -186,7 +149,7 @@ def nabla_endo(hk: HKTriple, variant: str, f: GEndo, x: GSection, y: GSection) -
 def torsion_formula_residual(hk: HKTriple, variant: str, x: GSection, y: GSection) -> GSection:
     """T(X,Y) - (I D<X,IY> + J D<X,JY> + K D<X,KY>)."""
     rhs = GSection.zero(x.dim)
-    for endo in (hk.i, hk.j, hk.k):
+    for endo in hk.members().values():
         rhs = rhs + endo.apply(d_map(pairing(x, endo.apply(y))))
     return torsion(hk, variant, x, y) - rhs
 
@@ -194,6 +157,29 @@ def torsion_formula_residual(hk: HKTriple, variant: str, x: GSection, y: GSectio
 # ---------------------------------------------------------------------------
 # identity suites
 # ---------------------------------------------------------------------------
+
+
+def _inputs(
+    hk: HKTriple, seed: int, stream: str, trials: int, degree: int, scalar: bool, extra_pairs=()
+) -> list:
+    """The inputs of one suite, as (trial, tag, X, Y, f) tuples.
+
+    `trials` random inputs come first, drawn from the (seed, stream) stream
+    in the order X, Y, then f when `scalar` (f is None otherwise).  The named
+    (X, Y) pairs follow, untrialled, with the tag [sections:name] and f the
+    first coordinate function.
+    """
+    hk.require_certified()
+    n = hk.n
+    rng = suite_rng(seed, stream)
+    out = []
+    for t in range(trials):
+        x = random_section(rng, n, degree)
+        y = random_section(rng, n, degree)
+        out.append((t, "", x, y, random_scalar(rng, n, degree) if scalar else None))
+    x1 = ScalarField.coordinate(n, 0)
+    out += [(None, f"[sections:{name}]", x, y, x1) for name, x, y in extra_pairs]
+    return out
 
 
 def check_connection_laws(
@@ -212,35 +198,16 @@ def check_connection_laws(
     `extra_pairs` adds named deterministic (X, Y) inputs (the scalar used
     with them is the first coordinate function).
     """
-    hk.require_certified()
-    n = hk.n
-    rng = suite_rng(seed, f"connection-laws-{variant}")
-    inputs = []
-    for t in range(trials):
-        inputs.append(
-            (
-                t,
-                "",
-                random_section(rng, n, degree),
-                random_section(rng, n, degree),
-                random_scalar(rng, n, degree),
-            )
-        )
-    for name, x, y in extra_pairs or ():
-        inputs.append((None, f"[sections:{name}]", x, y, ScalarField.coordinate(n, 0)))
-
-    def trial(item):
-        t, tag, x, y, fun = item
+    stream = f"connection-laws-{variant}"
+    out = []
+    for t, tag, x, y, fun in _inputs(hk, seed, stream, trials, degree, True, extra_pairs or ()):
         f_nab = connection(hk, variant, x, y).smul(fun)
         r1 = connection(hk, variant, x.smul(fun), y) - f_nab
         r2 = connection(hk, variant, x, y.smul(fun)) - y.smul(anchor_apply(x, fun)) - f_nab
         r2 = r2 + delta(hk, fun, x, y)
-        return [
-            check(f"connection-law-tensorial[{variant}]{tag}", r1, t),
-            check(f"connection-law-leibniz-delta[{variant}]{tag}", r2, t),
-        ]
-
-    return [r for item in inputs for r in trial(item)]
+        out.append(check(f"connection-law-tensorial[{variant}]{tag}", r1, t))
+        out.append(check(f"connection-law-leibniz-delta[{variant}]{tag}", r2, t))
+    return out
 
 
 def check_identities(
@@ -256,19 +223,10 @@ def check_identities(
     decomposition; and skew-symmetry of N_{I,J}.  All hold for every
     certified almost hypercomplex structure, integrable or not.
     """
-    hk.require_certified()
-    n = hk.n
-    half = ScalarField.const(n, Fraction(1, 2))
-    rng = suite_rng(seed, "identities")
-    inputs = [
-        (t, random_section(rng, n, degree), random_section(rng, n, degree))
-        for t in range(trials)
-    ]
-    inputs += [(None, x, y) for _, x, y in (extra_pairs or ())]
-
-    def trial(item):
-        t, x, y = item
-        out = []
+    half = ScalarField.const(hk.n, Fraction(1, 2))
+    inputs = _inputs(hk, seed, "identities", trials, degree, False, extra_pairs or ())
+    out = []
+    for t, _, x, y, _ in inputs:
         nab_xy = connection(hk, "ijk", x, y)
         r = connection(hk, "ijk", x, hk.j.apply(y)) - hk.j.apply(nab_xy)
         out.append(check("nabla-j-vanishes", r, t))
@@ -285,15 +243,13 @@ def check_identities(
 
         lhs = dorfman(x, y) + hk.k.apply(nij_y).smul(half)
         rhs = nab_xy - connection(hk, "ijk", y, x) + d_map(pairing(x, y))
-        for endo in (hk.i, hk.j, hk.k):
+        for endo in hk.members().values():
             rhs = rhs - endo.apply(d_map(pairing(x, endo.apply(y))))
         out.append(check("bracket-decomposition", lhs - rhs, t))
 
         r = nij_y + concomitant(hk.i, hk.j, y, x)
         out.append(check("concomitant-skew", r, t))
-        return out
-
-    return [r for item in inputs for r in trial(item)]
+    return out
 
 
 def check_delta_properties(
@@ -303,32 +259,16 @@ def check_delta_properties(
     degree: int = 1,
 ) -> list:
     """Delta_f compatibility with I, J, K and its symmetric part."""
-    hk.require_certified()
-    n = hk.n
-    two = ScalarField.const(n, 2)
-    rng = suite_rng(seed, "delta")
-    inputs = [
-        (
-            t,
-            random_section(rng, n, degree),
-            random_section(rng, n, degree),
-            random_scalar(rng, n, degree),
-        )
-        for t in range(trials)
-    ]
-
-    def trial(item):
-        t, x, y, fun = item
-        out = []
+    two = ScalarField.const(hk.n, 2)
+    out = []
+    for t, _, x, y, fun in _inputs(hk, seed, "delta", trials, degree, True):
         base = delta(hk, fun, x, y)
-        for name, endo in (("i", hk.i), ("j", hk.j), ("k", hk.k)):
+        for name, endo in hk.members().items():
             r = delta(hk, fun, x, endo.apply(y)) - endo.apply(base)
-            out.append(check(f"delta-compat-{name}", r, t))
+            out.append(check(f"delta-compat-{name.lower()}", r, t))
         r = base + delta(hk, fun, y, x) - d_map(fun).smul(two * pairing(x, y))
         out.append(check("delta-symmetric-part", r, t))
-        return out
-
-    return [r for item in inputs for r in trial(item)]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -392,15 +332,16 @@ def concomitant_statuses(hk: HKTriple) -> dict:
     """
     hk.require_certified()
     br = lru_cache(maxsize=None)(dorfman)
-    members = {"I": hk.i, "J": hk.j, "K": hk.k}
+    members = hk.members()
     frame = basis_sections(hk.n)
     status = {}
     for key in CONCOMITANT_KEYS:
-        f, g = key
+        a, b = key
+        f, g = members[a], members[b]
         status[key] = ConcomitantStatus(True)
         for (xi, x), (yi, y) in product(enumerate(frame), repeat=2):
-            residual = _concomitant(br, members[f], members[g], x, y)
-            w = witness_for(residual, context=f"N[{f},{g}] on family pair ({xi}, {yi})")
+            residual = _four_terms(br, f, g, x, y) + _four_terms(br, g, f, x, y)
+            w = witness_for(residual, context=f"N[{a},{b}] on family pair ({xi}, {yi})")
             if w is not None:
                 status[key] = ConcomitantStatus(False, w)
                 break
@@ -417,34 +358,28 @@ def theorem_report(
     """Certify the equivalence pattern on one structure.
 
     The three vanishing conditions (N_II = N_JJ = 0, N_IJ = 0, all six zero)
-    must agree.  When N_IJ = 0 the three connections must coincide, I, J, K
-    must all be parallel, and the torsion formula must hold; when N_IJ != 0
-    at least one of those consequences must visibly fail.  A contradiction
-    raises InconsistentEquivalence: it would mean the engine itself is wrong.
+    must agree; the torsion formula must hold exactly when N_IJ = 0 (for a
+    certified triple its residual is 1/2 K N_IJ); and when N_IJ = 0 the three
+    connections must coincide and I, J, K must all be parallel.  Parallelism
+    is a consequence, not a characterization: it may hold when N_IJ != 0.
+    A contradiction raises InconsistentEquivalence: it would mean the engine
+    itself is wrong.
 
     The connection-level consequences are sampled on `trials` random section
     pairs, so at least one trial is required.
     """
     if trials < 1:
         raise ValueError("theorem_report needs at least one trial")
-    hk.require_certified()
-    n = hk.n
     status = concomitant_statuses(hk)
-
-    rng = suite_rng(seed, "theorem")
-    pairs = [
-        (random_section(rng, n, degree), random_section(rng, n, degree))
-        for _ in range(trials)
-    ]
 
     connections_agree = torsion_ok = True
     parallel = {"I": True, "J": True, "K": True}
-    for x, y in pairs:
+    for _, _, x, y, _ in _inputs(hk, seed, "theorem", trials, degree, False):
         base = connection(hk, "ijk", x, y)
         connections_agree = connections_agree and all(
             (base - connection(hk, v, x, y)).is_zero() for v in ("jki", "kij")
         )
-        for name, endo in (("I", hk.i), ("J", hk.j), ("K", hk.k)):
+        for name, endo in hk.members().items():
             parallel[name] = parallel[name] and (
                 connection(hk, "ijk", x, endo.apply(y)) - endo.apply(base)
             ).is_zero()
@@ -454,11 +389,11 @@ def theorem_report(
     cond_ij = status["IJ"].vanishes
     cond_all = all(status[k].vanishes for k in CONCOMITANT_KEYS)
 
-    consistent = cond_pair == cond_ij == cond_all
-    if cond_ij:
-        consistent = consistent and connections_agree and all(parallel.values()) and torsion_ok
-    else:
-        consistent = consistent and ((not parallel["I"]) or (not torsion_ok))
+    consistent = (
+        cond_pair == cond_ij == cond_all
+        and torsion_ok == cond_ij
+        and (not cond_ij or (connections_agree and all(parallel.values())))
+    )
 
     rep = TheoremReport(
         structure_id=structure_id,

@@ -65,10 +65,6 @@ class CheckReport:
         return out
 
 
-# Identity suites report the same shape.
-IdentityReport = CheckReport
-
-
 def find_nonzero_point(f: ScalarField) -> tuple:
     """A rational point where the nonzero field f has a nonzero value.
 

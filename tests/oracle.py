@@ -124,7 +124,7 @@ def family_statuses(hk, family: list) -> dict:
     """Vanishing of the six concomitants over all ordered pairs of `family`,
     in row-major order; the first nonzero residual of a concomitant is its
     witness, labelled as the engine labels it."""
-    members = {"I": hk.i, "J": hk.j, "K": hk.k}
+    members = hk.members()
     out = {}
     for key in CONCOMITANT_KEYS:
         f, g = members[key[0]], members[key[1]]
