@@ -8,6 +8,11 @@ d of a 2-form is deliberately not provided.
 Each component of a bracket, Lie derivative, interior product or form-vector
 pairing is one call to scalar.sum_of_products, which fuses the n or 2n
 products of the coordinate formula into one polynomial accumulator.
+
+Values are validated where they enter: the public constructors run
+check_fields, the one entry check of the package.  Results built from
+validated operands, here and in the Courant and endomorphism layers, go
+through the unchecked `_of`; operations check only that operands share a chart.
 """
 
 from __future__ import annotations
@@ -23,15 +28,21 @@ def _check_dim(a, b):
         raise DimensionMismatch(f"chart dimension {a.dim} vs {b.dim}")
 
 
-def _check_components(components: tuple) -> tuple:
-    components = tuple(components)
-    n = len(components)
-    if n == 0:
-        raise DimensionMismatch("empty component tuple")
-    for f in components:
-        if not isinstance(f, ScalarField) or f.nvars != n:
-            raise DimensionMismatch("component count must equal the chart dimension")
-    return components
+def check_fields(entries, n: int) -> tuple:
+    """The entry check of every public constructor: `entries` as a tuple of
+    ScalarFields on the n-dimensional chart, n >= 1."""
+    entries = tuple(entries)
+    if n < 1 or not all(isinstance(f, ScalarField) and f.nvars == n for f in entries):
+        raise DimensionMismatch(f"entries must be scalar fields on a chart of dimension {n}")
+    return entries
+
+
+def check_matrix(m, n: int) -> tuple:
+    """m as n rows of n entries that pass check_fields."""
+    rows = tuple(check_fields(row, n) for row in m)
+    if n < 1 or len(rows) != n or any(len(row) != n for row in rows):
+        raise DimensionMismatch(f"expected a {n}x{n} matrix")
+    return rows
 
 
 @dataclass(frozen=True)
@@ -42,7 +53,14 @@ class _Components:
     components: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "components", _check_components(self.components))
+        comps = tuple(self.components)
+        object.__setattr__(self, "components", check_fields(comps, len(comps)))
+
+    @classmethod
+    def _of(cls, components: tuple):
+        out = object.__new__(cls)
+        object.__setattr__(out, "components", components)
+        return out
 
     @property
     def dim(self) -> int:
@@ -50,32 +68,29 @@ class _Components:
 
     @classmethod
     def zero(cls, n: int):
-        z = ScalarField.zero(n)
-        return cls((z,) * n)
+        return cls._of((ScalarField.zero(n),) * n)
 
     @classmethod
     def basis(cls, n: int, i: int):
         """d/dx_{i+1} or dx_{i+1} (0-based index)."""
         z = ScalarField.zero(n)
         one = ScalarField.one(n)
-        return cls(tuple(one if k == i else z for k in range(n)))
+        return cls._of(tuple(one if k == i else z for k in range(n)))
 
     def is_zero(self) -> bool:
         return all(f.is_zero() for f in self.components)
 
     def __add__(self, other):
-        _check_dim(self, other)
-        return type(self)(tuple(a + b for a, b in zip(self.components, other.components)))
+        return self._of(tuple(a + b for a, b in zip(self.components, other.components)))
 
     def __sub__(self, other):
-        _check_dim(self, other)
-        return type(self)(tuple(a - b for a, b in zip(self.components, other.components)))
+        return self._of(tuple(a - b for a, b in zip(self.components, other.components)))
 
     def __neg__(self):
-        return type(self)(tuple(-a for a in self.components))
+        return self._of(tuple(-a for a in self.components))
 
     def smul(self, f: ScalarField):
-        return type(self)(tuple(f * a for a in self.components))
+        return self._of(tuple(f * a for a in self.components))
 
 
 class VectorField(_Components):
@@ -94,15 +109,9 @@ class TwoForm:
     entries: tuple
 
     def __post_init__(self):
-        rows = tuple(tuple(row) for row in self.entries)
+        rows = tuple(self.entries)
         n = len(rows)
-        if n == 0 or any(len(row) != n for row in rows):
-            raise DimensionMismatch("2-form matrix must be square")
-        for i in range(n):
-            for j in range(n):
-                f = rows[i][j]
-                if not isinstance(f, ScalarField) or f.nvars != n:
-                    raise DimensionMismatch("2-form entries must match the chart dimension")
+        rows = check_matrix(rows, n)
         for i in range(n):
             if not rows[i][i].is_zero():
                 raise NotAntisymmetric(f"nonzero diagonal entry at ({i}, {i})")
@@ -111,6 +120,12 @@ class TwoForm:
                     raise NotAntisymmetric(f"entries ({i},{j}) and ({j},{i}) are not opposite")
         object.__setattr__(self, "entries", rows)
 
+    @classmethod
+    def _of(cls, entries: tuple) -> "TwoForm":
+        out = object.__new__(cls)
+        object.__setattr__(out, "entries", entries)
+        return out
+
     @property
     def dim(self) -> int:
         return len(self.entries)
@@ -118,19 +133,7 @@ class TwoForm:
     @classmethod
     def zero(cls, n: int) -> "TwoForm":
         z = ScalarField.zero(n)
-        return cls(tuple((z,) * n for _ in range(n)))
-
-    @classmethod
-    def from_upper(cls, n: int, upper: dict) -> "TwoForm":
-        """Build from {(i, j): field} with i < j, 0-based."""
-        z = ScalarField.zero(n)
-        rows = [[z] * n for _ in range(n)]
-        for (i, j), f in upper.items():
-            if not 0 <= i < j < n:
-                raise DimensionMismatch(f"bad index pair ({i}, {j})")
-            rows[i][j] = f
-            rows[j][i] = -f
-        return cls(tuple(tuple(r) for r in rows))
+        return cls._of(tuple((z,) * n for _ in range(n)))
 
     def is_zero(self) -> bool:
         return all(f.is_zero() for row in self.entries for f in row)
@@ -146,7 +149,7 @@ def lie_bracket(x: VectorField, y: VectorField) -> VectorField:
     _check_dim(x, y)
     n = x.dim
     xs, ys = x.components, y.components
-    return VectorField(
+    return VectorField._of(
         tuple(
             sum_of_products(
                 n,
@@ -161,15 +164,15 @@ def lie_bracket(x: VectorField, y: VectorField) -> VectorField:
 def exterior_derivative(arg):
     """d of a scalar (giving a 1-form) or of a 1-form (giving a 2-form)."""
     if isinstance(arg, ScalarField):
-        n = arg.nvars
-        return OneForm(tuple(arg.derivative(i) for i in range(n)))
+        return OneForm._of(tuple(arg.derivative(i) for i in range(arg.nvars)))
     if isinstance(arg, OneForm):
-        n = arg.dim
-        upper = {}
+        n, c = arg.dim, arg.components
+        rows = [[ScalarField.zero(n)] * n for _ in range(n)]
         for i in range(n):
             for j in range(i + 1, n):
-                upper[(i, j)] = arg.components[j].derivative(i) - arg.components[i].derivative(j)
-        return TwoForm.from_upper(n, upper)
+                rows[i][j] = c[j].derivative(i) - c[i].derivative(j)
+                rows[j][i] = -rows[i][j]
+        return TwoForm._of(tuple(map(tuple, rows)))
     raise TypeError("exterior_derivative takes a ScalarField or a OneForm")
 
 
@@ -178,7 +181,7 @@ def lie_derivative(x: VectorField, eta: OneForm) -> OneForm:
     _check_dim(x, eta)
     n = x.dim
     xs, es = x.components, eta.components
-    return OneForm(
+    return OneForm._of(
         tuple(
             sum_of_products(
                 n,
@@ -194,7 +197,9 @@ def interior_product(y: VectorField, omega: TwoForm) -> OneForm:
     """(i_Y omega)_j = sum_i Y^i omega_ij."""
     _check_dim(y, omega)
     n = y.dim
-    return OneForm(tuple(sum_of_products(n, zip(y.components, col)) for col in zip(*omega.entries)))
+    return OneForm._of(
+        tuple(sum_of_products(n, zip(y.components, col)) for col in zip(*omega.entries))
+    )
 
 
 def pair_form_vector(xi: OneForm, y: VectorField) -> ScalarField:

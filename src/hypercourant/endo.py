@@ -17,13 +17,16 @@ Certification checks orthogonality against the canonical pairing on the 2n
 frame sections (enough, since both sides are bilinear over scalars) and the
 quaternionic relations I^2 = J^2 = K^2 = IJK = -1 as exact matrix
 identities.
+
+The GEndo constructor and the lifts validate their blocks (cartan.check_matrix);
+products, sums and images go through the unchecked GEndo._of and GSection._of.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cartan import TwoForm
+from .cartan import OneForm, TwoForm, VectorField, check_matrix
 from .courant import GSection, basis_sections, pairing
 from .errors import (
     DimensionMismatch,
@@ -33,17 +36,6 @@ from .errors import (
 )
 from .report import CheckReport, Witness, nonzero_witness
 from .scalar import ScalarField, sum_of_products
-
-
-def _check_matrix(m, n: int) -> tuple:
-    rows = tuple(tuple(row) for row in m)
-    if len(rows) != n or any(len(r) != n for r in rows):
-        raise DimensionMismatch(f"expected a {n}x{n} matrix")
-    for row in rows:
-        for f in row:
-            if not isinstance(f, ScalarField) or f.nvars != n:
-                raise DimensionMismatch("matrix entries must be scalars on the same chart")
-    return rows
 
 
 def mat_identity(n: int) -> tuple:
@@ -79,11 +71,6 @@ def mat_transpose(a) -> tuple:
     return tuple(tuple(row) for row in zip(*a))
 
 
-def mat_apply(a, v: tuple) -> tuple:
-    nvars = a[0][0].nvars
-    return tuple(sum_of_products(nvars, zip(row, v)) for row in a)
-
-
 def mat_eq(a, b) -> bool:
     return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
@@ -97,7 +84,7 @@ class GEndo:
 
     def __init__(self, a, b, c, d):
         n = len(a)
-        a, b, c, d = (_check_matrix(blk, n) for blk in (a, b, c, d))
+        a, b, c, d = (check_matrix(blk, n) for blk in (a, b, c, d))
         top = tuple(ra + rb for ra, rb in zip(a, b))
         object.__setattr__(self, "matrix", top + tuple(rc + rd for rc, rd in zip(c, d)))
 
@@ -123,7 +110,9 @@ class GEndo:
     def apply(self, s: GSection) -> "GSection":
         if s.dim != self.n:
             raise DimensionMismatch("section and endomorphism chart dimensions differ")
-        return GSection.from_components(mat_apply(self.matrix, s.components))
+        n, v = self.n, s.components
+        image = tuple(sum_of_products(n, zip(row, v)) for row in self.matrix)
+        return GSection._of(VectorField._of(image[:n]), OneForm._of(image[n:]))
 
     def compose(self, other: "GEndo") -> "GEndo":
         """self after other."""
@@ -173,7 +162,7 @@ def lift_diagonal(j) -> GEndo:
     Requires j^2 = -identity exactly; j* is the transpose in coordinates.
     """
     n = len(j)
-    j = _check_matrix(j, n)
+    j = check_matrix(j, n)
     if not mat_eq(mat_mul(j, j), mat_neg(mat_identity(n))):
         raise NotAlmostComplex("j^2 is not minus the identity")
     return GEndo(mat_neg(j), mat_zero(n), mat_zero(n), mat_transpose(j))
@@ -187,7 +176,7 @@ def lift_symplectic(omega: TwoForm, omega_inv) -> GEndo:
     """
     n = omega.dim
     w = omega.entries
-    v = _check_matrix(omega_inv, n)
+    v = check_matrix(omega_inv, n)
     if not mat_eq(mat_mul(w, v), mat_identity(n)):
         raise NotInverse("omega * omega_inv is not the identity")
     return GEndo(mat_zero(n), v, mat_neg(w), mat_zero(n))
@@ -224,8 +213,6 @@ def _first_matrix_defect(endo: GEndo, expect: GEndo, what: str) -> Witness | Non
 
 def quaternionic_check(i: GEndo, j: GEndo, k: GEndo) -> CheckReport:
     """I^2 = J^2 = K^2 = IJK = -identity, all as exact matrix identities."""
-    if not (i.n == j.n == k.n):
-        raise DimensionMismatch("triple members have different dimensions")
     minus_id = -GEndo.identity(i.n)
     for endo, what in (
         (i @ i, "I^2 + 1"),

@@ -48,7 +48,7 @@ from .courant import (
     random_section,
 )
 from .endo import GEndo, HKTriple
-from .errors import DimensionMismatch, InconsistentEquivalence
+from .errors import InconsistentEquivalence
 from .report import Witness, check, witness_for
 from .sampling import random_scalar, suite_rng
 from .scalar import ScalarField
@@ -65,8 +65,6 @@ def _four_terms(br, f: GEndo, g: GEndo, x: GSection, y: GSection) -> GSection:
 
 def concomitant(f: GEndo, g: GEndo, x: GSection, y: GSection) -> GSection:
     """The eight-term Nijenhuis concomitant N_{F,G}(X,Y)."""
-    if not (f.n == g.n == x.dim == y.dim):
-        raise DimensionMismatch("concomitant operands live on different charts")
     # the two halves share [[X,Y]]
     br = lru_cache(maxsize=None)(dorfman)
     return _four_terms(br, f, g, x, y) + _four_terms(br, g, f, x, y)

@@ -156,7 +156,11 @@ def _parse_endo(spec, n: int, coords, what: str) -> GEndo:
 def parse_structure_text(text: str, digest: str | None = None) -> StructureFile:
     """Parse and validate a structure document from JSON text."""
     if digest is None:
-        digest = "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
+        try:
+            data = text.encode("utf-8")
+        except UnicodeEncodeError:  # argv bytes that did not decode
+            raise SchemaError("the document is not valid UTF-8") from None
+        digest = "sha256:" + hashlib.sha256(data).hexdigest()
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -238,8 +242,11 @@ def parse_structure(source: str) -> StructureFile:
     if os.path.exists(source):
         with open(source, "rb") as fh:
             data = fh.read()
-        digest = "sha256:" + hashlib.sha256(data).hexdigest()
-        return parse_structure_text(data.decode("utf-8"), digest)
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError:
+            raise SchemaError("the file is not valid UTF-8") from None
+        return parse_structure_text(text, "sha256:" + hashlib.sha256(data).hexdigest())
     stripped = source.lstrip()
     if stripped.startswith("{"):
         return parse_structure_text(source)

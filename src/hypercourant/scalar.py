@@ -112,6 +112,23 @@ def _collect(nvars: int, width: int, out: dict) -> "Polynomial":
     return _make(nvars, width, tuple(terms))
 
 
+def _sum_products(nvars: int, width: int, triples) -> "Polynomial":
+    """The sum of sign * a * b over (a, b, sign) triples of polynomials, with
+    every term product accumulated in one packed key -> coefficient dict at
+    `width`, which must fit the degree of every product."""
+    out: dict = {}
+    get = out.get
+    for a, b, sign in triples:
+        b = b._at(width)
+        for k1, c1 in a._at(width):
+            if sign < 0:
+                c1 = -c1
+            for k2, c2 in b:
+                k = k1 + k2
+                out[k] = get(k, 0) + c1 * c2
+    return _collect(nvars, width, out)
+
+
 _ZERO: dict = {}
 _ONE: dict = {}
 
@@ -265,21 +282,15 @@ class Polynomial:
         # the product's degree is the sum of the degrees, so this is its
         # canonical width
         width = _width(self.total_degree() + other.total_degree())
-        a, b = self._at(width), other._at(width)
-        if len(a) == 1:
+        a, b = self, other
+        if len(a.packed) == 1:
             a, b = b, a
-        if len(b) == 1:
+        if len(b.packed) == 1:
             # adding one key to every key keeps their order
-            ((km, cm),) = b
-            shifted = tuple([(k + km, _cnorm(c * cm)) for k, c in a])
+            ((km, cm),) = b._at(width)
+            shifted = tuple([(k + km, _cnorm(c * cm)) for k, c in a._at(width)])
             return Polynomial._raw(self.nvars, width, shifted)
-        out: dict = {}
-        get = out.get
-        for k1, c1 in a:
-            for k2, c2 in b:
-                k = k1 + k2
-                out[k] = get(k, 0) + c1 * c2
-        return _collect(self.nvars, width, out)
+        return _sum_products(self.nvars, width, ((self, other, 1),))
 
     def scale(self, c: Coeff) -> "Polynomial":
         if not isinstance(c, (int, Fraction)):
@@ -834,21 +845,13 @@ class ScalarField:
         return ScalarField._raw(self.num.scale(c), self.den)
 
     def __pow__(self, e: int) -> "ScalarField":
-        if e < 0:
-            return self.reciprocal() ** (-e)
-        result = ScalarField.one(self.nvars)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
+        # powers of coprime num and den stay coprime, and a power of a monic
+        # den stays monic, so the quotient needs no gcd
+        f = self.reciprocal() if e < 0 else self
+        return ScalarField._raw(f.num ** abs(e), f.den ** abs(e))
 
     def derivative(self, var: int) -> "ScalarField":
         """Partial derivative by coordinate `var` (0-based), quotient rule."""
-        if not 0 <= var < self.nvars:
-            raise IndexOutOfRange(f"variable index {var} not in 0..{self.nvars - 1}")
         if self.den.is_one():
             d = self.num.derivative(var)
             return ScalarField._raw(d, self.den) if not d.is_zero() else ScalarField.zero(self.nvars)
@@ -942,18 +945,7 @@ def sum_of_products(nvars: int, plus: Iterable, minus: Iterable = ()) -> ScalarF
                 p = f * g if sign > 0 else -(f * g)
                 rest = p if rest is None else rest + p
     if fused:
-        width = _width(top)
-        out: dict = {}
-        get = out.get
-        for a, b, sign in fused:
-            b = b._at(width)
-            for k1, c1 in a._at(width):
-                if sign < 0:
-                    c1 = -c1
-                for k2, c2 in b:
-                    k = k1 + k2
-                    out[k] = get(k, 0) + c1 * c2
-        num = _collect(nvars, width, out)
+        num = _sum_products(nvars, _width(top), fused)
         if num.packed:
             total = ScalarField._raw(num, Polynomial.one(nvars))
             return total if rest is None else rest + total
@@ -987,8 +979,6 @@ def partial(f: ScalarField, i: int) -> ScalarField:
 
 def eval_at(f: ScalarField, point: Sequence[Coeff]) -> Fraction:
     """Exact evaluation at a rational point."""
-    if len(point) != f.nvars:
-        raise DimensionMismatch(f"point has {len(point)} coordinates, chart has {f.nvars}")
     return f.evaluate(point)
 
 

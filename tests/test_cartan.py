@@ -165,3 +165,22 @@ class TestTwoFormValidation:
         zero = ScalarField.zero(2)
         with pytest.raises(DimensionMismatch):
             TwoForm(((zero,),))
+        with pytest.raises(DimensionMismatch):
+            TwoForm(((zero, 0), (0, zero)))
+
+
+class TestComponentValidation:
+    @pytest.mark.parametrize("cls", [VectorField, OneForm])
+    @pytest.mark.parametrize(
+        "components",
+        [
+            (),
+            (ScalarField.zero(2),) * 3,
+            (ScalarField.zero(2), ScalarField.zero(3)),
+            (ScalarField.zero(2), 0),
+        ],
+        ids=["empty", "wrong-count", "other-chart", "not-a-field"],
+    )
+    def test_constructor_rejects(self, cls, components):
+        with pytest.raises(DimensionMismatch):
+            cls(components)

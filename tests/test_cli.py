@@ -284,6 +284,17 @@ class TestCheck:
         assert (code, out) == (2, "")
         assert err.startswith("error:") and "5000 digits" in err
 
+    def test_undecodable_text_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"dimension": "\u00e9"}'.encode("latin-1"))
+        code, out, err = run_cli(capsys, "check", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: the file is not valid UTF-8\n"
+        # argv bytes that do not decode reach the program as lone surrogates
+        code, out, err = run_cli(capsys, "check", '{"dimension": "\udce9"}')
+        assert (code, out) == (2, "")
+        assert err == "error: the document is not valid UTF-8\n"
+
     def test_huge_json_number_exits_two(self, capsys, tmp_path):
         path = tmp_path / "big.json"
         path.write_text('{"dimension": ' + "1" * 5000 + "}")

@@ -176,3 +176,5 @@ class TestVerifyAxioms:
 def test_section_algebra_dimension_checks():
     with pytest.raises(DimensionMismatch):
         GSection(VectorField.zero(2), OneForm.zero(3))
+    with pytest.raises(DimensionMismatch):
+        GSection.from_components((ScalarField.zero(1),) * 3)

@@ -68,6 +68,16 @@ class TestApply:
             GEndo.identity(2).apply(gs(1, "1", "0"))
 
 
+class TestConstructor:
+    def test_rejects_non_square_block(self):
+        z = ScalarField.zero(2)
+        square = ((z, z), (z, z))
+        with pytest.raises(DimensionMismatch):
+            GEndo(square, ((z, z),), square, square)
+        with pytest.raises(DimensionMismatch):
+            GEndo(square, square, ((z,), (z,)), square)
+
+
 class TestCompose:
     def test_identity_neutral(self, lifts):
         ident = GEndo.identity(4)

@@ -4,7 +4,9 @@ from pathlib import Path
 
 import pytest
 
+import hypercourant.cartan
 import hypercourant.nijenhuis
+from hypercourant.cartan import check_fields
 from hypercourant.courant import GSection, basis_sections, courant_bracket, dorfman, random_section
 from hypercourant.endo import GEndo, HKTriple
 from hypercourant.errors import InconsistentEquivalence, UncertifiedStructure
@@ -406,6 +408,33 @@ class TestTheoremReport:
         status = concomitant_statuses(flat)
         assert all(s.vanishes for s in status.values())
         assert 0 < len(calls) <= 16 * (2 * flat.n) ** 2
+
+    def test_operations_skip_the_entry_check(self, flat, monkeypatch):
+        # values are checked where they enter; what the engine builds from
+        # checked values is trusted
+        rng = suite_rng(7, "entry-check")
+        x, y = (random_section(rng, flat.n, 1) for _ in range(2))
+        calls = []
+        post_init = GSection.__post_init__
+
+        def counted(entries, n):
+            calls.append("entries")
+            return check_fields(entries, n)
+
+        def counted_section(section):
+            calls.append("section")
+            post_init(section)
+
+        monkeypatch.setattr(hypercourant.cartan, "check_fields", counted)
+        monkeypatch.setattr(GSection, "__post_init__", counted_section)
+        dorfman(x, y)
+        flat.i.apply(x)
+        connection(flat, "ijk", x, y)
+        concomitant_statuses(flat)
+        assert calls == []
+        # the counters see a public constructor
+        GSection.from_components(x.components)
+        assert calls == ["entries", "entries", "section"]
 
     def test_forged_certification_raises_inconsistency(self):
         # identity triple with forged passing reports: all concomitants

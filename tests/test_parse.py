@@ -51,6 +51,15 @@ def test_rational_literal_is_greedy():
 def test_power_binds_to_base():
     assert parse_scalar("2*x1^3", 1) == parse_scalar("2*(x1*x1*x1)", 1)
     assert parse_scalar("1/2^2", 1) == ScalarField.const(1, "1/4")
+    assert parse_scalar("(x1/(1+x2))^3", 2) == parse_scalar("x1/(1+x2)*x1/(1+x2)*x1/(1+x2)", 2)
+    # rational bases and the negative powers the grammar cannot write
+    for text in ("3/2", "x1 - 2*x2", "(1 + x1^2)/(2*x2)", "x1/(x1 + x2)", "-1/(3 + x1*x2)"):
+        base = parse_scalar(text, 2)
+        for e in range(-3, 5):
+            expected = ScalarField.one(2)
+            for _ in range(abs(e)):
+                expected = expected * base if e > 0 else expected / base
+            assert base**e == expected and hash(base**e) == hash(expected)
 
 
 @pytest.mark.parametrize(
