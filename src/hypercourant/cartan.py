@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DimensionMismatch, NotAntisymmetric
+from .errors import DimensionMismatch, IndexOutOfRange, NotAntisymmetric
 from .scalar import ScalarField, sum_of_products
 
 
@@ -73,6 +73,8 @@ class _Components:
     @classmethod
     def basis(cls, n: int, i: int):
         """d/dx_{i+1} or dx_{i+1} (0-based index)."""
+        if not 0 <= i < n:
+            raise IndexOutOfRange(f"basis index {i} not in 0..{n - 1}")
         z = ScalarField.zero(n)
         one = ScalarField.one(n)
         return cls._of(tuple(one if k == i else z for k in range(n)))
@@ -80,10 +82,16 @@ class _Components:
     def is_zero(self) -> bool:
         return all(f.is_zero() for f in self.components)
 
+    def _check_type(self, other):
+        if type(other) is not type(self):
+            raise TypeError(f"cannot combine {type(self).__name__} with {type(other).__name__}")
+
     def __add__(self, other):
+        self._check_type(other)
         return self._of(tuple(a + b for a, b in zip(self.components, other.components)))
 
     def __sub__(self, other):
+        self._check_type(other)
         return self._of(tuple(a - b for a, b in zip(self.components, other.components)))
 
     def __neg__(self):

@@ -8,11 +8,13 @@ keep a unique canonical form:
   Polynomial   sparse terms, stored packed (Monagan & Pearce): a tuple of
                (key, nonzero coefficient) pairs in decreasing key order.  A
                key is one int holding the total degree, then e1 ... en, each
-               in a field of `width` bits, e1 most significant, so int order
-               is graded-lexicographic order and adding two keys multiplies
-               the monomials.  The width is max(8, degree.bit_length()), so
-               (nvars, width, packed) is unique; the width follows from the
-               leading key.  `terms`, the (exponent vector, coefficient)
+               in a field of WIDTH = 16 bits, e1 most significant, so int
+               order is graded-lexicographic order and adding two keys
+               multiplies the monomials.  Every polynomial uses this one
+               layout, so (nvars, packed) is unique.  It holds because the
+               total degree is at most MAX_TOTAL_DEGREE = 65535: a
+               polynomial above it raises EngineError, where it is built or
+               multiplied.  `terms`, the (exponent vector, coefficient)
                pairs in the same order, is decoded on demand.
   ScalarField  quotient num/den of Polynomials with gcd(num, den) = 1 and
                den normalized monic (leading graded-lex coefficient 1); the
@@ -62,71 +64,51 @@ def _cdiv(a: Coeff, b: Coeff) -> Coeff:
     return _cnorm(a / b)
 
 
-# A key at width w: deg << (n * w) | e1 << ((n - 1) * w) | ... | en.  No field
-# of a polynomial's own keys reaches 2**w, and a product is computed at the
-# width of its degree, so key sums never carry.
+# A key: deg << (n * WIDTH) | e1 << ((n - 1) * WIDTH) | ... | en.  No
+# exponent exceeds the total degree, which _check_degree keeps within a
+# field, so key sums never carry.
+
+WIDTH = 16
+MAX_TOTAL_DEGREE = (1 << WIDTH) - 1
+_MASK = MAX_TOTAL_DEGREE
 
 
-def _width(degree: int) -> int:
-    return max(8, degree.bit_length())
+def _check_degree(degree: int) -> None:
+    """Raise EngineError for a total degree that does not fit a key field."""
+    if degree > MAX_TOTAL_DEGREE:
+        raise EngineError(f"a polynomial of degree above {MAX_TOTAL_DEGREE} (degree {degree})")
 
 
-def _field(nvars: int, width: int, var: int) -> tuple:
-    """Shift and mask of the field of x_var (0-based) in a key, and the key
-    of x_var itself: subtracting e times it removes x_var^e."""
-    s = (nvars - 1 - var) * width
-    return s, (1 << width) - 1, (1 << (nvars * width)) | (1 << s)
+def _field(nvars: int, var: int) -> tuple:
+    """Shift of the field of x_var (0-based) in a key, and the key of x_var
+    itself: subtracting e times it removes x_var^e."""
+    s = (nvars - 1 - var) * WIDTH
+    return s, (1 << (nvars * WIDTH)) | (1 << s)
 
 
-def _repack(packed: tuple, nvars: int, old: int, new: int) -> tuple:
-    """The same terms at another width; the order is unchanged."""
-    mask = (1 << old) - 1
-    shifts = range(nvars * old, -1, -old)
-    out = []
-    for k, c in packed:
-        r = 0
-        for s in shifts:
-            r = (r << new) | ((k >> s) & mask)
-        out.append((r, c))
-    return tuple(out)
-
-
-def _make(nvars: int, width: int, packed: tuple) -> "Polynomial":
-    """A polynomial from sorted nonzero terms at `width`, re-packed at the
-    canonical width if its degree has fallen below that width's range."""
-    if not packed:
-        return Polynomial.zero(nvars)
-    if width > 8:
-        w = _width(packed[0][0] >> (nvars * width))
-        if w != width:
-            packed = _repack(packed, nvars, width, w)
-            width = w
-    return Polynomial._raw(nvars, width, packed)
-
-
-def _collect(nvars: int, width: int, out: dict) -> "Polynomial":
-    """A polynomial from key -> coefficient at `width`, zeros dropped."""
+def _collect(nvars: int, out: dict) -> "Polynomial":
+    """A polynomial from key -> coefficient, zeros dropped."""
     terms = [
         (k, c if type(c) is int else _cnorm(c)) for k in sorted(out, reverse=True) if (c := out[k])
     ]
-    return _make(nvars, width, tuple(terms))
+    return Polynomial._raw(nvars, tuple(terms)) if terms else Polynomial.zero(nvars)
 
 
-def _sum_products(nvars: int, width: int, triples) -> "Polynomial":
+def _sum_products(nvars: int, triples) -> "Polynomial":
     """The sum of sign * a * b over (a, b, sign) triples of polynomials, with
-    every term product accumulated in one packed key -> coefficient dict at
-    `width`, which must fit the degree of every product."""
+    every term product accumulated in one packed key -> coefficient dict.
+    The caller has checked the degree of every product."""
     out: dict = {}
     get = out.get
     for a, b, sign in triples:
-        b = b._at(width)
-        for k1, c1 in a._at(width):
+        b = b.packed
+        for k1, c1 in a.packed:
             if sign < 0:
                 c1 = -c1
             for k2, c2 in b:
                 k = k1 + k2
                 out[k] = get(k, 0) + c1 * c2
-    return _collect(nvars, width, out)
+    return _collect(nvars, out)
 
 
 _ZERO: dict = {}
@@ -136,7 +118,7 @@ _ONE: dict = {}
 class Polynomial:
     """A multivariate polynomial in canonical packed sparse form."""
 
-    __slots__ = ("nvars", "width", "packed", "_hash")
+    __slots__ = ("nvars", "packed", "_hash")
 
     def __init__(self, nvars: int, terms: Mapping | Iterable = ()):
         if nvars < 0:
@@ -154,23 +136,21 @@ class Polynomial:
                 cleaned[mono] = c
             else:
                 cleaned.pop(mono, None)
-        width = _width(max(map(sum, cleaned), default=0))
         keyed = {}
         for mono, c in cleaned.items():
             k = sum(mono)
+            _check_degree(k)
             for e in mono:
-                k = (k << width) | e
+                k = (k << WIDTH) | e
             keyed[k] = c
         self.nvars = nvars
-        self.width = width
         self.packed = tuple([(k, keyed[k]) for k in sorted(keyed, reverse=True)])
         self._hash = None
 
     @classmethod
-    def _raw(cls, nvars: int, width: int, packed: tuple) -> "Polynomial":
+    def _raw(cls, nvars: int, packed: tuple) -> "Polynomial":
         p = object.__new__(cls)
         p.nvars = nvars
-        p.width = width
         p.packed = packed
         p._hash = None
         return p
@@ -179,7 +159,7 @@ class Polynomial:
     def zero(cls, nvars: int) -> "Polynomial":
         p = _ZERO.get(nvars)
         if p is None:
-            p = _ZERO[nvars] = cls._raw(nvars, 8, ())
+            p = _ZERO[nvars] = cls._raw(nvars, ())
         return p
 
     @classmethod
@@ -189,13 +169,13 @@ class Polynomial:
             return cls.zero(nvars)
         if value == 1:
             return cls.one(nvars)
-        return cls._raw(nvars, 8, ((0, value),))
+        return cls._raw(nvars, ((0, value),))
 
     @classmethod
     def one(cls, nvars: int) -> "Polynomial":
         p = _ONE.get(nvars)
         if p is None:
-            p = _ONE[nvars] = cls._raw(nvars, 8, ((0, 1),))
+            p = _ONE[nvars] = cls._raw(nvars, ((0, 1),))
         return p
 
     @classmethod
@@ -203,14 +183,13 @@ class Polynomial:
         """The coordinate x_{index+1} (0-based index)."""
         if not 0 <= index < nvars:
             raise IndexOutOfRange(f"variable index {index} not in 0..{nvars - 1}")
-        return cls._raw(nvars, 8, ((_field(nvars, 8, index)[2], 1),))
+        return cls._raw(nvars, ((_field(nvars, index)[1], 1),))
 
     @property
     def terms(self) -> tuple:
         """(exponent vector, coefficient) pairs in decreasing graded-lex order."""
-        shifts = range((self.nvars - 1) * self.width, -1, -self.width)
-        mask = (1 << self.width) - 1
-        return tuple([(tuple([(k >> s) & mask for s in shifts]), c) for k, c in self.packed])
+        shifts = range((self.nvars - 1) * WIDTH, -1, -WIDTH)
+        return tuple([(tuple([(k >> s) & _MASK for s in shifts]), c) for k, c in self.packed])
 
     # -- predicates ---------------------------------------------------------
 
@@ -224,18 +203,11 @@ class Polynomial:
     def is_one(self) -> bool:
         return self.packed == ((0, 1),)
 
-    def const_value(self) -> Coeff:
-        if not self.packed:
-            return 0
-        if not self.is_const():
-            raise ValueError("not a constant polynomial")
-        return self.packed[0][1]
-
     def total_degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
         if not self.packed:
             return -1
-        return self.packed[0][0] >> (self.nvars * self.width)
+        return self.packed[0][0] >> (self.nvars * WIDTH)
 
     def leading_coeff(self) -> Coeff:
         return self.packed[0][1] if self.packed else 0
@@ -246,27 +218,20 @@ class Polynomial:
         if self.nvars != other.nvars:
             raise DimensionMismatch(f"{self.nvars} vs {other.nvars} variables")
 
-    def _at(self, width: int) -> tuple:
-        """The packed terms at a width no smaller than the polynomial's."""
-        if width == self.width:
-            return self.packed
-        return _repack(self.packed, self.nvars, self.width, width)
-
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
         if not self.packed:
             return other
         if not other.packed:
             return self
-        width = max(self.width, other.width)
-        out = dict(self._at(width))
+        out = dict(self.packed)
         get = out.get
-        for k, c in other._at(width):
+        for k, c in other.packed:
             out[k] = get(k, 0) + c
-        return _collect(self.nvars, width, out)
+        return _collect(self.nvars, out)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial._raw(self.nvars, self.width, tuple([(k, -c) for k, c in self.packed]))
+        return Polynomial._raw(self.nvars, tuple([(k, -c) for k, c in self.packed]))
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
@@ -279,18 +244,16 @@ class Polynomial:
             return other.scale(self.packed[0][1])
         if other.is_const():
             return self.scale(other.packed[0][1])
-        # the product's degree is the sum of the degrees, so this is its
-        # canonical width
-        width = _width(self.total_degree() + other.total_degree())
+        _check_degree(self.total_degree() + other.total_degree())
         a, b = self, other
         if len(a.packed) == 1:
             a, b = b, a
         if len(b.packed) == 1:
             # adding one key to every key keeps their order
-            ((km, cm),) = b._at(width)
-            shifted = tuple([(k + km, _cnorm(c * cm)) for k, c in a._at(width)])
-            return Polynomial._raw(self.nvars, width, shifted)
-        return _sum_products(self.nvars, width, ((self, other, 1),))
+            ((km, cm),) = b.packed
+            shifted = tuple([(k + km, _cnorm(c * cm)) for k, c in a.packed])
+            return Polynomial._raw(self.nvars, shifted)
+        return _sum_products(self.nvars, ((self, other, 1),))
 
     def scale(self, c: Coeff) -> "Polynomial":
         if not isinstance(c, (int, Fraction)):
@@ -301,7 +264,7 @@ class Polynomial:
         if c == 1:
             return self
         out = tuple([(k, _cnorm(x * c)) for k, x in self.packed])
-        return Polynomial._raw(self.nvars, self.width, out)
+        return Polynomial._raw(self.nvars, out)
 
     def __pow__(self, e: int) -> "Polynomial":
         if e < 0:
@@ -319,14 +282,14 @@ class Polynomial:
         """Partial derivative with respect to coordinate `var` (0-based)."""
         if not 0 <= var < self.nvars:
             raise IndexOutOfRange(f"variable index {var} not in 0..{self.nvars - 1}")
-        s, mask, unit = _field(self.nvars, self.width, var)
+        s, unit = _field(self.nvars, var)
         # every surviving key loses the same x_var, so the order holds
         out = []
         for k, c in self.packed:
-            e = (k >> s) & mask
+            e = (k >> s) & _MASK
             if e:
                 out.append((k - unit, _cnorm(c * e)))
-        return _make(self.nvars, self.width, tuple(out))
+        return Polynomial._raw(self.nvars, tuple(out)) if out else Polynomial.zero(self.nvars)
 
     def evaluate(self, point: Sequence[Coeff]) -> Fraction:
         if len(point) != self.nvars:
@@ -345,30 +308,30 @@ class Polynomial:
         (exponent zeroed, same nvars)."""
         if not 0 <= var < self.nvars:
             raise IndexOutOfRange(f"variable index {var} not in 0..{self.nvars - 1}")
-        s, mask, unit = _field(self.nvars, self.width, var)
+        s, unit = _field(self.nvars, var)
         out: dict = {}
         for k, c in self.packed:
-            e = (k >> s) & mask
+            e = (k >> s) & _MASK
             if e:
                 c = c * value ** e
                 k -= e * unit
             out[k] = out.get(k, 0) + c
-        return _collect(self.nvars, self.width, out)
+        return _collect(self.nvars, out)
 
     def deg_in(self, var: int) -> int:
         """Degree in one variable; -1 for the zero polynomial."""
         if not self.packed:
             return -1
-        s, mask, _ = _field(self.nvars, self.width, var)
-        return max((k >> s) & mask for k, _ in self.packed)
+        s, _ = _field(self.nvars, var)
+        return max((k >> s) & _MASK for k, _ in self.packed)
 
     def coeff_in(self, var: int, power: int) -> "Polynomial":
         """Coefficient of x_var^power, as a polynomial with x_var removed
         (exponent zeroed, same nvars)."""
-        s, mask, unit = _field(self.nvars, self.width, var)
+        s, unit = _field(self.nvars, var)
         step = power * unit
-        out = tuple([(k - step, c) for k, c in self.packed if (k >> s) & mask == power])
-        return _make(self.nvars, self.width, out)
+        out = tuple([(k - step, c) for k, c in self.packed if (k >> s) & _MASK == power])
+        return Polynomial._raw(self.nvars, out) if out else Polynomial.zero(self.nvars)
 
     def divexact(self, d: "Polynomial") -> "Polynomial":
         """Exact division; raises ArithmeticError if d does not divide self."""
@@ -377,25 +340,22 @@ class Polynomial:
             raise DivisionByZero("exact division by the zero polynomial")
         if not self.packed or d.is_one():
             return self
-        width = self.width
         if d.total_degree() > self.total_degree():
             raise ArithmeticError("polynomial division is not exact")
-        # the quotient is computed at the dividend's width: a new remainder
-        # term is a leading one times a term of d, so its degree stays within
-        # deg self and key sums never carry
-        (dk0, dc0), *tail = d._at(width)
-        mask = (1 << width) - 1
-        shifts = range((self.nvars - 1) * width, -1, -width)
-        fields = [(s, e) for s in shifts if (e := (dk0 >> s) & mask)]
+        # a new remainder term is a leading one times a term of d, so its
+        # degree stays within deg self and key sums never carry
+        (dk0, dc0), *tail = d.packed
+        shifts = range((self.nvars - 1) * WIDTH, -1, -WIDTH)
+        fields = [(s, e) for s in shifts if (e := (dk0 >> s) & _MASK)]
         if not tail:
             # dividing by one key keeps the order of the keys
             out = []
             for k, c in self.packed:
                 for s, e in fields:
-                    if (k >> s) & mask < e:
+                    if (k >> s) & _MASK < e:
                         raise ArithmeticError("polynomial division is not exact")
                 out.append((k - dk0, _cdiv(c, dc0)))
-            return _make(self.nvars, width, tuple(out))
+            return Polynomial._raw(self.nvars, tuple(out))
         # a heap of negated keys yields the leading remainder term, skipping
         # cancelled ones; the keys of self in decreasing order, negated, are
         # already a heap
@@ -408,7 +368,7 @@ class Polynomial:
             if c is None:
                 continue
             for s, e in fields:
-                if (k >> s) & mask < e:
+                if (k >> s) & _MASK < e:
                     raise ArithmeticError("polynomial division is not exact")
             qk = k - dk0
             qc = _cdiv(c, dc0)
@@ -426,7 +386,7 @@ class Polynomial:
                     else:
                         del rem[mk]
         # quotient terms come out in decreasing order
-        return _make(self.nvars, width, tuple(out))
+        return Polynomial._raw(self.nvars, tuple(out))
 
     # -- comparison / hashing ----------------------------------------------
 
@@ -479,7 +439,7 @@ def _primitive_int(p: Polynomial) -> Polynomial:
     if p.packed[0][1] < 0:
         g = -g
     if g != 1:
-        p = Polynomial._raw(p.nvars, p.width, tuple([(k, c // g) for k, c in p.packed]))
+        p = Polynomial._raw(p.nvars, tuple([(k, c // g) for k, c in p.packed]))
     return p
 
 
@@ -491,8 +451,7 @@ def _vars_present(p: Polynomial) -> frozenset:
         acc |= k
     present = set()
     for i in range(p.nvars):
-        s, mask, _ = _field(p.nvars, p.width, i)
-        if (acc >> s) & mask:
+        if (acc >> _field(p.nvars, i)[0]) & _MASK:
             present.add(i)
     return frozenset(present)
 
@@ -587,9 +546,9 @@ def _to_univ(p: Polynomial, var: int) -> list:
     denominators cleared."""
     p = _primitive_int(p)
     coeffs = [0] * (p.deg_in(var) + 1)
-    s, mask, _ = _field(p.nvars, p.width, var)
+    s, _ = _field(p.nvars, var)
     for k, c in p.packed:
-        coeffs[(k >> s) & mask] = c
+        coeffs[(k >> s) & _MASK] = c
     return coeffs
 
 
@@ -606,10 +565,10 @@ def _gcd_vs_univariate(a: Polynomial, b: Polynomial, var: int) -> Polynomial:
     """gcd(a, b) where b is univariate in `var`; a is arbitrary."""
     g = _to_univ(b, var)
     a = _primitive_int(a)
-    s, mask, unit = _field(a.nvars, a.width, var)
+    s, unit = _field(a.nvars, var)
     groups: dict = {}
     for k, c in a.packed:
-        e = (k >> s) & mask
+        e = (k >> s) & _MASK
         # grouped by the key with x_var removed
         groups.setdefault(k - e * unit, []).append((e, c))
     for pairs in groups.values():
@@ -672,7 +631,7 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
         return Polynomial.one(a.nvars)
     if pa.packed == pb.packed:
         return pa
-    # (nvars, packed) determines a polynomial, its width included
+    # (nvars, packed) determines a polynomial
     first, second = sorted((pa.packed, pb.packed))
     key = (a.nvars, first, second)
     hit = _GCD_CACHE.get(key)
@@ -758,11 +717,6 @@ class ScalarField:
 
     def is_const(self) -> bool:
         return self.num.is_const() and self.den.is_one()
-
-    def const_value(self) -> Coeff:
-        if not self.den.is_one():
-            raise ValueError("not a constant field")
-        return self.num.const_value()
 
     def _check(self, other: "ScalarField"):
         if self.nvars != other.nvars:
@@ -920,14 +874,13 @@ def sum_of_products(nvars: int, plus: Iterable, minus: Iterable = ()) -> ScalarF
     Every bracket, pairing and matrix entry downstream is such a sum.  Pairs
     of polynomials (both denominators 1) are fused, as in Monagan & Pearce's
     sparse products: every term product goes into one packed key ->
-    coefficient dict at the canonical width of the largest product degree,
-    and the dict is sorted once.  Pairs with a denominator go through
-    ScalarField `*` and `+`, and the fused polynomial part is added to them
-    once, at the end.  Pairs with a zero operand are skipped.  The result is
+    coefficient dict, and the dict is sorted once; a fused product of total
+    degree above MAX_TOTAL_DEGREE raises EngineError.  Pairs with a
+    denominator go through ScalarField `*` and `+`, and the fused polynomial
+    part is added to them once, at the end.  Pairs with a zero operand are skipped.  The result is
     canonical, so it equals the fold of `*` and `+` exactly.
     """
     fused = []
-    top = 0
     rest = None
     for sign, pairs in ((1, plus), (-1, minus)):
         for f, g in pairs:
@@ -937,15 +890,13 @@ def sum_of_products(nvars: int, plus: Iterable, minus: Iterable = ()) -> ScalarF
             if not a.packed or not b.packed:
                 continue
             if f.den.is_one() and g.den.is_one():
-                degree = a.total_degree() + b.total_degree()
-                if degree > top:
-                    top = degree
+                _check_degree(a.total_degree() + b.total_degree())
                 fused.append((a, b, sign))
             else:
                 p = f * g if sign > 0 else -(f * g)
                 rest = p if rest is None else rest + p
     if fused:
-        num = _sum_products(nvars, _width(top), fused)
+        num = _sum_products(nvars, fused)
         if num.packed:
             total = ScalarField._raw(num, Polynomial.one(nvars))
             return total if rest is None else rest + total

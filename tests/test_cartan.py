@@ -10,7 +10,7 @@ from hypercourant.cartan import (
     lie_derivative,
     pair_form_vector,
 )
-from hypercourant.errors import DimensionMismatch, NotAntisymmetric
+from hypercourant.errors import DimensionMismatch, IndexOutOfRange, NotAntisymmetric
 from hypercourant.parse import parse_scalar
 from hypercourant.sampling import random_scalar, suite_rng
 from hypercourant.scalar import ScalarField
@@ -184,3 +184,18 @@ class TestComponentValidation:
     def test_constructor_rejects(self, cls, components):
         with pytest.raises(DimensionMismatch):
             cls(components)
+
+    @pytest.mark.parametrize("cls", [VectorField, OneForm])
+    @pytest.mark.parametrize("index", [-1, 2, 5])
+    def test_basis_rejects_index_out_of_range(self, cls, index):
+        with pytest.raises(IndexOutOfRange):
+            cls.basis(2, index)
+
+    def test_arithmetic_rejects_mixed_types(self):
+        x, dx = VectorField.basis(2, 0), OneForm.basis(2, 1)
+        for a, b in ((x, dx), (dx, x)):
+            with pytest.raises(TypeError):
+                a + b
+            with pytest.raises(TypeError):
+                a - b
+        assert type(x + x) is VectorField and type(dx - dx) is OneForm

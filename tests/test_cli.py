@@ -6,6 +6,7 @@ import pytest
 from hypercourant.cli import main
 from hypercourant.parse import MAX_EXPONENT
 from hypercourant.runfile import MAX_DEGREE, MAX_DIMENSION, MAX_TRIALS
+from hypercourant.scalar import MAX_TOTAL_DEGREE
 from hypercourant.structures import structure_file
 
 
@@ -324,6 +325,20 @@ class TestCheck:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and f"power larger than {MAX_EXPONENT}" in err
+
+    @pytest.mark.parametrize("factors, code", [(2048, 2), (2047, 0)])
+    def test_total_degree_bound(self, capsys, tmp_path, factors, code):
+        # each factor is within the exponent bound; the product's total
+        # degree, 32 per factor, crosses MAX_TOTAL_DEGREE at 2048 factors
+        entry = "*".join([f"x1^{MAX_EXPONENT}"] * factors)
+        path = example_doc(tmp_path, checks=["certification"], sections={"big": [entry] + ["0"] * 7})
+        got, out, err = run_cli(capsys, "check", path)
+        assert got == code
+        if code:
+            assert out == ""
+            assert err.startswith("error:") and f"degree above {MAX_TOTAL_DEGREE}" in err
+        else:
+            assert err == ""
 
     @pytest.mark.parametrize("command", ["check", "verify-axioms"])
     def test_parallel_flag_is_gone(self, capsys, tmp_path, command):
