@@ -118,7 +118,7 @@ def anchor_apply(s: GSection, f: ScalarField) -> ScalarField:
 
 def pairing(s: GSection, t: GSection) -> ScalarField:
     """<s, t> = (s.form(t.vec) + t.form(s.vec)) / 2."""
-    half = ScalarField.const(s.dim, "1/2")
+    half = ScalarField.const(s.dim, Fraction(1, 2))
     return (pair_form_vector(s.form, t.vec) + pair_form_vector(t.form, s.vec)) * half
 
 

@@ -5,24 +5,29 @@ coefficients in this module, and every identity check in the package reduces
 to "is this ScalarField structurally zero".  That works because both layers
 keep a unique canonical form:
 
-  Polynomial   sparse terms, stored packed (Monagan & Pearce): a tuple of
-               (key, nonzero coefficient) pairs in decreasing key order.  A
-               key is one int holding the total degree, then e1 ... en, each
-               in a field of WIDTH = 16 bits, e1 most significant, so int
-               order is graded-lexicographic order and adding two keys
-               multiplies the monomials.  Every polynomial uses this one
-               layout, so (nvars, packed) is unique.  It holds because the
-               total degree is at most MAX_TOTAL_DEGREE = 65535: a
-               polynomial above it raises EngineError, where it is built or
-               multiplied.  `terms`, the (exponent vector, coefficient)
-               pairs in the same order, is decoded on demand.
+  Polynomial   int terms over one denominator (as in FLINT's fmpq_poly),
+               stored packed (Monagan & Pearce): `packed` is a tuple of
+               (key, nonzero int coefficient) pairs in decreasing key order,
+               and `den` is an int >= 1 that shares no factor with their
+               content; the polynomial is their sum divided by den, and zero
+               is () over 1.  A key is one int holding the total degree,
+               then e1 ... en, each in a field of WIDTH = 16 bits, e1 most
+               significant, so int order is graded-lexicographic order and
+               adding two keys multiplies the monomials.  Every polynomial
+               uses this one layout, so (nvars, packed, den) is unique.  It
+               holds because the total degree is at most MAX_TOTAL_DEGREE =
+               65535: a polynomial above it raises EngineError, where it is
+               built or multiplied.  `terms`, the (exponent vector, rational
+               coefficient) pairs in the same order, is decoded on demand.
   ScalarField  quotient num/den of Polynomials with gcd(num, den) = 1 and
                den normalized monic (leading graded-lex coefficient 1); the
                zero field is 0/1.
 
-Coefficients are ints wherever the value is integral and Fraction otherwise;
-no floating point anywhere.  Values are immutable and safe to share; zero
-and one are shared per number of variables.
+Arithmetic on Polynomials is int arithmetic over the least common
+denominator of the operands, normalized once per result.  Values leave as
+exact rationals, int where integral and Fraction otherwise (`terms`,
+`leading_coeff`, `evaluate`); no floating point anywhere.  Values are
+immutable and safe to share; zero and one are shared per number of variables.
 
 sum_of_products is the one kernel under the Cartan, Dorfman and
 endomorphism layers: it fuses a whole sum of polynomial products into one
@@ -35,6 +40,7 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heappop, heappush
 from math import gcd as _int_gcd
+from math import lcm
 from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import (
@@ -49,19 +55,13 @@ Rational = Fraction
 Coeff = Union[int, Fraction]
 
 
-def _cnorm(c: Coeff) -> Coeff:
-    """Collapse integral Fractions to int; keep everything exact."""
-    if type(c) is int:
-        return c
-    if c.denominator == 1:
-        return c.numerator
-    return c
-
-
-def _cdiv(a: Coeff, b: Coeff) -> Coeff:
-    if type(a) is int and type(b) is int:
-        return _cnorm(Fraction(a, b))
-    return _cnorm(a / b)
+def _cdiv(a: Coeff, b: int) -> Coeff:
+    """a / b for a nonzero int b, as an int where it is integral."""
+    if type(a) is int:
+        q, r = divmod(a, b)
+        if not r:
+            return q
+    return Fraction(a, b)
 
 
 # A key: deg << (n * WIDTH) | e1 << ((n - 1) * WIDTH) | ... | en.  No
@@ -86,29 +86,52 @@ def _field(nvars: int, var: int) -> tuple:
     return s, (1 << (nvars * WIDTH)) | (1 << s)
 
 
-def _collect(nvars: int, out: dict) -> "Polynomial":
-    """A polynomial from key -> coefficient, zeros dropped."""
-    terms = [
-        (k, c if type(c) is int else _cnorm(c)) for k in sorted(out, reverse=True) if (c := out[k])
-    ]
-    return Polynomial._raw(nvars, tuple(terms)) if terms else Polynomial.zero(nvars)
+def _canon(nvars: int, packed: tuple, den: int) -> "Polynomial":
+    """The polynomial packed / den, for nonzero int coefficients in
+    decreasing key order and den >= 1: divides out the gcd of den and the
+    coefficients, which stops at 1 on the first coprime one."""
+    if not packed:
+        return Polynomial.zero(nvars)
+    if den != 1:
+        g = den
+        for _, c in packed:
+            g = _int_gcd(g, c)
+            if g == 1:
+                break
+        if g != 1:
+            den //= g
+            packed = tuple([(k, c // g) for k, c in packed])
+    return Polynomial._raw(nvars, packed, den)
 
 
-def _sum_products(nvars: int, triples) -> "Polynomial":
+def _collect(nvars: int, out: dict, den: int) -> "Polynomial":
+    """A polynomial from key -> int coefficient over den, zeros dropped."""
+    return _canon(nvars, tuple([(k, c) for k in sorted(out, reverse=True) if (c := out[k])]), den)
+
+
+def _rational(nvars: int, terms) -> "Polynomial":
+    """A polynomial from (key, nonzero int or Fraction) pairs in decreasing
+    key order, over the least common denominator of the coefficients."""
+    den = lcm(*[c.denominator for _, c in terms])
+    return _canon(nvars, tuple([(k, c.numerator * (den // c.denominator)) for k, c in terms]), den)
+
+
+def _sum_products(nvars: int, triples: list) -> "Polynomial":
     """The sum of sign * a * b over (a, b, sign) triples of polynomials, with
-    every term product accumulated in one packed key -> coefficient dict.
-    The caller has checked the degree of every product."""
+    every int term product accumulated in one packed key -> coefficient dict
+    over the least common denominator.  The caller has checked the degrees."""
+    den = lcm(*[a.den * b.den for a, b, _ in triples])
     out: dict = {}
     get = out.get
     for a, b, sign in triples:
+        m = sign * (den // (a.den * b.den))
         b = b.packed
         for k1, c1 in a.packed:
-            if sign < 0:
-                c1 = -c1
+            c1 *= m
             for k2, c2 in b:
                 k = k1 + k2
                 out[k] = get(k, 0) + c1 * c2
-    return _collect(nvars, out)
+    return _collect(nvars, out, den)
 
 
 _ZERO: dict = {}
@@ -116,9 +139,11 @@ _ONE: dict = {}
 
 
 class Polynomial:
-    """A multivariate polynomial in canonical packed sparse form."""
+    """A multivariate polynomial in canonical packed sparse form: nonzero int
+    coefficients in `packed` over one int `den` >= 1 that shares no factor
+    with their content, unique per value, so equality is (nvars, packed, den)."""
 
-    __slots__ = ("nvars", "packed", "_hash")
+    __slots__ = ("nvars", "packed", "den", "_hash")
 
     def __init__(self, nvars: int, terms: Mapping | Iterable = ()):
         if nvars < 0:
@@ -129,29 +154,29 @@ class Polynomial:
             mono = tuple(mono)
             if len(mono) != nvars or any(e < 0 for e in mono):
                 raise DimensionMismatch(f"bad exponent vector {mono} for {nvars} variables")
-            c = _cnorm(Fraction(c) if not isinstance(c, (int, Fraction)) else c)
-            if mono in cleaned:
-                c = _cnorm(cleaned[mono] + c)
-            if c:
-                cleaned[mono] = c
-            else:
-                cleaned.pop(mono, None)
+            c = c if isinstance(c, (int, Fraction)) else Fraction(c)
+            cleaned[mono] = cleaned[mono] + c if mono in cleaned else c
         keyed = {}
         for mono, c in cleaned.items():
+            if not c:
+                continue
             k = sum(mono)
             _check_degree(k)
             for e in mono:
                 k = (k << WIDTH) | e
             keyed[k] = c
+        p = _rational(nvars, [(k, keyed[k]) for k in sorted(keyed, reverse=True)])
         self.nvars = nvars
-        self.packed = tuple([(k, keyed[k]) for k in sorted(keyed, reverse=True)])
+        self.packed = p.packed
+        self.den = p.den
         self._hash = None
 
     @classmethod
-    def _raw(cls, nvars: int, packed: tuple) -> "Polynomial":
+    def _raw(cls, nvars: int, packed: tuple, den: int = 1) -> "Polynomial":
         p = object.__new__(cls)
         p.nvars = nvars
         p.packed = packed
+        p.den = den
         p._hash = None
         return p
 
@@ -164,12 +189,12 @@ class Polynomial:
 
     @classmethod
     def const(cls, nvars: int, value: Coeff) -> "Polynomial":
-        value = _cnorm(value if isinstance(value, (int, Fraction)) else Fraction(value))
+        value = value if isinstance(value, (int, Fraction)) else Fraction(value)
         if not value:
             return cls.zero(nvars)
         if value == 1:
             return cls.one(nvars)
-        return cls._raw(nvars, ((0, value),))
+        return cls._raw(nvars, ((0, value.numerator),), value.denominator)
 
     @classmethod
     def one(cls, nvars: int) -> "Polynomial":
@@ -187,9 +212,12 @@ class Polynomial:
 
     @property
     def terms(self) -> tuple:
-        """(exponent vector, coefficient) pairs in decreasing graded-lex order."""
+        """(exponent vector, coefficient) pairs in decreasing graded-lex order,
+        decoded: each coefficient is its packed int over `den`, int or Fraction."""
         shifts = range((self.nvars - 1) * WIDTH, -1, -WIDTH)
-        return tuple([(tuple([(k >> s) & _MASK for s in shifts]), c) for k, c in self.packed])
+        den = self.den
+        decoded = self.packed if den == 1 else [(k, _cdiv(c, den)) for k, c in self.packed]
+        return tuple([(tuple([(k >> s) & _MASK for s in shifts]), c) for k, c in decoded])
 
     # -- predicates ---------------------------------------------------------
 
@@ -201,7 +229,7 @@ class Polynomial:
         return not self.packed or self.packed[0][0] == 0
 
     def is_one(self) -> bool:
-        return self.packed == ((0, 1),)
+        return self.packed == ((0, 1),) and self.den == 1
 
     def total_degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
@@ -210,7 +238,7 @@ class Polynomial:
         return self.packed[0][0] >> (self.nvars * WIDTH)
 
     def leading_coeff(self) -> Coeff:
-        return self.packed[0][1] if self.packed else 0
+        return _cdiv(self.packed[0][1], self.den) if self.packed else 0
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -224,14 +252,19 @@ class Polynomial:
             return other
         if not other.packed:
             return self
-        out = dict(self.packed)
+        a, b, den = self.packed, other.packed, self.den
+        if other.den != den:
+            den = lcm(den, other.den)
+            a = [(k, c * (den // self.den)) for k, c in a]
+            b = [(k, c * (den // other.den)) for k, c in b]
+        out = dict(a)
         get = out.get
-        for k, c in other.packed:
+        for k, c in b:
             out[k] = get(k, 0) + c
-        return _collect(self.nvars, out)
+        return _collect(self.nvars, out, den)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial._raw(self.nvars, tuple([(k, -c) for k, c in self.packed]))
+        return Polynomial._raw(self.nvars, tuple([(k, -c) for k, c in self.packed]), self.den)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
@@ -240,31 +273,33 @@ class Polynomial:
         self._check(other)
         if not self.packed or not other.packed:
             return Polynomial.zero(self.nvars)
-        if self.is_const():
-            return other.scale(self.packed[0][1])
-        if other.is_const():
-            return self.scale(other.packed[0][1])
         _check_degree(self.total_degree() + other.total_degree())
         a, b = self, other
         if len(a.packed) == 1:
             a, b = b, a
         if len(b.packed) == 1:
-            # adding one key to every key keeps their order
             ((km, cm),) = b.packed
-            shifted = tuple([(k + km, _cnorm(c * cm)) for k, c in a.packed])
-            return Polynomial._raw(self.nvars, shifted)
-        return _sum_products(self.nvars, ((self, other, 1),))
+            if not km:
+                # a constant keeps the keys, which stay shared
+                return a._times(cm, b.den)
+            # adding one key to every key keeps their order
+            shifted = tuple([(k + km, c * cm) for k, c in a.packed])
+            return _canon(self.nvars, shifted, a.den * b.den)
+        return _sum_products(self.nvars, [(self, other, 1)])
+
+    def _times(self, n: int, d: int) -> "Polynomial":
+        """self * n / d for nonzero ints n and d."""
+        if n == d:
+            return self
+        if d < 0:
+            n, d = -n, -d
+        return _canon(self.nvars, tuple([(k, c * n) for k, c in self.packed]), self.den * d)
 
     def scale(self, c: Coeff) -> "Polynomial":
-        if not isinstance(c, (int, Fraction)):
-            c = Fraction(c)
-        c = _cnorm(c)
+        c = c if isinstance(c, (int, Fraction)) else Fraction(c)
         if not c:
             return Polynomial.zero(self.nvars)
-        if c == 1:
-            return self
-        out = tuple([(k, _cnorm(x * c)) for k, x in self.packed])
-        return Polynomial._raw(self.nvars, out)
+        return self._times(c.numerator, c.denominator)
 
     def __pow__(self, e: int) -> "Polynomial":
         if e < 0:
@@ -284,12 +319,8 @@ class Polynomial:
             raise IndexOutOfRange(f"variable index {var} not in 0..{self.nvars - 1}")
         s, unit = _field(self.nvars, var)
         # every surviving key loses the same x_var, so the order holds
-        out = []
-        for k, c in self.packed:
-            e = (k >> s) & _MASK
-            if e:
-                out.append((k - unit, _cnorm(c * e)))
-        return Polynomial._raw(self.nvars, tuple(out)) if out else Polynomial.zero(self.nvars)
+        out = tuple([(k - unit, c * e) for k, c in self.packed if (e := (k >> s) & _MASK)])
+        return _canon(self.nvars, out, self.den)
 
     def evaluate(self, point: Sequence[Coeff]) -> Fraction:
         if len(point) != self.nvars:
@@ -308,15 +339,19 @@ class Polynomial:
         (exponent zeroed, same nvars)."""
         if not 0 <= var < self.nvars:
             raise IndexOutOfRange(f"variable index {var} not in 0..{self.nvars - 1}")
+        top = self.deg_in(var)
+        if top <= 0:
+            return self
+        # value = p/q, so c x_var^e becomes c p^e q^(top - e) over q^top
         s, unit = _field(self.nvars, var)
+        p, q = value.numerator, value.denominator
+        weight = [p**e * q ** (top - e) for e in range(top + 1)]
         out: dict = {}
         for k, c in self.packed:
             e = (k >> s) & _MASK
-            if e:
-                c = c * value ** e
-                k -= e * unit
-            out[k] = out.get(k, 0) + c
-        return _collect(self.nvars, out)
+            k -= e * unit
+            out[k] = out.get(k, 0) + c * weight[e]
+        return _collect(self.nvars, out, self.den * q**top)
 
     def deg_in(self, var: int) -> int:
         """Degree in one variable; -1 for the zero polynomial."""
@@ -331,7 +366,7 @@ class Polynomial:
         s, unit = _field(self.nvars, var)
         step = power * unit
         out = tuple([(k - step, c) for k, c in self.packed if (k >> s) & _MASK == power])
-        return Polynomial._raw(self.nvars, out) if out else Polynomial.zero(self.nvars)
+        return _canon(self.nvars, out, self.den)
 
     def divexact(self, d: "Polynomial") -> "Polynomial":
         """Exact division; raises ArithmeticError if d does not divide self."""
@@ -342,8 +377,9 @@ class Polynomial:
             return self
         if d.total_degree() > self.total_degree():
             raise ArithmeticError("polynomial division is not exact")
-        # a new remainder term is a leading one times a term of d, so its
-        # degree stays within deg self and key sums never carry
+        # self / d is (self.packed / d.packed) * d.den / self.den; a new
+        # remainder term is a leading one times a term of d, so its degree
+        # stays within deg self and key sums never carry
         (dk0, dc0), *tail = d.packed
         shifts = range((self.nvars - 1) * WIDTH, -1, -WIDTH)
         fields = [(s, e) for s in shifts if (e := (dk0 >> s) & _MASK)]
@@ -354,11 +390,11 @@ class Polynomial:
                 for s, e in fields:
                     if (k >> s) & _MASK < e:
                         raise ArithmeticError("polynomial division is not exact")
-                out.append((k - dk0, _cdiv(c, dc0)))
-            return Polynomial._raw(self.nvars, tuple(out))
+                out.append((k - dk0, c))
+            return Polynomial._raw(self.nvars, tuple(out))._times(d.den, dc0 * self.den)
         # a heap of negated keys yields the leading remainder term, skipping
         # cancelled ones; the keys of self in decreasing order, negated, are
-        # already a heap
+        # already a heap.  The quotient's coefficients may be Fractions.
         rem = dict(self.packed)
         heap = [-k for k, _ in self.packed]
         out = []
@@ -378,29 +414,30 @@ class Polynomial:
                 v = rem.get(mk)
                 if v is None:
                     heappush(heap, -mk)
-                    rem[mk] = _cnorm(-qc * dc)
+                    rem[mk] = -qc * dc
                 else:
-                    v = _cnorm(v - qc * dc)
+                    v -= qc * dc
                     if v:
                         rem[mk] = v
                     else:
                         del rem[mk]
         # quotient terms come out in decreasing order
-        return Polynomial._raw(self.nvars, tuple(out))
+        return _rational(self.nvars, out)._times(d.den, self.den)
 
     # -- comparison / hashing ----------------------------------------------
 
     def __eq__(self, other) -> bool:
-        return (
+        return self is other or (
             isinstance(other, Polynomial)
             and self.nvars == other.nvars
+            and self.den == other.den
             and self.packed == other.packed
         )
 
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
-            h = hash((self.nvars, self.packed))
+            h = hash((self.nvars, self.packed, self.den))
             self._hash = h
         return h
 
@@ -426,21 +463,15 @@ def _int_content(p: Polynomial) -> int:
 
 
 def _primitive_int(p: Polynomial) -> Polynomial:
-    """Scale a nonzero polynomial to integer coefficients, content 1 and
-    positive leading coefficient.  Drops the rational unit factor."""
-    lcm = 1
-    for _, c in p.packed:
-        if type(c) is not int:
-            d = c.denominator
-            lcm = lcm // _int_gcd(lcm, d) * d
-    if lcm != 1:
-        p = p.scale(lcm)
+    """A nonzero polynomial's int coefficients over 1, divided by their
+    content, with positive leading coefficient.  Drops the rational unit
+    factor."""
     g = _int_content(p)
     if p.packed[0][1] < 0:
         g = -g
     if g != 1:
-        p = Polynomial._raw(p.nvars, tuple([(k, c // g) for k, c in p.packed]))
-    return p
+        return Polynomial._raw(p.nvars, tuple([(k, c // g) for k, c in p.packed]))
+    return p if p.den == 1 else Polynomial._raw(p.nvars, p.packed)
 
 
 def _vars_present(p: Polynomial) -> frozenset:
@@ -729,7 +760,7 @@ class ScalarField:
         if other.is_zero():
             return self
         n1, d1, n2, d2 = self.num, self.den, other.num, other.den
-        if d1 is d2 or d1.packed == d2.packed:
+        if d1 == d2:
             num = n1 + n2
             if num.is_zero():
                 return ScalarField.zero(self.nvars)
@@ -789,14 +820,8 @@ class ScalarField:
         return _monic(self.den, self.num)
 
     def scale(self, c: Coeff) -> "ScalarField":
-        if not isinstance(c, (int, Fraction)):
-            c = Fraction(c)
-        c = _cnorm(c)
-        if not c:
-            return ScalarField.zero(self.nvars)
-        if c == 1:
-            return self
-        return ScalarField._raw(self.num.scale(c), self.den)
+        num = self.num.scale(c)
+        return ScalarField._raw(num, self.den) if num.packed else ScalarField.zero(self.nvars)
 
     def __pow__(self, e: int) -> "ScalarField":
         # powers of coprime num and den stay coprime, and a power of a monic
@@ -819,17 +844,12 @@ class ScalarField:
         return self.num.evaluate(point) / dval
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ScalarField)
-            and self.num.nvars == other.num.nvars
-            and self.num.packed == other.num.packed
-            and self.den.packed == other.den.packed
-        )
+        return isinstance(other, ScalarField) and self.num == other.num and self.den == other.den
 
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
-            h = hash((self.num.packed, self.den.packed, self.nvars))
+            h = hash((self.num, self.den))
             self._hash = h
         return h
 
@@ -844,11 +864,11 @@ def _monic(num: Polynomial, den: Polynomial) -> ScalarField:
     """Finish a known-reduced quotient: normalize den to leading coefficient 1."""
     if num.is_zero():
         return ScalarField.zero(num.nvars)
-    lc = den.leading_coeff()
-    if lc != 1:
-        inv = _cdiv(1, lc)
-        num = num.scale(inv)
-        den = den.scale(inv)
+    # a monic polynomial has packed leading coefficient 1 over 1
+    lc, d = den.packed[0][1], den.den
+    if lc != 1 or d != 1:
+        num = num._times(d, lc)
+        den = den._times(d, lc)
     return ScalarField._raw(num, den)
 
 

@@ -36,7 +36,7 @@ from hypercourant.errors import PoleAtPoint
 from hypercourant.nijenhuis import CONCOMITANT_KEYS, ConcomitantStatus, concomitant
 from hypercourant.report import POINT_CANDIDATES, witness_for
 from hypercourant.sampling import monomials_up_to
-from hypercourant.scalar import Polynomial, ScalarField, _cnorm
+from hypercourant.scalar import Polynomial, ScalarField
 
 
 def _rho_apply(a: int, n: int, g: ScalarField) -> ScalarField:
@@ -139,6 +139,14 @@ def family_statuses(hk, family: list) -> dict:
     return out
 
 
+def _cnorm(c):
+    """An exact rational as the engine's terms give it: int where integral,
+    Fraction otherwise."""
+    if type(c) is int or c.denominator != 1:
+        return c
+    return c.numerator
+
+
 def _grlex(item) -> tuple:
     mono = item[0]
     return (sum(mono), mono)
@@ -184,4 +192,11 @@ def tuple_derivative(self: Polynomial, var: int) -> tuple:
         if e:
             dm = m[:var] + (e - 1,) + m[var + 1:]
             out[dm] = _cnorm(out.get(dm, 0) + c * e)
+    return grlex_terms(out)
+
+
+def tuple_coeff_in(self: Polynomial, var: int, power: int) -> tuple:
+    """Terms of the coefficient of x_var^power on exponent tuples, with the
+    exponent of x_var zeroed, sorted by the grlex key."""
+    out = {m[:var] + (0,) + m[var + 1:]: c for m, c in self.terms if m[var] == power}
     return grlex_terms(out)

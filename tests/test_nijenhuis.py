@@ -436,6 +436,33 @@ class TestTheoremReport:
         GSection.from_components(x.components)
         assert calls == ["entries", "entries", "section"]
 
+    @pytest.mark.parametrize(
+        "suite",
+        [
+            lambda hk: check_connection_laws(hk, "ijk", trials=1, degree=2),
+            lambda hk: check_identities(hk, trials=1, degree=2),
+            lambda hk: theorem_report(hk, trials=1, degree=2),
+        ],
+        ids=["connection-laws", "identities", "theorem"],
+    )
+    def test_scalar_core_runs_without_fraction_arithmetic(self, flat, suite, monkeypatch):
+        # polynomials hold int coefficients over one denominator, so the
+        # halves of the pairing and the connection cost no Fraction operation
+        calls = []
+        for name in (
+            "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+            "__truediv__", "__rtruediv__", "__neg__",
+        ):
+            op = getattr(Fraction, name)
+
+            def counted(*args, op=op):
+                calls.append(op.__name__)
+                return op(*args)
+
+            monkeypatch.setattr(Fraction, name, counted)
+        suite(flat)
+        assert calls == []
+
     def test_forged_certification_raises_inconsistency(self):
         # identity triple with forged passing reports: all concomitants
         # vanish but the torsion formula cannot hold, which the engine must

@@ -1,10 +1,19 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracle import _grlex, dict_add, grlex_terms, schoolbook_mul, tuple_derivative
+from oracle import (
+    _cnorm,
+    _grlex,
+    dict_add,
+    grlex_terms,
+    schoolbook_mul,
+    tuple_coeff_in,
+    tuple_derivative,
+)
 
 from hypercourant.errors import (
     DimensionMismatch,
@@ -18,7 +27,6 @@ from hypercourant.scalar import (
     MAX_TOTAL_DEGREE,
     Polynomial,
     ScalarField,
-    _cnorm,
     arith,
     eval_at,
     partial,
@@ -326,11 +334,16 @@ class TestPrinting:
 EXPONENT_CAPS = [1, 2, 127, 128, 200]
 
 
+# halves, thirds and twelfths, which cancel to ints in sums and derivatives
+SMALL_DENOMINATORS = st.builds(Fraction, st.integers(-24, 24), st.sampled_from([2, 3, 12]))
+
+
 @st.composite
 def wide_polynomials(draw, nvars, cap, max_terms=4):
     coeffs = st.one_of(
         st.integers(-(10**12), 10**12),
         st.fractions(min_value=-1000, max_value=1000, max_denominator=50),
+        SMALL_DENOMINATORS,
     )
     terms = {}
     for _ in range(draw(st.integers(0, max_terms))):
@@ -428,6 +441,13 @@ def tuple_scale(p: Polynomial, k) -> tuple:
 
 
 def assert_canonical(p: Polynomial):
+    # nonzero int coefficients in decreasing key order over a denominator
+    # that shares no factor with them; zero is () over 1
+    keys = [k for k, _ in p.packed]
+    assert keys == sorted(set(keys), reverse=True)
+    assert all(type(c) is int and c for _, c in p.packed)
+    assert type(p.den) is int and p.den >= 1
+    assert gcd(p.den, *[c for _, c in p.packed]) == 1
     # the decoded terms rebuild the same value, hash included
     again = Polynomial(p.nvars, p.terms)
     assert again == p and hash(again) == hash(p)
@@ -444,12 +464,28 @@ class TestPackedArithmetic:
             (a * b, schoolbook_mul(a, b)),
             (a.scale(k), tuple_scale(a, k)),
         ]
-        cases += [(a.derivative(v), tuple_derivative(a, v)) for v in range(a.nvars)]
+        for v in range(a.nvars):
+            cases += [(a.derivative(v), tuple_derivative(a, v))]
+            cases += [(a.coeff_in(v, e), tuple_coeff_in(a, v, e)) for e in (0, 1)]
         if not b.is_zero():
             cases.append(((a * b).divexact(b), a))
         for got, expected in cases:
             assert_same_terms(got, expected)
             assert_canonical(got)
+
+    def test_denominators_cancel_to_int_coefficients(self):
+        x1, half = monomial(1), Fraction(1, 2)
+        cases = [
+            (x1.scale(half) + x1.scale(half), x1),
+            (Polynomial(1, {(2,): half}).derivative(0), x1),
+            (x1.scale(Fraction(3, 4)).scale(Fraction(4, 3)), x1),
+            (Polynomial(1, {(1,): 1, (0,): half}).coeff_in(0, 1), Polynomial.one(1)),
+        ]
+        for got, expected in cases:
+            assert_same_terms(got, expected)
+            assert got == expected and hash(got) == hash(expected)
+            assert_canonical(got)
+        assert type(x1.terms[0][1]) is int and x1.den == 1
 
     def test_sum_falls_below_width(self):
         wide = monomial(256)
@@ -515,6 +551,21 @@ def kernel_sums(draw):
     return n, draw(pairs), draw(pairs)
 
 
+@st.composite
+def mixed_sums(draw):
+    """Pairs of polynomials whose coefficients mix ints with halves, thirds
+    and twelfths, and rational functions among them."""
+    n = draw(st.integers(1, 3))
+    coeffs = st.one_of(st.integers(-6, 6), SMALL_DENOMINATORS)
+    mono = st.tuples(*[st.integers(0, 2)] * n)
+    mixed = st.dictionaries(mono, coeffs, max_size=4).map(
+        lambda terms: ScalarField.from_polynomial(Polynomial(n, terms))
+    )
+    operand = st.one_of(mixed, mixed, fields(n))
+    pairs = st.lists(st.tuples(operand, operand), max_size=5)
+    return n, draw(pairs), draw(pairs)
+
+
 def assert_same_field(got: ScalarField, expected: ScalarField):
     assert got == expected and hash(got) == hash(expected)
     assert_canonical(got.num)
@@ -569,6 +620,14 @@ class TestSumOfProducts:
     def test_cancelling_sum_is_the_shared_zero(self, case):
         n, plus, _ = case
         assert sum_of_products(n, plus, plus) is ScalarField.zero(n)
+
+    @given(case=mixed_sums())
+    @settings(max_examples=150)
+    def test_mixed_denominators_match_fold(self, case):
+        n, plus, minus = case
+        got, expected = sum_of_products(n, plus, minus), fold_sum_of_products(n, plus, minus)
+        assert (got.num.terms, got.den.terms) == (expected.num.terms, expected.den.terms)
+        assert_same_field(got, expected)
 
     def test_empty_and_zero_operands(self):
         zero = ScalarField.zero(3)
