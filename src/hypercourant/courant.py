@@ -54,6 +54,14 @@ class GSection:
         object.__setattr__(out, "form", form)
         return out
 
+    def __hash__(self) -> int:
+        # taken once: a section is a memo key of the sharing scope
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash((self.vec, self.form))
+            object.__setattr__(self, "_hash", h)
+        return h
+
     @property
     def dim(self) -> int:
         return self.vec.dim

@@ -107,12 +107,23 @@ class GEndo:
         z = mat_zero(n)
         return cls(z, z, z, z)
 
+    def __hash__(self) -> int:
+        # taken once: an endomorphism is a memo key of the sharing scope
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash(self.matrix)
+            object.__setattr__(self, "_hash", h)
+        return h
+
     def apply(self, s: GSection) -> "GSection":
         if s.dim != self.n:
             raise DimensionMismatch("section and endomorphism chart dimensions differ")
         n, v = self.n, s.components
-        image = tuple(sum_of_products(n, zip(row, v)) for row in self.matrix)
-        return GSection._of(VectorField._of(image[:n]), OneForm._of(image[n:]))
+        return _section(n, tuple(sum_of_products(n, zip(row, v)) for row in self.matrix))
+
+    def columns(self) -> tuple:
+        """The images of the 2n frame sections: F e_a is column a."""
+        return tuple(_section(self.n, col) for col in zip(*self.matrix))
 
     def compose(self, other: "GEndo") -> "GEndo":
         """self after other."""
@@ -149,6 +160,10 @@ class GEndo:
             "C": tuple(row[:n] for row in bottom),
             "D": tuple(row[n:] for row in bottom),
         }
+
+
+def _section(n: int, components: tuple) -> GSection:
+    return GSection._of(VectorField._of(components[:n]), OneForm._of(components[n:]))
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,10 @@ MAX_DIMENSION = 8
 # verify-axioms defaults to 20, while the run time grows linearly with it.
 MAX_TRIALS = 100
 
+# Most named sections; k of them add k(k+1)/2 inputs to the identities and
+# to each connection-law variant, and 13 keep that within MAX_TRIALS.
+MAX_SECTIONS = 13
+
 
 @dataclass(frozen=True)
 class StructureFile:
@@ -194,6 +198,7 @@ def parse_structure_text(text: str, digest: str | None = None) -> StructureFile:
 
     named = doc.get("sections") or {}
     _require(isinstance(named, dict), "'sections' must be an object")
+    _require(len(named) <= MAX_SECTIONS, f"at most {MAX_SECTIONS} named sections are allowed")
     sections = {}
     for name, comps in named.items():
         _require(

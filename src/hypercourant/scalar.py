@@ -33,10 +33,15 @@ sum_of_products is the one kernel under the Cartan, Dorfman and
 endomorphism layers: it fuses a whole sum of polynomial products into one
 packed accumulator instead of building and sorting a Polynomial per product
 and per partial sum.
+
+SHARING is the sharing scope of the suites (see the nijenhuis module): a
+context-local dict while one suite input runs, None otherwise.  Inside it,
+ScalarField.derivative returns a derivative already taken there.
 """
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from fractions import Fraction
 from heapq import heappop, heappush
 from math import gcd as _int_gcd
@@ -53,6 +58,8 @@ from .errors import (
 
 Rational = Fraction
 Coeff = Union[int, Fraction]
+
+SHARING: ContextVar = ContextVar("hypercourant_sharing", default=None)
 
 
 def _cdiv(a: Coeff, b: int) -> Coeff:
@@ -119,14 +126,17 @@ def _rational(nvars: int, terms) -> "Polynomial":
 def _sum_products(nvars: int, triples: list) -> "Polynomial":
     """The sum of sign * a * b over (a, b, sign) triples of polynomials, with
     every int term product accumulated in one packed key -> coefficient dict
-    over the least common denominator.  The caller has checked the degrees."""
+    over the least common denominator.  The operand with fewer terms is the
+    outer loop.  The caller has checked the degrees."""
     den = lcm(*[a.den * b.den for a, b, _ in triples])
     out: dict = {}
     get = out.get
     for a, b, sign in triples:
         m = sign * (den // (a.den * b.den))
-        b = b.packed
-        for k1, c1 in a.packed:
+        a, b = a.packed, b.packed
+        if len(a) > len(b):
+            a, b = b, a
+        for k1, c1 in a:
             c1 *= m
             for k2, c2 in b:
                 k = k1 + k2
@@ -830,7 +840,18 @@ class ScalarField:
         return ScalarField._raw(f.num ** abs(e), f.den ** abs(e))
 
     def derivative(self, var: int) -> "ScalarField":
-        """Partial derivative by coordinate `var` (0-based), quotient rule."""
+        """Partial derivative by coordinate `var` (0-based), quotient rule;
+        taken once per sharing scope (SHARING)."""
+        memo = SHARING.get()
+        if memo is None:
+            return self._derivative(var)
+        key = (self, var)
+        d = memo.get(key)
+        if d is None:
+            d = memo[key] = self._derivative(var)
+        return d
+
+    def _derivative(self, var: int) -> "ScalarField":
         if self.den.is_one():
             d = self.num.derivative(var)
             return ScalarField._raw(d, self.den) if not d.is_zero() else ScalarField.zero(self.nvars)
@@ -897,8 +918,12 @@ def sum_of_products(nvars: int, plus: Iterable, minus: Iterable = ()) -> ScalarF
     coefficient dict, and the dict is sorted once; a fused product of total
     degree above MAX_TOTAL_DEGREE raises EngineError.  Pairs with a
     denominator go through ScalarField `*` and `+`, and the fused polynomial
-    part is added to them once, at the end.  Pairs with a zero operand are skipped.  The result is
-    canonical, so it equals the fold of `*` and `+` exactly.
+    part is added to them once, at the end.  Pairs with a zero operand are
+    skipped.  In each fused pair the operand with fewer terms is the outer
+    loop, whichever side it is on: most Cartan products are a full component
+    times a derivative one degree lower, long times short, and the outer loop
+    pays a scaling and a loop start per term.  The result is canonical, so it
+    equals the fold of `*` and `+` exactly, in either operand order.
     """
     fused = []
     rest = None

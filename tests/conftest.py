@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import settings
 
+from hypercourant.scalar import SHARING
 from hypercourant.structures import (
     flat_quaternionic,
     holomorphic_symplectic,
@@ -10,6 +11,15 @@ from hypercourant.structures import (
 # exact arithmetic on drawn inputs varies too much in time for a deadline
 settings.register_profile("hypercourant", deadline=None)
 settings.load_profile("hypercourant")
+
+
+@pytest.fixture(autouse=True)
+def no_sharing_scope_left_open():
+    """Fail a test that leaves a sharing scope open, and close it for the next."""
+    yield
+    if SHARING.get() is not None:
+        SHARING.set(None)
+        pytest.fail("a sharing scope was left open")
 
 
 @pytest.fixture(scope="session")

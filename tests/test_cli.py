@@ -5,7 +5,7 @@ import pytest
 
 from hypercourant.cli import main
 from hypercourant.parse import MAX_EXPONENT
-from hypercourant.runfile import MAX_DEGREE, MAX_DIMENSION, MAX_TRIALS
+from hypercourant.runfile import MAX_DEGREE, MAX_DIMENSION, MAX_SECTIONS, MAX_TRIALS
 from hypercourant.scalar import MAX_TOTAL_DEGREE
 from hypercourant.structures import structure_file
 
@@ -238,6 +238,22 @@ class TestCheck:
         )
         assert (code, out) == (2, "")
         assert err.startswith("error:") and f"at most {MAX_TRIALS}" in err
+
+    def test_named_sections_bound(self, capsys, tmp_path):
+        # k named sections add k(k+1)/2 inputs to each of four suites
+        assert MAX_SECTIONS * (MAX_SECTIONS + 1) // 2 <= MAX_TRIALS
+
+        def sections(k):
+            return {f"s{i}": [f"x{i % 4 + 1}"] + ["0"] * 7 for i in range(k)}
+
+        doc = example_doc(tmp_path, checks=["certification"], sections=sections(MAX_SECTIONS))
+        code, _, _ = run_cli(capsys, "check", doc)
+        assert code == 0
+        doc = example_doc(tmp_path, checks=["certification"], sections=sections(MAX_SECTIONS + 1))
+        code, out, err = run_cli(capsys, "check", doc)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and f"at most {MAX_SECTIONS} named sections" in err
+        assert "Traceback" not in err
 
     def test_unprintable_coefficient_exits_two(self, capsys, tmp_path):
         # a 4,000-digit entry parses, but J^2 + 1 has 8,000 digits, past the

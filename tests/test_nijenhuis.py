@@ -1,4 +1,6 @@
 import json
+import sys
+import threading
 from fractions import Fraction
 from pathlib import Path
 
@@ -26,11 +28,12 @@ from hypercourant.nijenhuis import (
     torsion,
     torsion_formula_residual,
     _rotation,
+    _sharing,
 )
 from hypercourant.parse import parse_scalar
 from hypercourant.report import CheckReport
 from hypercourant.sampling import random_scalar, suite_rng
-from hypercourant.scalar import ScalarField
+from hypercourant.scalar import SHARING, ScalarField
 
 from oracle import (
     family_statuses,
@@ -489,3 +492,116 @@ class TestTheoremReport:
         assert rep.torsion_formula and not rep.concomitants["IJ"].vanishes
         assert not any(rep.parallel.values())
         assert rep.consistency == "violated"
+
+
+def counted_brackets(monkeypatch) -> list:
+    calls = []
+
+    def counted(s, t):
+        calls.append((s, t))
+        return dorfman(s, t)
+
+    monkeypatch.setattr(hypercourant.nijenhuis, "dorfman", counted)
+    return calls
+
+
+class TestSharingScope:
+    """One memo per suite input: brackets and derivatives (and, in
+    concomitant_statuses, images) computed once inside it, and nothing left
+    behind once the input is done."""
+
+    def test_identities_share_brackets_within_an_input(self, flat, monkeypatch):
+        # 38 brackets an input without sharing
+        calls = counted_brackets(monkeypatch)
+        check_identities(flat, trials=1, degree=1)
+        assert 0 < len(calls) <= 24
+
+    def test_connection_laws_open_no_scope(self, flat, monkeypatch):
+        # no bracket recurs within a connection-law input
+        calls = counted_brackets(monkeypatch)
+        check_connection_laws(flat, "ijk", trials=1, degree=1)
+        assert len(calls) == 12
+
+    def test_frame_images_are_columns(self, flat, monkeypatch):
+        frame = set(basis_sections(flat.n))
+        images = []
+        apply = GEndo.apply
+
+        def counted(f, s):
+            images.append(s)
+            return apply(f, s)
+
+        monkeypatch.setattr(GEndo, "apply", counted)
+        concomitant_statuses(flat)
+        assert images and not frame.intersection(images)
+        assert flat.i.columns() == tuple(flat.i.apply(e) for e in basis_sections(flat.n))
+
+    def test_derivatives_are_shared_only_inside_a_scope(self):
+        f = ScalarField.from_polynomial(parse_scalar("x1^3*x2 - x2", 2).num)
+        assert f.derivative(0) is not f.derivative(0)
+        with _sharing():
+            first = f.derivative(0)
+            with _sharing():  # a nested scope joins the open one
+                assert f.derivative(0) is first
+        assert SHARING.get() is None
+        assert f.derivative(0) == first
+
+    def test_scope_closes_after_each_suite(self, flat):
+        check_identities(flat, trials=1, degree=1)
+        assert SHARING.get() is None
+        check_delta_properties(flat, trials=1, degree=1)
+        assert SHARING.get() is None
+        theorem_report(flat, trials=1, degree=1)
+        assert SHARING.get() is None
+        concomitant(flat.i, flat.j, *basis_sections(flat.n)[:2])
+        assert SHARING.get() is None
+
+    def test_scope_closes_when_a_suite_raises(self, flat, monkeypatch):
+        ident = GEndo.identity(2)
+        ok = CheckReport("forged", True)
+        fake = HKTriple(ident, ident, ident, (ok, ok, ok), ok)
+        with pytest.raises(InconsistentEquivalence):
+            theorem_report(fake, trials=2, seed=0, structure_id="forged")
+        assert SHARING.get() is None
+
+        def broken(s, t):
+            raise ArithmeticError("broken bracket")
+
+        monkeypatch.setattr(hypercourant.nijenhuis, "dorfman", broken)
+        with pytest.raises(ArithmeticError):
+            check_identities(flat, trials=1, degree=1)
+        assert SHARING.get() is None
+
+    def test_threads_keep_their_own_scope(self, flat, noni):
+        # more threads than cores, switching often, so the suites interleave
+        def reports(hk):
+            return [r.to_dict() for r in check_identities(hk, trials=2, seed=3, degree=1)]
+
+        jobs = [("flat", flat), ("noni", noni)] * 2
+        expected = {name: reports(hk) for name, hk in jobs}
+        got = [None] * len(jobs)
+
+        def worker(i):
+            got[i] = reports(jobs[i][1])
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(jobs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == [expected[name] for name, _ in jobs]
+
+    def test_scope_is_context_local(self):
+        seen = []
+        with _sharing():
+            thread = threading.Thread(target=lambda: seen.append(SHARING.get()))
+            thread.start()
+            thread.join()
+            assert SHARING.get() is not None
+        assert seen == [None]

@@ -359,6 +359,17 @@ def wide_pairs(draw):
     return draw(wide_polynomials(nvars, cap)), draw(wide_polynomials(nvars, cap))
 
 
+@st.composite
+def lopsided_pairs(draw):
+    """A long polynomial (up to 16 terms) and a short one (up to 2), in
+    either order, so the kernel loops over each side first."""
+    nvars = draw(st.integers(1, 4))
+    cap = draw(st.sampled_from(EXPONENT_CAPS))
+    long = draw(wide_polynomials(nvars, cap, max_terms=16))
+    short = draw(wide_polynomials(nvars, cap, max_terms=2))
+    return (long, short) if draw(st.booleans()) else (short, long)
+
+
 def assert_same_terms(got: Polynomial, expected):
     """`expected` is an oracle's term tuple or a Polynomial; either way the
     decoded terms must also be in the order of the oracle's grlex key."""
@@ -454,14 +465,15 @@ def assert_canonical(p: Polynomial):
 
 
 class TestPackedArithmetic:
-    @given(pair=wide_pairs(), k=COEFFS)
-    @settings(max_examples=150)
+    @given(pair=st.one_of(wide_pairs(), lopsided_pairs()), k=COEFFS)
+    @settings(max_examples=200)
     def test_matches_tuple_oracles(self, pair, k):
         a, b = pair
         cases = [
             (a + b, dict_add(a, b)),
             (a - b, dict_add(a, tuple_neg(b))),
             (a * b, schoolbook_mul(a, b)),
+            (b * a, schoolbook_mul(b, a)),
             (a.scale(k), tuple_scale(a, k)),
         ]
         for v in range(a.nvars):
@@ -554,15 +566,21 @@ def kernel_sums(draw):
 @st.composite
 def mixed_sums(draw):
     """Pairs of polynomials whose coefficients mix ints with halves, thirds
-    and twelfths, and rational functions among them."""
+    and twelfths, and rational functions among them; some pairs are a long
+    polynomial (6 to 12 terms) times a short one (1 or 2)."""
     n = draw(st.integers(1, 3))
     coeffs = st.one_of(st.integers(-6, 6), SMALL_DENOMINATORS)
-    mono = st.tuples(*[st.integers(0, 2)] * n)
-    mixed = st.dictionaries(mono, coeffs, max_size=4).map(
-        lambda terms: ScalarField.from_polynomial(Polynomial(n, terms))
-    )
+
+    def polynomials(top, min_size, max_size):
+        mono = st.tuples(*[st.integers(0, top)] * n)
+        return st.dictionaries(mono, coeffs, min_size=min_size, max_size=max_size).map(
+            lambda terms: ScalarField.from_polynomial(Polynomial(n, terms))
+        )
+
+    mixed = polynomials(2, 0, 4)
     operand = st.one_of(mixed, mixed, fields(n))
-    pairs = st.lists(st.tuples(operand, operand), max_size=5)
+    lopsided = st.tuples(polynomials(8, 6, 12), polynomials(8, 1, 2))
+    pairs = st.lists(st.one_of(st.tuples(operand, operand), lopsided), max_size=5)
     return n, draw(pairs), draw(pairs)
 
 
@@ -624,10 +642,13 @@ class TestSumOfProducts:
     @given(case=mixed_sums())
     @settings(max_examples=150)
     def test_mixed_denominators_match_fold(self, case):
+        # each pair in both operand orders: long x short and short x long
         n, plus, minus = case
-        got, expected = sum_of_products(n, plus, minus), fold_sum_of_products(n, plus, minus)
-        assert (got.num.terms, got.den.terms) == (expected.num.terms, expected.den.terms)
-        assert_same_field(got, expected)
+        expected = fold_sum_of_products(n, plus, minus)
+        swapped = [(g, f) for f, g in plus], [(g, f) for f, g in minus]
+        for got in (sum_of_products(n, plus, minus), sum_of_products(n, *swapped)):
+            assert (got.num.terms, got.den.terms) == (expected.num.terms, expected.den.terms)
+            assert_same_field(got, expected)
 
     def test_empty_and_zero_operands(self):
         zero = ScalarField.zero(3)
