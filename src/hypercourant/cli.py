@@ -39,7 +39,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ax.add_argument("--dim", type=int, required=True, help="chart dimension n >= 1")
     ax.add_argument("--degree", type=int, default=2, help=f"section degree bound, 0..{MAX_DEGREE}")
     ax.add_argument("--trials", type=int, default=20, help=f"number of random triples, 1..{MAX_TRIALS}")
-    ax.add_argument("--seed", type=int, default=0, help="seed for the random sections")
+    ax.add_argument("--seed", type=int, default=0, help="seed for the random sections, >= 0")
     ax.add_argument("--format", choices=("json", "text"), default="text")
     ax.add_argument("--report", metavar="FILE", help="write the report here instead of stdout")
     # test-only hook; deliberately absent from --help
@@ -76,6 +76,9 @@ def _cmd_verify_axioms(args) -> int:
         return 2
     if not 1 <= args.dim <= MAX_DIMENSION:
         print(f"error: need --dim in 1..{MAX_DIMENSION}", file=sys.stderr)
+        return 2
+    if args.seed < 0:
+        print("error: need --seed >= 0", file=sys.stderr)
         return 2
     checks = verify_axioms(
         args.dim, args.degree, args.trials, args.seed, _corrupt_bracket=args.corrupt_bracket

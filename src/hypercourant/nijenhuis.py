@@ -59,7 +59,6 @@ from .courant import (
     GSection,
     anchor_apply,
     basis_sections,
-    courant_bracket,
     d_map,
     dorfman,
     pairing,
@@ -203,8 +202,10 @@ def connection(hk: HKTriple, variant: str, x: GSection, y: GSection) -> GSection
 
 
 def torsion(hk: HKTriple, variant: str, x: GSection, y: GSection) -> GSection:
-    """T(X,Y) = nabla_X Y - nabla_Y X - [X,Y], with the skew bracket."""
-    return connection(hk, variant, x, y) - connection(hk, variant, y, x) - courant_bracket(x, y)
+    """T(X,Y) = nabla_X Y - nabla_Y X - [X,Y], with the skew bracket
+    [X,Y] = ([[X,Y]] - [[Y,X]]) / 2 from the brackets the connections took."""
+    skew = (_bracket(x, y) - _bracket(y, x)).half()
+    return connection(hk, variant, x, y) - connection(hk, variant, y, x) - skew
 
 
 def nabla_endo(hk: HKTriple, variant: str, f: GEndo, x: GSection, y: GSection) -> GSection:

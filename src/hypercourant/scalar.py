@@ -29,6 +29,11 @@ exact rationals, int where integral and Fraction otherwise (`terms`,
 `leading_coeff`, `evaluate`); no floating point anywhere.  Values are
 immutable and safe to share; zero and one are shared per number of variables.
 
+poly_gcd, which keeps every ScalarField reduced, is one algorithm on packed
+polynomials: the heuristic gcd of Char, Geddes & Gonnet (1989), which
+evaluates only variables that both operands have, lifts the gcd of the
+values back and keeps it once exact division shows that it divides both.
+
 sum_of_products is the one kernel under the Cartan, Dorfman and
 endomorphism layers: it fuses a whole sum of polynomial products into one
 packed accumulator instead of building and sorting a Polynomial per product
@@ -456,7 +461,7 @@ class Polynomial:
 
 
 # ---------------------------------------------------------------------------
-# multivariate gcd (primitive pseudo-remainder sequences over Z)
+# multivariate gcd (heuristic gcd over the shared variables)
 # ---------------------------------------------------------------------------
 
 _GCD_CACHE: dict = {}
@@ -490,171 +495,75 @@ def _vars_present(p: Polynomial) -> frozenset:
     acc = 0
     for k, _ in p.packed:
         acc |= k
-    present = set()
-    for i in range(p.nvars):
-        if (acc >> _field(p.nvars, i)[0]) & _MASK:
-            present.add(i)
-    return frozenset(present)
-
-
-def _prem(a: Polynomial, b: Polynomial, var: int) -> Polynomial:
-    """Pseudo-remainder of a by b with respect to one variable."""
-    db = b.deg_in(var)
-    lb = b.coeff_in(var, db)
-    r = a
-    n = a.nvars
-    while True:
-        dr = r.deg_in(var)
-        if r.is_zero() or dr < db:
-            return r
-        lr = r.coeff_in(var, dr)
-        shift = Polynomial(n, {tuple(dr - db if k == var else 0 for k in range(n)): 1})
-        r = lb * r - lr * shift * b
-
-
-def _content_in(p: Polynomial, var: int) -> Polynomial:
-    g = Polynomial.zero(p.nvars)
-    for power in range(p.deg_in(var) + 1):
-        c = p.coeff_in(var, power)
-        if not c.is_zero():
-            g = _gcd_int(g, c)
-            if g.is_one():
-                break
-    return g
-
-
-# -- univariate fast path ----------------------------------------------------
-#
-# Divisors of a univariate polynomial are univariate, so gcd(a, b) with
-# b in Q[x] equals the univariate gcd of b with the Q[x]-coefficients of a
-# in the free-module decomposition over monomials in the other variables.
-# This covers the dominant case downstream, where denominators are powers
-# of one univariate polynomial, without any pseudo-division growth.
-
-
-def _univar_index(p: Polynomial):
-    present = _vars_present(p)
-    if len(present) == 1:
-        return next(iter(present))
-    return None
-
-
-def _univ_primitive(c: list) -> list:
-    """A nonzero dense int coefficient list (low degree first) divided by its
-    content, with positive leading coefficient."""
-    g = 0
-    for x in c:
-        g = _int_gcd(g, x)
-        if g == 1:
-            break
-    if c[-1] < 0:
-        g = -g
-    return c if g == 1 else [x // g for x in c]
-
-
-def _univ_prem(a: list, b: list) -> list:
-    """Pseudo-remainder of dense int coefficient lists: lc(b)^k a mod b."""
-    r = list(a)
-    db = len(b) - 1
-    lb = b[db]
-    while len(r) > db:
-        lr = r.pop()
-        s = len(r) - db
-        if lb != 1:
-            r = [lb * x for x in r]
-        for k in range(db):
-            r[s + k] -= lr * b[k]
-        while r and not r[-1]:
-            r.pop()
-    return r
-
-
-def _univ_gcd(a: list, b: list) -> list:
-    """Primitive gcd of nonzero dense int coefficient lists, by the primitive
-    pseudo-remainder sequence: integers throughout, contents removed at each
-    step so the coefficients do not swell."""
-    a, b = _univ_primitive(a), _univ_primitive(b)
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        r = _univ_prem(a, b)
-        a, b = b, (_univ_primitive(r) if r else r)
-    return a
-
-
-def _to_univ(p: Polynomial, var: int) -> list:
-    """The dense int coefficients in `var` of a polynomial univariate in it,
-    denominators cleared."""
-    p = _primitive_int(p)
-    coeffs = [0] * (p.deg_in(var) + 1)
-    s, _ = _field(p.nvars, var)
-    for k, c in p.packed:
-        coeffs[(k >> s) & _MASK] = c
-    return coeffs
-
-
-def _from_univ(coeffs: list, var: int, nvars: int) -> Polynomial:
-    terms = {}
-    for e, c in enumerate(coeffs):
-        if c:
-            mono = tuple(e if k == var else 0 for k in range(nvars))
-            terms[mono] = c
-    return Polynomial(nvars, terms)
-
-
-def _gcd_vs_univariate(a: Polynomial, b: Polynomial, var: int) -> Polynomial:
-    """gcd(a, b) where b is univariate in `var`; a is arbitrary."""
-    g = _to_univ(b, var)
-    a = _primitive_int(a)
-    s, unit = _field(a.nvars, var)
-    groups: dict = {}
-    for k, c in a.packed:
-        e = (k >> s) & _MASK
-        # grouped by the key with x_var removed
-        groups.setdefault(k - e * unit, []).append((e, c))
-    for pairs in groups.values():
-        top = max(e for e, _ in pairs)
-        coeffs = [0] * (top + 1)
-        for e, c in pairs:
-            coeffs[e] = c
-        g = _univ_gcd(g, coeffs)
-        if len(g) == 1:
-            return Polynomial.one(a.nvars)
-    return _primitive_int(_from_univ(g, var, a.nvars))
+    shifts = range((p.nvars - 1) * WIDTH, -1, -WIDTH)
+    return frozenset([i for i, s in enumerate(shifts) if (acc >> s) & _MASK])
 
 
 def _gcd_int(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Gcd of integer-coefficient polynomials, normalized primitive with
-    positive leading coefficient."""
-    if a.is_zero():
-        return _primitive_int(b) if not b.is_zero() else b
-    if b.is_zero():
-        return _primitive_int(a)
-    if a.is_const() or b.is_const():
-        return Polynomial.const(a.nvars, _int_gcd(_int_content(a), _int_content(b)))
-    common = _vars_present(a) & _vars_present(b)
-    if not common:
-        return Polynomial.const(a.nvars, _int_gcd(_int_content(a), _int_content(b)))
-    ub = _univar_index(b)
-    if ub is not None:
-        return _gcd_vs_univariate(a, b, ub)
-    ua = _univar_index(a)
-    if ua is not None:
-        return _gcd_vs_univariate(b, a, ua)
-    var = min(common, key=lambda v: max(a.deg_in(v), b.deg_in(v)))
-    ca = _content_in(a, var)
-    cb = _content_in(b, var)
-    pa = a.divexact(ca)
-    pb = b.divexact(cb)
-    d = _gcd_int(ca, cb)
-    if pa.deg_in(var) < pb.deg_in(var):
-        pa, pb = pb, pa
-    while not pb.is_zero() and pb.deg_in(var) > 0:
-        r = _prem(pa, pb, var)
-        pa = pb
-        pb = r if r.is_zero() else r.divexact(_content_in(r, var))
-    g = pa if pb.is_zero() else Polynomial.one(a.nvars)
-    return _primitive_int(d * g)
+    """The gcd over Z of int-coefficient polynomials over 1, not both zero,
+    content included, with positive leading coefficient: the heuristic gcd
+    (GCDHEU) of Char, Geddes & Gonnet (1989) on the variables both have.
+
+    A common factor has only variables that both operands have, so with none
+    shared the gcd is the gcd of the int contents, and a variable that only
+    one operand has is never evaluated.  Otherwise one shared variable t is
+    set to the int xi = 2 |b| + 2, with b the primitive part with fewer terms
+    and |b| its max-norm, so xi >= 2 min(|a|, |b|) + 2; the gcd h of the two
+    values is taken by recursion, and the balanced xi-adic digits of h's
+    coefficients lift it back to a polynomial in t.  Under that bound on xi,
+    the lift's primitive part is the gcd of the primitive parts as soon as
+    it divides both (their correctness theorem); if it does not, xi grows
+    and the step repeats.
+
+    The retry ends.  With G the gcd of the primitive parts and A, B their
+    cofactors, h = G(xi) gcd(A(xi), B(xi)), and the second factor divides
+    Res_t(A, B), which is nonzero because A and B are coprime, and does not
+    contain t.  A nonconstant factor of it divides the values of both
+    cofactors at only finitely many xi, so beyond them h is G(xi) times a
+    divisor of one fixed int; once xi exceeds twice the coefficients of G
+    times that int, the lift is exactly that product, whose primitive part
+    is G.
+    """
+    if not a.packed or not b.packed:
+        p = a if a.packed else b
+        return p if p.packed[0][1] > 0 else -p
+    if len(a.packed) < len(b.packed):
+        a, b = b, a
+    c = _int_gcd(_int_content(a), _int_content(b))
+    # b is the shorter operand, often a constant
+    shared = _vars_present(b)
+    if shared:
+        shared &= _vars_present(a)
+    if not shared:
+        return Polynomial.const(a.nvars, c)
+    a, b = _primitive_int(a), _primitive_int(b)
+    t = min(shared)
+    unit = _field(a.nvars, t)[1]
+    xi = 2 * max([abs(v) for _, v in b.packed]) + 2
+    while True:
+        lift: dict = {}
+        for k, v in _gcd_int(a.substitute(t, xi), b.substitute(t, xi)).packed:
+            # v is the sum of d * xi^e over its digits d, |d| <= xi / 2
+            while v:
+                d = v % xi
+                if d > xi >> 1:
+                    d -= xi
+                if d:
+                    lift[k] = d
+                v = (v - d) // xi
+                k += unit
+        g = _primitive_int(_collect(a.nvars, lift, 1))
+        if g.is_one():
+            # the shared one, not a copy for the cache to keep
+            return Polynomial.const(a.nvars, c)
+        try:
+            a.divexact(g)
+            b.divexact(g)
+        except ArithmeticError:
+            # a non-round factor, so that xi avoids simple patterns
+            xi = xi * 73794 // 27011
+            continue
+        return g._times(c, 1)
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:

@@ -1,8 +1,13 @@
+import signal
+from contextlib import contextmanager
+
 import pytest
 from hypothesis import settings
 
-from hypercourant.scalar import SHARING
+from hypercourant.endo import GEndo, HKTriple
+from hypercourant.scalar import SHARING, ScalarField
 from hypercourant.structures import (
+    DIM,
     flat_quaternionic,
     holomorphic_symplectic,
     nonintegrable_conjugated,
@@ -40,3 +45,41 @@ def noni():
 @pytest.fixture(scope="session")
 def all_triples(flat, holsymp, noni):
     return {"flat": flat, "holomorphic-symplectic": holsymp, "nonintegrable": noni}
+
+
+@pytest.fixture(scope="session")
+def conjugated_x2x3(flat):
+    """The flat triple conjugated by diag(A, (A^T)^-1), A = diag(1 + x2 x3, 1,
+    1, 1): certified, with polynomial denominators in two variables."""
+    one, zero = ScalarField.one(DIM), ScalarField.zero(DIM)
+    u = one + ScalarField.coordinate(DIM, 1) * ScalarField.coordinate(DIM, 2)
+
+    def diag(first):
+        entries = (first, one, one, one)
+        return tuple(tuple(entries[i] if i == j else zero for j in range(DIM)) for i in range(DIM))
+
+    a, a_inv = diag(u), diag(one / u)
+    zblock = tuple((zero,) * DIM for _ in range(DIM))
+    frame, frame_inv = GEndo(a, zblock, zblock, a_inv), GEndo(a_inv, zblock, zblock, a)
+    return HKTriple.certify(frame @ flat.i @ frame_inv, frame @ flat.j @ frame_inv)
+
+
+@pytest.fixture
+def time_budget():
+    """A context manager that fails the test once `seconds` of wall time have
+    passed inside it, so that a computation that hangs fails instead."""
+
+    @contextmanager
+    def within(seconds: float):
+        def expire(signum, frame):
+            pytest.fail(f"over the budget of {seconds} s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, seconds)
+        try:
+            yield
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+
+    return within

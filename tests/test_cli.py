@@ -6,7 +6,7 @@ import pytest
 from hypercourant.cli import main
 from hypercourant.parse import MAX_EXPONENT
 from hypercourant.runfile import MAX_DEGREE, MAX_DIMENSION, MAX_SECTIONS, MAX_TRIALS
-from hypercourant.scalar import MAX_TOTAL_DEGREE
+from hypercourant.scalar import MAX_TOTAL_DEGREE, scalar_text
 from hypercourant.structures import structure_file
 
 
@@ -122,6 +122,15 @@ class TestVerifyAxioms:
         code, out, err = run_cli(capsys, "verify-axioms", "--dim", "1", "--trials", trials)
         assert (code, out) == (2, "")
         assert err == f"error: need --trials at most {MAX_TRIALS}\n"
+
+    @pytest.mark.parametrize("seed", ["-1", "-3"])
+    def test_negative_seed_exits_two(self, capsys, seed):
+        # a document refuses a negative seed too
+        args = ("verify-axioms", "--dim", "1", "--trials", "1", "--seed")
+        code, out, err = run_cli(capsys, *args, seed)
+        assert (code, out) == (2, "")
+        assert err == "error: need --seed >= 0\n"
+        assert run_cli(capsys, *args, "0")[0] == 0
 
 
 def example_doc(tmp_path, checks=None, sections=None, **options) -> str:
@@ -363,6 +372,27 @@ class TestCheck:
             main([command, first, "--parallel"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --parallel" in capsys.readouterr().err
+
+    def test_denominators_in_two_variables(self, capsys, tmp_path, conjugated_x2x3, time_budget):
+        # every suite on the flat triple conjugated by diag(1 + x2 x3, 1, 1,
+        # 1), whose gcds once ran for minutes
+        doc = structure_file("nonintegrable")
+        doc["structure"] = {
+            name: {
+                block: [[scalar_text(f) for f in row] for row in rows]
+                for block, rows in endo.blocks().items()
+            }
+            for name, endo in (("I", conjugated_x2x3.i), ("J", conjugated_x2x3.j))
+        }
+        doc["options"] = {"trials": 2, "degree": 1, "seed": 0}
+        path = tmp_path / "conjugated.json"
+        path.write_text(json.dumps(doc))
+        with time_budget(30):
+            code, out, _ = run_cli(capsys, "check", str(path), "--format", "json")
+        assert code == 0
+        theorem = json.loads(out)["suites"][-1]["theorem"]
+        assert (theorem["verdict"], theorem["consistency"]) == ("not-hypercomplex", "ok")
+        assert theorem["parallel"] == {"I": False, "J": True, "K": False}
 
     def test_mathematical_failure_exits_one(self, capsys, tmp_path):
         doc = {

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import hypercourant.cartan
+import hypercourant.courant
 import hypercourant.nijenhuis
 from hypercourant.cartan import check_fields
 from hypercourant.courant import GSection, basis_sections, courant_bracket, dorfman, random_section
@@ -380,6 +381,16 @@ class TestTheoremReport:
             point = tuple(Fraction(v) for v in w.point)
             assert residual.evaluate(point) == Fraction(w.value) != 0
 
+    def test_denominators_in_two_variables(self, conjugated_x2x3, time_budget):
+        # the gcds of these denominators once ran for minutes
+        with time_budget(10):
+            rep = theorem_report(conjugated_x2x3, trials=1, degree=1)
+        assert rep.verdict == "not-hypercomplex"
+        assert rep.parallel == {"I": False, "J": True, "K": False}
+        assert not rep.connections_agree
+        assert not rep.torsion_formula
+        assert rep.consistency == "ok"
+
     def test_needs_a_trial(self, flat):
         with pytest.raises(ValueError):
             theorem_report(flat, trials=0)
@@ -521,6 +532,19 @@ class TestSharingScope:
         calls = counted_brackets(monkeypatch)
         check_connection_laws(flat, "ijk", trials=1, degree=1)
         assert len(calls) == 12
+
+    def test_torsion_takes_its_brackets_from_the_scope(self, flat, monkeypatch):
+        # the skew bracket once went through courant.dorfman, 2 calls an input
+        calls = []
+        direct = hypercourant.courant.dorfman
+
+        def counted(s, t):
+            calls.append((s, t))
+            return direct(s, t)
+
+        monkeypatch.setattr(hypercourant.courant, "dorfman", counted)
+        theorem_report(flat, trials=1, degree=1)
+        assert calls == []
 
     def test_frame_images_are_columns(self, flat, monkeypatch):
         frame = set(basis_sections(flat.n))

@@ -15,6 +15,7 @@ from oracle import (
     tuple_derivative,
 )
 
+from hypercourant import scalar
 from hypercourant.errors import (
     DimensionMismatch,
     DivisionByZero,
@@ -256,7 +257,7 @@ class TestPolynomialInternals:
         assert p.substitute(0, point[0]).evaluate((0, point[1])) == p.evaluate(point)
 
 
-X = sympy.symbols("x1:4")
+X = sympy.symbols("x1:5")
 
 
 def to_sympy(p: Polynomial) -> sympy.Poly:
@@ -278,6 +279,18 @@ def nonzero_polynomials(draw, nvars=3):
     return p if not p.is_zero() else Polynomial.variable(nvars, draw(st.integers(0, nvars - 1)))
 
 
+@st.composite
+def polynomials_in(draw, nvars, variables, max_degree=2):
+    """A nonzero polynomial whose terms use only the given variables."""
+    terms = {}
+    for _ in range(draw(st.integers(1, 4))):
+        mono = [0] * nvars
+        for v in variables:
+            mono[v] = draw(st.integers(0, max_degree))
+        terms[tuple(mono)] = draw(st.integers(-6, 6).filter(bool))
+    return Polynomial(nvars, terms)
+
+
 class TestGcdAgainstSympy:
     @given(p=nonzero_polynomials(), q=nonzero_polynomials(), r=nonzero_polynomials())
     @settings(max_examples=40)
@@ -289,6 +302,67 @@ class TestGcdAgainstSympy:
     def test_one_argument_divides_the_other(self, p, q):
         assert_gcd_matches_sympy(p * q, q)
         assert_gcd_matches_sympy(q, p * q)
+
+    @given(
+        order=st.permutations(range(4)),
+        data=st.data(),
+    )
+    @settings(max_examples=40)
+    def test_overlapping_variables(self, order, data):
+        # a over {u, s}, b over {s, v}, the common factor r over {s}: neither
+        # variable set contains the other
+        u, s, v, _ = order
+        p = data.draw(polynomials_in(4, (u, s)))
+        q = data.draw(polynomials_in(4, (s, v)))
+        r = data.draw(univariate_polynomials(4, s, max_degree=1))
+        assert_gcd_matches_sympy(p * r, q * r)
+        assert_gcd_matches_sympy(p, q)
+
+    def test_denominator_in_two_variables(self, time_budget):
+        # from the theorem suite on the flat triple conjugated by
+        # diag(1 + x2 x3, 1, 1, 1); it once ran for more than 20 s
+        a = sf(STALLED_NUMERATOR, 4).num
+        b = sf("(1 + x2*x3)^3", 4).num
+        assert (len(a.packed), a.total_degree()) == (57, 9)
+        with time_budget(5):
+            assert poly_gcd(a, b).is_one()
+            assert_gcd_matches_sympy(a, b)
+            assert_gcd_matches_sympy(a * sf("1 + x2*x3", 4).num, b)
+
+    def test_failed_division_check_retries(self, monkeypatch):
+        # x1^2 x2 (x1 + 4 x2) (4 x1 + 5 x2) and -x1^3 x2^2 (x1 + 4 x2): the
+        # first lifts are not divisors, so the evaluation point grows
+        a = sf("4*x1^4*x2 + 21*x1^3*x2^2 + 20*x1^2*x2^3", 2).num
+        b = sf("-1*x1^4*x2^2 - 4*x1^3*x2^3", 2).num
+        failed = []
+        divexact = Polynomial.divexact
+
+        def counted(p, d):
+            try:
+                return divexact(p, d)
+            except ArithmeticError:
+                failed.append(d)
+                raise
+
+        monkeypatch.setattr(Polynomial, "divexact", counted)
+        monkeypatch.setattr(scalar, "_GCD_CACHE", {})
+        assert poly_gcd(a, b) == sf("x1^3*x2 + 4*x1^2*x2^2", 2).num
+        assert failed
+        assert_gcd_matches_sympy(a, b)
+
+
+STALLED_NUMERATOR = (
+    "3*x1*x2^4*x3^4 - 7*x2^5*x3^4 - 6*x2^4*x3^5 + x2^4*x3^4*x4 + x2^4*x3^4"
+    " + 7*x1*x2^3*x3^3 - 23*x2^4*x3^3 - 24*x2^3*x3^4 + 8*x2^3*x3^3*x4 - 3*x2^3*x3^3"
+    " + 2*x1^2*x2^2*x3 - 4*x1^2*x2*x3^2 + 4*x1*x2^3*x3 + 4*x1*x2^2*x3^2"
+    " - 3*x1*x2^2*x3*x4 - 12*x1*x2*x3^3 + 8*x1*x2*x3^2*x4 - 6*x2^4*x3 - 15*x2^3*x3^2"
+    " - x2^3*x3*x4 - 37*x2^2*x3^3 - 5*x2^2*x3^2*x4 + x2^2*x3*x4^2 - 9*x2*x3^4"
+    " + 12*x2*x3^3*x4 - 3*x2*x3^2*x4^2 + 4*x1*x2*x3^2 - 8*x2^3*x3 - 18*x2^2*x3^2"
+    " + x2^2*x3*x4 + 6*x2*x3^3 - 6*x2*x3^2*x4 - 2*x1^2*x2 - 2*x1^2*x3 - 2*x1*x2^2"
+    " + 11*x1*x2*x3 + 7*x1*x2*x4 - 20*x1*x3^2 + x1*x3*x4 - 8*x2^3 + 17*x2^2*x3"
+    " + 7*x2^2*x4 - 30*x2*x3^2 - 41*x2*x3*x4 - 5*x2*x4^2 - 3*x3^3 + 21*x3^2*x4"
+    " - 8*x2^2 - 27*x2*x3 + x2*x4 + 14*x3^2 + x3*x4 + 9*x1 + 23*x2 - 20*x3 - 30*x4 - 11"
+)
 
 
 def field_to_sympy(f: ScalarField):
@@ -677,7 +751,7 @@ class TestSumOfProducts:
             sum_of_products(2, [], [(sf("x1"), sf("x2"))])
 
 
-# -- the univariate gcd path, with rational coefficients -------------------------
+# -- gcds against a univariate operand, with rational coefficients ---------------
 
 
 @st.composite
