@@ -24,7 +24,9 @@ from typing import Sequence
 from .errors import ScalarSyntaxError, UnknownVariable
 from .scalar import ScalarField
 
-_TOKEN = re.compile(r"\s*(?:(x\d+)|(\d+)|([+\-*/^()]))")
+# The grammar is ASCII; \d and \s would otherwise match a fullwidth "12".
+_TOKEN = re.compile(r"\s*(?:(x\d+)|(\d+)|([+\-*/^()]))", re.ASCII)
+_SPACE = " \t\n\r\f\v"  # what \s matches under re.ASCII
 
 # Parenthesis nesting allowed before the parser refuses the input; each
 # level costs four Python frames of recursion.
@@ -63,7 +65,7 @@ def _tokenize(text: str):
         elif op:
             tokens.append((_OP, op, start))
         pos = m.end()
-    rest = text[pos:].strip()
+    rest = text[pos:].strip(_SPACE)
     if rest:
         bad = pos + text[pos:].index(rest[0])
         raise ScalarSyntaxError(f"unexpected character {rest[0]!r}", bad)

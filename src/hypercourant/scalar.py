@@ -28,6 +28,8 @@ denominator of the operands, normalized once per result.  Values leave as
 exact rationals, int where integral and Fraction otherwise (`terms`,
 `leading_coeff`, `evaluate`); no floating point anywhere.  Values are
 immutable and safe to share; zero and one are shared per number of variables.
+ScalarField trusts its operands' chart, which cartan.check_fields checked
+where they entered; the Polynomial layer still raises DimensionMismatch.
 
 poly_gcd, which keeps every ScalarField reduced, is one algorithm on packed
 polynomials: the heuristic gcd of Char, Geddes & Gonnet (1989), which
@@ -37,7 +39,8 @@ values back and keeps it once exact division shows that it divides both.
 sum_of_products is the one kernel under the Cartan, Dorfman and
 endomorphism layers: it fuses a whole sum of polynomial products into one
 packed accumulator instead of building and sorting a Polynomial per product
-and per partial sum.
+and per partial sum.  A sum of one product goes through Polynomial `*`,
+whose one-term path needs neither dict nor sort.
 
 SHARING is the sharing scope of the suites (see the nijenhuis module): a
 context-local dict while one suite input runs, None otherwise.  Inside it,
@@ -262,27 +265,32 @@ class Polynomial:
             raise DimensionMismatch(f"{self.nvars} vs {other.nvars} variables")
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
+        return self._merge(other, 1)
+
+    def __sub__(self, other: "Polynomial") -> "Polynomial":
+        return self._merge(other, -1)
+
+    def _merge(self, other: "Polynomial", sign: int) -> "Polynomial":
+        """self + sign * other (sign 1 or -1) with no negated copy.  The dict
+        is seeded from self: a key both have keeps self's int, not other's."""
         self._check(other)
         if not self.packed:
-            return other
+            return other if sign > 0 else -other
         if not other.packed:
             return self
-        a, b, den = self.packed, other.packed, self.den
+        a, den, m = self.packed, self.den, sign
         if other.den != den:
             den = lcm(den, other.den)
             a = [(k, c * (den // self.den)) for k, c in a]
-            b = [(k, c * (den // other.den)) for k, c in b]
+            m *= den // other.den
         out = dict(a)
         get = out.get
-        for k, c in b:
-            out[k] = get(k, 0) + c
+        for k, c in other.packed:
+            out[k] = get(k, 0) + c * m
         return _collect(self.nvars, out, den)
 
     def __neg__(self) -> "Polynomial":
         return Polynomial._raw(self.nvars, tuple([(k, -c) for k, c in self.packed]), self.den)
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
@@ -668,19 +676,23 @@ class ScalarField:
     def is_const(self) -> bool:
         return self.num.is_const() and self.den.is_one()
 
-    def _check(self, other: "ScalarField"):
-        if self.nvars != other.nvars:
-            raise DimensionMismatch(f"{self.nvars} vs {other.nvars} variables")
-
     def __add__(self, other: "ScalarField") -> "ScalarField":
-        self._check(other)
-        if self.is_zero():
-            return other
-        if other.is_zero():
+        return self._merge(other, 1)
+
+    def __sub__(self, other: "ScalarField") -> "ScalarField":
+        return self._merge(other, -1)
+
+    def _merge(self, other: "ScalarField", sign: int) -> "ScalarField":
+        """self + sign * other for sign 1 or -1; the numerators merge through
+        the Polynomial operators, which perfbench's spans count."""
+        if not self.num.packed:
+            return other if sign > 0 else -other
+        if not other.num.packed:
             return self
         n1, d1, n2, d2 = self.num, self.den, other.num, other.den
+        merge = Polynomial.__add__ if sign > 0 else Polynomial.__sub__
         if d1 == d2:
-            num = n1 + n2
+            num = merge(n1, n2)
             if num.is_zero():
                 return ScalarField.zero(self.nvars)
             if d1.is_one():
@@ -692,12 +704,12 @@ class ScalarField:
         # Henrici: with reduced inputs only gcd(d1, d2) can cancel
         g0 = poly_gcd(d1, d2)
         if g0.is_one():
-            num = n1 * d2 + n2 * d1
+            num = merge(n1 * d2, n2 * d1)
             if num.is_zero():
                 return ScalarField.zero(self.nvars)
             return ScalarField._raw(num, d1 * d2)
         d2r = d2.divexact(g0)
-        t = n1 * d2r + n2 * d1.divexact(g0)
+        t = merge(n1 * d2r, n2 * d1.divexact(g0))
         if t.is_zero():
             return ScalarField.zero(self.nvars)
         g1 = poly_gcd(t, g0)
@@ -710,11 +722,7 @@ class ScalarField:
             return self
         return ScalarField._raw(-self.num, self.den)
 
-    def __sub__(self, other: "ScalarField") -> "ScalarField":
-        return self + (-other)
-
     def __mul__(self, other: "ScalarField") -> "ScalarField":
-        self._check(other)
         if self.is_zero() or other.is_zero():
             return ScalarField.zero(self.nvars)
         n1, d1, n2, d2 = self.num, self.den, other.num, other.den
@@ -828,11 +836,13 @@ def sum_of_products(nvars: int, plus: Iterable, minus: Iterable = ()) -> ScalarF
     degree above MAX_TOTAL_DEGREE raises EngineError.  Pairs with a
     denominator go through ScalarField `*` and `+`, and the fused polynomial
     part is added to them once, at the end.  Pairs with a zero operand are
-    skipped.  In each fused pair the operand with fewer terms is the outer
-    loop, whichever side it is on: most Cartan products are a full component
-    times a derivative one degree lower, long times short, and the outer loop
-    pays a scaling and a loop start per term.  The result is canonical, so it
-    equals the fold of `*` and `+` exactly, in either operand order.
+    skipped.  A lone fused pair is one Polynomial `*`: a one-term operand
+    shifts or scales the other's keys, and a factor 1 returns it shared.  In
+    each fused pair the operand with fewer terms is the outer loop, whichever
+    side it is on: most Cartan products are a full component times a
+    derivative one degree lower, long times short, and the outer loop pays a
+    scaling and a loop start per term.  The result is canonical, so it equals
+    the fold of `*` and `+` exactly, in either operand order.
     """
     fused = []
     rest = None
@@ -850,7 +860,11 @@ def sum_of_products(nvars: int, plus: Iterable, minus: Iterable = ()) -> ScalarF
                 p = f * g if sign > 0 else -(f * g)
                 rest = p if rest is None else rest + p
     if fused:
-        num = _sum_products(nvars, fused)
+        if len(fused) == 1:
+            a, b, sign = fused[0]
+            num = a * b if sign > 0 else -(a * b)
+        else:
+            num = _sum_products(nvars, fused)
         if num.packed:
             total = ScalarField._raw(num, Polynomial.one(nvars))
             return total if rest is None else rest + total

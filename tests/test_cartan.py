@@ -1,4 +1,8 @@
+from random import Random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypercourant.cartan import (
     OneForm,
@@ -199,3 +203,53 @@ class TestComponentValidation:
             with pytest.raises(TypeError):
                 a - b
         assert type(x + x) is VectorField and type(dx - dx) is OneForm
+
+
+@st.composite
+def sparse_components(draw, n):
+    """n components: a frame section e_a, a scaled one x_k e_a, or each
+    component zero with probability 1/2 and otherwise a random polynomial,
+    divided by 1 + x_j^2 half of the time.  Every zero is the shared one."""
+    zero, one = ScalarField.zero(n), ScalarField.one(n)
+    shape = draw(st.sampled_from(["frame", "scaled", "sparse"]))
+    if shape != "sparse":
+        a = draw(st.integers(0, n - 1))
+        entry = one if shape == "frame" else ScalarField.coordinate(n, draw(st.integers(0, n - 1)))
+        return tuple(entry if i == a else zero for i in range(n))
+    rng = Random(draw(st.integers(0, 2**32)))
+    out = []
+    for _ in range(n):
+        f = zero
+        if draw(st.booleans()):
+            f = random_scalar(rng, n, draw(st.integers(0, 2)))
+            if draw(st.booleans()):
+                f = f / (one + ScalarField.coordinate(n, draw(st.integers(0, n - 1))) ** 2)
+        out.append(f if not f.is_zero() else zero)
+    return tuple(out)
+
+
+class TestSparseComponents:
+    """Section arithmetic passes zero components through without calling
+    into ScalarField; the results must be the componentwise fold."""
+
+    @given(data=st.data())
+    @settings(max_examples=150)
+    def test_operations_match_the_componentwise_fold(self, data):
+        n = data.draw(st.integers(1, 3))
+        cls = data.draw(st.sampled_from([VectorField, OneForm]))
+        x, y = cls(data.draw(sparse_components(n))), cls(data.draw(sparse_components(n)))
+        f = data.draw(sparse_components(n))[0]
+        xs, ys = x.components, y.components
+        cases = [
+            (x + y, [a + b for a, b in zip(xs, ys)]),
+            (x - y, [a - b for a, b in zip(xs, ys)]),
+            (y - x, [b - a for a, b in zip(xs, ys)]),
+            (x - x, [ScalarField.zero(n)] * n),
+            (-x, [-a for a in xs]),
+            (x.smul(f), [f * a for a in xs]),
+        ]
+        for got, expected in cases:
+            assert type(got) is cls
+            assert got.components == tuple(expected)
+            for c in got.components:
+                assert c is ScalarField.zero(n) or not c.is_zero()

@@ -220,6 +220,29 @@ class TestCheck:
         assert err.startswith("error:") and "nested" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "entry",
+        ["\u0663", "\uff11\uff12", "x\u0661", "\u00a0x1", "x1 +\u2003x1", "x1\u3000"],
+    )
+    def test_non_ascii_digit_or_space_exits_two(self, capsys, tmp_path, entry):
+        # Unicode digits and spaces are not in the grammar: a ScalarSyntaxError
+        doc = {
+            "dimension": 1,
+            "structure": {
+                "I": {"A": [["0"]], "B": [["1"]], "C": [["-1"]], "D": [["0"]]},
+                "J": {"A": [["0"]], "B": [["1"]], "C": [["-1"]], "D": [["0"]]},
+            },
+            "sections": {"s": [entry, "0"]},
+            "checks": ["certification"],
+        }
+        path = tmp_path / "unicode.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "check", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: unexpected character") and "(at position" in err
+        assert "Traceback" not in err
+
     def test_deeply_nested_json_exits_two(self, capsys, tmp_path):
         path = tmp_path / "deep.json"
         path.write_text('{"dimension": ' + "[" * 100000 + "]" * 100000 + "}")

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import hypercourant.scalar
 from hypercourant.cartan import TwoForm
 from hypercourant.courant import basis_sections, pairing, random_section
 from hypercourant.endo import (
@@ -66,6 +67,29 @@ class TestApply:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             GEndo.identity(2).apply(gs(1, "1", "0"))
+
+    def test_built_in_triples_make_no_kernel_call(self, all_triples, monkeypatch):
+        # every row of I, J and K has one nonzero entry, and a frame section
+        # e_a or x_k e_a has one-term components, so each image component is
+        # one product of a one-term operand: Polynomial.__mul__ shifts keys
+        calls = []
+        kernel = hypercourant.scalar._sum_products
+
+        def counted(nvars, triples):
+            calls.append(len(triples))
+            return kernel(nvars, triples)
+
+        monkeypatch.setattr(hypercourant.scalar, "_sum_products", counted)
+        for hk in all_triples.values():
+            n = hk.i.n
+            frame = basis_sections(n)
+            probes = frame + tuple(
+                e.smul(ScalarField.coordinate(n, k)) for e in frame for k in range(n)
+            )
+            for endo in (hk.i, hk.j, hk.k):
+                for s in probes:
+                    endo.apply(s)
+        assert calls == []
 
 
 class TestConstructor:

@@ -9,7 +9,7 @@ import pytest
 import hypercourant.cartan
 import hypercourant.courant
 import hypercourant.nijenhuis
-from hypercourant.cartan import check_fields
+from hypercourant.cartan import _Components, check_fields
 from hypercourant.courant import GSection, basis_sections, courant_bracket, dorfman, random_section
 from hypercourant.endo import GEndo, HKTriple
 from hypercourant.errors import InconsistentEquivalence, UncertifiedStructure
@@ -476,6 +476,29 @@ class TestTheoremReport:
             monkeypatch.setattr(Fraction, name, counted)
         suite(flat)
         assert calls == []
+
+    def test_sections_pass_zero_components_through(self, flat, monkeypatch):
+        # section sums and differences hand a zero component's partner on
+        # without a call into ScalarField
+        inside, seen = [], []
+        for name in ("__add__", "__sub__"):
+
+            def flagged(a, b, op=getattr(_Components, name)):
+                inside.append(True)
+                try:
+                    return op(a, b)
+                finally:
+                    inside.pop()
+
+            def counted(a, b, op=getattr(ScalarField, name)):
+                if inside:
+                    seen.append(a.is_zero() or b.is_zero())
+                return op(a, b)
+
+            monkeypatch.setattr(_Components, name, flagged)
+            monkeypatch.setattr(ScalarField, name, counted)
+        check_connection_laws(flat, "ijk", trials=1)
+        assert seen and not any(seen)
 
     def test_forged_certification_raises_inconsistency(self):
         # identity triple with forged passing reports: all concomitants

@@ -82,6 +82,27 @@ def test_syntax_errors(text):
         parse_scalar(text, 2)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "\u0663",         # Arabic-Indic digit three
+        "\uff11\uff12",   # fullwidth digits one, two
+        "x\u0661",        # Arabic-Indic digit one in a variable name
+        "\u00a0x1",       # leading no-break space
+        "x1 +\u2003x2",   # inner em space
+        "x1\u3000",       # trailing ideographic space
+    ],
+)
+def test_digits_and_spaces_are_ascii(text):
+    # \d and \s of the tokenizer would match these without re.ASCII
+    with pytest.raises(ScalarSyntaxError):
+        parse_scalar(text, 2)
+
+
+def test_every_ascii_space_separates():
+    assert parse_scalar("\t1\n+\rx1\f\v", 1) == parse_scalar("1+x1", 1)
+
+
 def test_syntax_error_reports_position():
     with pytest.raises(ScalarSyntaxError) as exc:
         parse_scalar("x1 + )", 2)

@@ -604,6 +604,36 @@ class TestPackedArithmetic:
         assert sf("7/2").derivative(1) is ScalarField.zero(3)
 
 
+class TestDirectSubtraction:
+    """a - b subtracts in one merge instead of adding a negated copy; it must
+    equal a + (-b), over mixed denominators, and cancel to the shared zero."""
+
+    @given(pair=st.one_of(wide_pairs(), lopsided_pairs()))
+    @settings(max_examples=100)
+    def test_polynomials(self, pair):
+        a, b = pair
+        c = a + b
+        for x, y in ((a, b), (b, a), (c, b), (c, a), (a, b.scale(Fraction(-5, 6)))):
+            got = x - y
+            assert_same_terms(got, x + (-y))
+            assert_canonical(got)
+        if not a.is_zero():
+            assert a - a is Polynomial.zero(a.nvars)
+            assert (c - b) - a is Polynomial.zero(a.nvars)
+
+    @given(pair=field_pairs())
+    @settings(max_examples=100)
+    def test_fields(self, pair):
+        f, g = pair
+        h = f + g
+        third = g.scale(Fraction(1, 3))
+        for a, b in ((f, g), (g, f), (h, g), (h, f), (f, third), (f, f.scale(-7)), (h, third)):
+            assert_same_field(a - b, a + (-b))
+        if not f.is_zero():
+            assert f - f is ScalarField.zero(f.nvars)
+            assert (h - g) - f is ScalarField.zero(f.nvars)
+
+
 # -- the sum-of-products kernel against the fold of * and + --------------------
 
 
@@ -689,6 +719,16 @@ class TestDegreeBound:
         ):
             with pytest.raises(EngineError, match="degree above 65535"):
                 too_high()
+
+    def test_lone_pair(self):
+        # one fused pair goes through Polynomial.__mul__, not the kernel
+        x, one = sf("x1", 1), sf("1", 1)
+        for a, b in ((x**40000, x**25536), (x**40000 + one, x**25536), (x**40000 + one, x**25536 + x)):
+            for plus, minus in (([(a, b)], []), ([], [(a, b)]), ([(b, a)], [])):
+                with pytest.raises(EngineError, match="degree above 65535"):
+                    sum_of_products(1, plus, minus)
+        got = sum_of_products(1, [], [(x**40000 + one, x**25535)])
+        assert_same_field(got, -(x**65535 + x**25535))
 
     def test_sum_of_products(self):
         x = sf("x1", 1)
