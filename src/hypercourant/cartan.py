@@ -13,8 +13,8 @@ Values are validated where they enter: the public constructors run
 check_fields, the one entry check of the package.  Results built from
 validated operands, here and in the Courant and endomorphism layers, go
 through the unchecked `_of`; operations check only that operands share a
-chart, and the ScalarField operators trust their operands.  Section sums
-skip zero components, which most frame sections and images are made of.
+chart, once per section and not per component.  Section sums skip zero
+components, which most frame sections and images are made of.
 """
 
 from __future__ import annotations
@@ -90,11 +90,13 @@ class _Components:
 
     def __add__(self, other):
         self._check_type(other)
+        _check_dim(self, other)
         pairs = zip(self.components, other.components)
         return self._of(tuple(b if a.is_zero() else a if b.is_zero() else a + b for a, b in pairs))
 
     def __sub__(self, other):
         self._check_type(other)
+        _check_dim(self, other)
         pairs = zip(self.components, other.components)
         return self._of(tuple(-b if a.is_zero() else a if b.is_zero() else a - b for a, b in pairs))
 

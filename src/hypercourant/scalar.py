@@ -28,8 +28,8 @@ denominator of the operands, normalized once per result.  Values leave as
 exact rationals, int where integral and Fraction otherwise (`terms`,
 `leading_coeff`, `evaluate`); no floating point anywhere.  Values are
 immutable and safe to share; zero and one are shared per number of variables.
-ScalarField trusts its operands' chart, which cartan.check_fields checked
-where they entered; the Polynomial layer still raises DimensionMismatch.
+ScalarField operators check the chart only where an operand is zero; for
+two nonzero operands the Polynomial layer raises DimensionMismatch.
 
 poly_gcd, which keeps every ScalarField reduced, is one algorithm on packed
 polynomials: the heuristic gcd of Char, Geddes & Gonnet (1989), which
@@ -265,32 +265,27 @@ class Polynomial:
             raise DimensionMismatch(f"{self.nvars} vs {other.nvars} variables")
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        return self._merge(other, 1)
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self._merge(other, -1)
-
-    def _merge(self, other: "Polynomial", sign: int) -> "Polynomial":
-        """self + sign * other (sign 1 or -1) with no negated copy.  The dict
-        is seeded from self: a key both have keeps self's int, not other's."""
         self._check(other)
         if not self.packed:
-            return other if sign > 0 else -other
+            return other
         if not other.packed:
             return self
-        a, den, m = self.packed, self.den, sign
+        a, b, den = self.packed, other.packed, self.den
         if other.den != den:
             den = lcm(den, other.den)
             a = [(k, c * (den // self.den)) for k, c in a]
-            m *= den // other.den
+            b = [(k, c * (den // other.den)) for k, c in b]
         out = dict(a)
         get = out.get
-        for k, c in other.packed:
-            out[k] = get(k, 0) + c * m
+        for k, c in b:
+            out[k] = get(k, 0) + c
         return _collect(self.nvars, out, den)
 
     def __neg__(self) -> "Polynomial":
         return Polynomial._raw(self.nvars, tuple([(k, -c) for k, c in self.packed]), self.den)
+
+    def __sub__(self, other: "Polynomial") -> "Polynomial":
+        return self + (-other)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
@@ -676,23 +671,21 @@ class ScalarField:
     def is_const(self) -> bool:
         return self.num.is_const() and self.den.is_one()
 
+    def _check(self, other: "ScalarField"):
+        """The chart check of a zero operand, which reaches no Polynomial `_check`."""
+        if self.nvars != other.nvars:
+            raise DimensionMismatch(f"{self.nvars} vs {other.nvars} variables")
+
     def __add__(self, other: "ScalarField") -> "ScalarField":
-        return self._merge(other, 1)
-
-    def __sub__(self, other: "ScalarField") -> "ScalarField":
-        return self._merge(other, -1)
-
-    def _merge(self, other: "ScalarField", sign: int) -> "ScalarField":
-        """self + sign * other for sign 1 or -1; the numerators merge through
-        the Polynomial operators, which perfbench's spans count."""
-        if not self.num.packed:
-            return other if sign > 0 else -other
-        if not other.num.packed:
+        if self.is_zero():
+            self._check(other)
+            return other
+        if other.is_zero():
+            self._check(other)
             return self
         n1, d1, n2, d2 = self.num, self.den, other.num, other.den
-        merge = Polynomial.__add__ if sign > 0 else Polynomial.__sub__
         if d1 == d2:
-            num = merge(n1, n2)
+            num = n1 + n2
             if num.is_zero():
                 return ScalarField.zero(self.nvars)
             if d1.is_one():
@@ -704,12 +697,12 @@ class ScalarField:
         # Henrici: with reduced inputs only gcd(d1, d2) can cancel
         g0 = poly_gcd(d1, d2)
         if g0.is_one():
-            num = merge(n1 * d2, n2 * d1)
+            num = n1 * d2 + n2 * d1
             if num.is_zero():
                 return ScalarField.zero(self.nvars)
             return ScalarField._raw(num, d1 * d2)
         d2r = d2.divexact(g0)
-        t = merge(n1 * d2r, n2 * d1.divexact(g0))
+        t = n1 * d2r + n2 * d1.divexact(g0)
         if t.is_zero():
             return ScalarField.zero(self.nvars)
         g1 = poly_gcd(t, g0)
@@ -722,8 +715,12 @@ class ScalarField:
             return self
         return ScalarField._raw(-self.num, self.den)
 
+    def __sub__(self, other: "ScalarField") -> "ScalarField":
+        return self + (-other)
+
     def __mul__(self, other: "ScalarField") -> "ScalarField":
         if self.is_zero() or other.is_zero():
+            self._check(other)
             return ScalarField.zero(self.nvars)
         n1, d1, n2, d2 = self.num, self.den, other.num, other.den
         if d1.is_one() and d2.is_one():

@@ -204,6 +204,21 @@ class TestComponentValidation:
                 a - b
         assert type(x + x) is VectorField and type(dx - dx) is OneForm
 
+    @pytest.mark.parametrize("cls", [VectorField, OneForm])
+    def test_arithmetic_rejects_other_charts(self, cls):
+        # a zero component passes its partner through, so the chart is
+        # compared per section, not left to the ScalarField operators
+        for a, b in ((cls.zero(3), cls.basis(2, 0)), (cls.zero(2), cls.basis(3, 0)), (cls.basis(2, 1), cls.basis(3, 2))):
+            for x, y in ((a, b), (b, a)):
+                with pytest.raises(DimensionMismatch):
+                    x + y
+                with pytest.raises(DimensionMismatch):
+                    x - y
+        for f in (ScalarField.zero(3), ScalarField.one(3)):
+            for x in (cls.zero(2), cls.basis(2, 0)):
+                with pytest.raises(DimensionMismatch):
+                    x.smul(f)
+
 
 @st.composite
 def sparse_components(draw, n):

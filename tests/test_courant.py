@@ -178,3 +178,14 @@ def test_section_algebra_dimension_checks():
         GSection(VectorField.zero(2), OneForm.zero(3))
     with pytest.raises(DimensionMismatch):
         GSection.from_components((ScalarField.zero(1),) * 3)
+
+
+def test_section_sums_reject_other_charts():
+    # zero components pass their partners through, so a zero section over
+    # one chart must still refuse a section over another
+    for a, b in ((GSection.zero(3), basis_sections(2)[0]), (GSection.zero(2), basis_sections(3)[4])):
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(DimensionMismatch):
+                x + y
+            with pytest.raises(DimensionMismatch):
+                x - y

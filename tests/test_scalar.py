@@ -1,3 +1,4 @@
+import operator
 from fractions import Fraction
 from math import gcd
 
@@ -242,6 +243,15 @@ class TestPolynomialInternals:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             sf("x1", 1) + sf("x1", 2)
+
+    def test_dimension_mismatch_with_a_zero_operand(self):
+        # a zero operand reaches no Polynomial operation, so ScalarField
+        # compares the charts itself
+        for a, b in ((ScalarField.zero(2), sf("x1", 3)), (ScalarField.zero(2), ScalarField.zero(3))):
+            for x, y in ((a, b), (b, a)):
+                for op in (operator.add, operator.sub, operator.mul):
+                    with pytest.raises(DimensionMismatch):
+                        op(x, y)
 
     def test_substitute_one_variable(self):
         p = sf("x1^2*x2 - 3*x1 + x2^2", 2).num
@@ -604,9 +614,9 @@ class TestPackedArithmetic:
         assert sf("7/2").derivative(1) is ScalarField.zero(3)
 
 
-class TestDirectSubtraction:
-    """a - b subtracts in one merge instead of adding a negated copy; it must
-    equal a + (-b), over mixed denominators, and cancel to the shared zero."""
+class TestSubtraction:
+    """a - b equals a + (-b), over mixed denominators, and an exact
+    cancellation is the shared zero."""
 
     @given(pair=st.one_of(wide_pairs(), lopsided_pairs()))
     @settings(max_examples=100)
