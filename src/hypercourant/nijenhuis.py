@@ -226,16 +226,10 @@ def torsion_formula_residual(hk: HKTriple, variant: str, x: GSection, y: GSectio
 # ---------------------------------------------------------------------------
 
 
-def _inputs(
-    hk: HKTriple, seed: int, stream: str, trials: int, degree: int, scalar: bool, extra_pairs=()
-) -> list:
-    """The inputs of one suite, as (trial, tag, X, Y, f) tuples.
-
-    `trials` random inputs come first, drawn from the (seed, stream) stream
-    in the order X, Y, then f when `scalar` (f is None otherwise).  The named
-    (X, Y) pairs follow, untrialled, with the tag [sections:name] and f the
-    first coordinate function.
-    """
+def _inputs(hk: HKTriple, seed: int, stream: str, trials: int, degree: int, scalar: bool) -> list:
+    """The `trials` random inputs of one suite, as (trial, X, Y, f) tuples,
+    drawn from the (seed, stream) stream in the order X, Y, then f when
+    `scalar` (f is None otherwise)."""
     hk.require_certified()
     n = hk.n
     rng = suite_rng(seed, stream)
@@ -243,9 +237,7 @@ def _inputs(
     for t in range(trials):
         x = random_section(rng, n, degree)
         y = random_section(rng, n, degree)
-        out.append((t, "", x, y, random_scalar(rng, n, degree) if scalar else None))
-    x1 = ScalarField.coordinate(n, 0)
-    out += [(None, f"[sections:{name}]", x, y, x1) for name, x, y in extra_pairs]
+        out.append((t, x, y, random_scalar(rng, n, degree) if scalar else None))
     return out
 
 
@@ -255,25 +247,22 @@ def check_connection_laws(
     trials: int = 10,
     seed: int = 0,
     degree: int = 1,
-    extra_pairs: list | None = None,
 ) -> list:
-    """Exactly verify the two defining laws of the connection:
+    """Exactly verify the two defining laws of the connection on `trials`
+    random inputs (X, Y, f):
 
         nabla_{fX} Y = f nabla_X Y
         nabla_X (fY) = (rho(X)f) Y + f nabla_X Y - Delta_f(X,Y)
-
-    `extra_pairs` adds named deterministic (X, Y) inputs (the scalar used
-    with them is the first coordinate function).
     """
     stream = f"connection-laws-{variant}"
     out = []
-    for t, tag, x, y, fun in _inputs(hk, seed, stream, trials, degree, True, extra_pairs or ()):
+    for t, x, y, fun in _inputs(hk, seed, stream, trials, degree, True):
         f_nab = connection(hk, variant, x, y).smul(fun)
         r1 = connection(hk, variant, x.smul(fun), y) - f_nab
         r2 = connection(hk, variant, x, y.smul(fun)) - y.smul(anchor_apply(x, fun)) - f_nab
         r2 = r2 + delta(hk, fun, x, y)
-        out.append(check(f"connection-law-tensorial[{variant}]{tag}", r1, t))
-        out.append(check(f"connection-law-leibniz-delta[{variant}]{tag}", r2, t))
+        out.append(check(f"connection-law-tensorial[{variant}]", r1, t))
+        out.append(check(f"connection-law-leibniz-delta[{variant}]", r2, t))
     return out
 
 
@@ -282,7 +271,6 @@ def check_identities(
     trials: int = 10,
     seed: int = 0,
     degree: int = 1,
-    extra_pairs: list | None = None,
 ) -> list:
     """The unconditional identities of the primary connection, exactly:
 
@@ -291,10 +279,9 @@ def check_identities(
     certified almost hypercomplex structure, integrable or not.
     """
     half = ScalarField.const(hk.n, Fraction(1, 2))
-    inputs = _inputs(hk, seed, "identities", trials, degree, False, extra_pairs or ())
     i, j, k = hk.i, hk.j, hk.k
     out = []
-    for t, _, x, y, _ in inputs:
+    for t, x, y, _ in _inputs(hk, seed, "identities", trials, degree, False):
         with _sharing():
             nab_xy = connection(hk, "ijk", x, y)
             r = connection(hk, "ijk", x, _image(j, y)) - _image(j, nab_xy)
@@ -330,7 +317,7 @@ def check_delta_properties(
     """Delta_f compatibility with I, J, K and its symmetric part."""
     two = ScalarField.const(hk.n, 2)
     out = []
-    for t, _, x, y, fun in _inputs(hk, seed, "delta", trials, degree, True):
+    for t, x, y, fun in _inputs(hk, seed, "delta", trials, degree, True):
         with _sharing():
             base = delta(hk, fun, x, y)
             for name, endo in hk.members().items():
@@ -446,7 +433,7 @@ def theorem_report(
 
     connections_agree = torsion_ok = True
     parallel = {"I": True, "J": True, "K": True}
-    for _, _, x, y, _ in _inputs(hk, seed, "theorem", trials, degree, False):
+    for _, x, y, _ in _inputs(hk, seed, "theorem", trials, degree, False):
         with _sharing():
             base = connection(hk, "ijk", x, y)
             connections_agree = connections_agree and all(

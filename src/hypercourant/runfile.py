@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from . import __version__
 from .cartan import TwoForm
-from .courant import GSection, verify_axioms
+from .courant import verify_axioms
 from .endo import GEndo, HKTriple, lift_diagonal, lift_symplectic
 from .errors import DimensionMismatch, InconsistentEquivalence, SchemaError
 from .nijenhuis import (
@@ -45,19 +45,13 @@ MAX_DIMENSION = 8
 # verify-axioms defaults to 20, while the run time grows linearly with it.
 MAX_TRIALS = 100
 
-# Most named sections; k of them add k(k+1)/2 inputs to the identities and
-# to each connection-law variant, and 13 keep that within MAX_TRIALS.
-MAX_SECTIONS = 13
-
 
 @dataclass(frozen=True)
 class StructureFile:
     """A validated structure document."""
 
     dimension: int
-    coordinates: tuple
     triple: HKTriple
-    sections: dict
     checks: tuple
     trials: int
     degree: int
@@ -118,17 +112,16 @@ def _require(cond: bool, message: str):
         raise SchemaError(message)
 
 
-def _parse_entry(entry, coords, what: str):
-    _require(isinstance(entry, str), f"{what}: entries must be strings in the scalar grammar")
-    return parse_scalar(entry, coords)
-
-
 def _parse_matrix(rows, n: int, coords, what: str):
     if not isinstance(rows, list) or len(rows) != n or any(
         not isinstance(r, list) or len(r) != n for r in rows
     ):
         raise DimensionMismatch(f"{what} must be a {n}x{n} array")
-    return tuple(tuple(_parse_entry(entry, coords, what) for entry in row) for row in rows)
+    _require(
+        all(isinstance(entry, str) for row in rows for entry in row),
+        f"{what}: entries must be strings in the scalar grammar",
+    )
+    return tuple(tuple(parse_scalar(entry, coords) for entry in row) for row in rows)
 
 
 def _parse_endo(spec, n: int, coords, what: str) -> GEndo:
@@ -174,7 +167,7 @@ def parse_structure_text(text: str, digest: str | None = None) -> StructureFile:
     except RecursionError:
         raise SchemaError("not valid JSON: nested too deeply") from None
     _require(isinstance(doc, dict), "top level must be an object")
-    unknown = set(doc) - {"dimension", "coordinates", "structure", "sections", "checks", "options"}
+    unknown = set(doc) - {"dimension", "coordinates", "structure", "checks", "options"}
     _require(not unknown, f"unknown top-level keys {sorted(unknown)}")
 
     n = doc.get("dimension")
@@ -195,19 +188,6 @@ def parse_structure_text(text: str, digest: str | None = None) -> StructureFile:
     j_endo = _parse_endo(st["J"], n, coords, "J")
     k_endo = _parse_endo(st["K"], n, coords, "K") if "K" in st else None
     triple = HKTriple.certify(i_endo, j_endo, k_endo)
-
-    named = doc.get("sections") or {}
-    _require(isinstance(named, dict), "'sections' must be an object")
-    _require(len(named) <= MAX_SECTIONS, f"at most {MAX_SECTIONS} named sections are allowed")
-    sections = {}
-    for name, comps in named.items():
-        _require(
-            isinstance(comps, list) and len(comps) == 2 * n,
-            f"section {name!r} must have 2n = {2 * n} components",
-        )
-        sections[name] = GSection.from_components(
-            tuple(_parse_entry(c, coords, f"section {name!r}") for c in comps)
-        )
 
     checks = doc.get("checks", list(SUITES))
     _require(isinstance(checks, list), "'checks' must be a list of suite names")
@@ -231,9 +211,7 @@ def parse_structure_text(text: str, digest: str | None = None) -> StructureFile:
 
     return StructureFile(
         dimension=n,
-        coordinates=coords,
         triple=triple,
-        sections=sections,
         checks=checks,
         trials=options["trials"],
         degree=options["degree"],
@@ -272,12 +250,6 @@ def run(sf: StructureFile) -> RunReport:
     suites = []
     timings = {}
     certified = sf.triple.certified
-    names = sorted(sf.sections)
-    extra_pairs = [
-        (f"{a},{b}", sf.sections[a], sf.sections[b])
-        for ai, a in enumerate(names)
-        for b in names[ai:]
-    ]
 
     for suite in sf.checks:
         started = time.perf_counter()
@@ -295,16 +267,11 @@ def run(sf: StructureFile) -> RunReport:
             checks = []
             for variant in VARIANTS:
                 checks.extend(
-                    check_connection_laws(
-                        sf.triple, variant, sf.trials, sf.seed, degree=sf.degree,
-                        extra_pairs=extra_pairs,
-                    )
+                    check_connection_laws(sf.triple, variant, sf.trials, sf.seed, degree=sf.degree)
                 )
             suites.append(SuiteReport(suite, _suite_status(checks), checks))
         elif suite == "identities":
-            checks = check_identities(
-                sf.triple, sf.trials, sf.seed, degree=sf.degree, extra_pairs=extra_pairs
-            )
+            checks = check_identities(sf.triple, sf.trials, sf.seed, degree=sf.degree)
             checks += check_delta_properties(sf.triple, sf.trials, sf.seed, degree=sf.degree)
             suites.append(SuiteReport(suite, _suite_status(checks), checks))
         elif suite == "theorem":

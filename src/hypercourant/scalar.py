@@ -163,7 +163,7 @@ class Polynomial:
 
     __slots__ = ("nvars", "packed", "den", "_hash")
 
-    def __init__(self, nvars: int, terms: Mapping | Iterable = ()):
+    def __new__(cls, nvars: int, terms: Mapping | Iterable = ()):
         if nvars < 0:
             raise DimensionMismatch("nvars must be nonnegative")
         pairs = terms.items() if isinstance(terms, Mapping) else terms
@@ -183,11 +183,7 @@ class Polynomial:
             for e in mono:
                 k = (k << WIDTH) | e
             keyed[k] = c
-        p = _rational(nvars, [(k, keyed[k]) for k in sorted(keyed, reverse=True)])
-        self.nvars = nvars
-        self.packed = p.packed
-        self.den = p.den
-        self._hash = None
+        return _rational(nvars, [(k, keyed[k]) for k in sorted(keyed, reverse=True)])
 
     @classmethod
     def _raw(cls, nvars: int, packed: tuple, den: int = 1) -> "Polynomial":
@@ -378,14 +374,6 @@ class Polynomial:
         s, _ = _field(self.nvars, var)
         return max((k >> s) & _MASK for k, _ in self.packed)
 
-    def coeff_in(self, var: int, power: int) -> "Polynomial":
-        """Coefficient of x_var^power, as a polynomial with x_var removed
-        (exponent zeroed, same nvars)."""
-        s, unit = _field(self.nvars, var)
-        step = power * unit
-        out = tuple([(k - step, c) for k, c in self.packed if (k >> s) & _MASK == power])
-        return _canon(self.nvars, out, self.den)
-
     def divexact(self, d: "Polynomial") -> "Polynomial":
         """Exact division; raises ArithmeticError if d does not divide self."""
         self._check(d)
@@ -458,6 +446,10 @@ class Polynomial:
             h = hash((self.nvars, self.packed, self.den))
             self._hash = h
         return h
+
+    def __reduce__(self):
+        # copies and pickles go through the constructor, which needs nvars
+        return Polynomial, (self.nvars, self.terms)
 
     def __repr__(self) -> str:
         return f"Polynomial({polynomial_text(self)!r})"
@@ -650,7 +642,7 @@ class ScalarField:
 
     @classmethod
     def const(cls, nvars: int, value: Coeff) -> "ScalarField":
-        return cls._raw(Polynomial.const(nvars, value), Polynomial.one(nvars))
+        return cls.from_polynomial(Polynomial.const(nvars, value))
 
     @classmethod
     def coordinate(cls, nvars: int, index: int) -> "ScalarField":
@@ -659,6 +651,10 @@ class ScalarField:
 
     @classmethod
     def from_polynomial(cls, p: Polynomial) -> "ScalarField":
+        if p.is_zero():
+            return cls.zero(p.nvars)
+        if p.is_one():
+            return cls.one(p.nvars)
         return cls._raw(p, Polynomial.one(p.nvars))
 
     @property

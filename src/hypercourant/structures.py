@@ -120,10 +120,6 @@ def structure_file(name: str) -> dict:
                 "I": {"lift": "diagonal", "j": _matrix_strings(const_matrix(QUAT_I))},
                 "J": {"lift": "diagonal", "j": _matrix_strings(const_matrix(QUAT_J))},
             },
-            "sections": {
-                "frame1": ["1", "0", "0", "0", "0", "0", "0", "0"],
-                "mixed": ["x2", "0", "0", "1", "0", "x1", "0", "0"],
-            },
             "checks": list(_DEFAULT_CHECKS),
             "options": {"trials": 10, "degree": 2, "seed": 11},
         }

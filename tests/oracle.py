@@ -193,10 +193,3 @@ def tuple_derivative(self: Polynomial, var: int) -> tuple:
             dm = m[:var] + (e - 1,) + m[var + 1:]
             out[dm] = _cnorm(out.get(dm, 0) + c * e)
     return grlex_terms(out)
-
-
-def tuple_coeff_in(self: Polynomial, var: int, power: int) -> tuple:
-    """Terms of the coefficient of x_var^power on exponent tuples, with the
-    exponent of x_var zeroed, sorted by the grlex key."""
-    out = {m[:var] + (0,) + m[var + 1:]: c for m, c in self.terms if m[var] == power}
-    return grlex_terms(out)

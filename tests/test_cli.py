@@ -5,7 +5,7 @@ import pytest
 
 from hypercourant.cli import main
 from hypercourant.parse import MAX_EXPONENT
-from hypercourant.runfile import MAX_DEGREE, MAX_DIMENSION, MAX_SECTIONS, MAX_TRIALS
+from hypercourant.runfile import MAX_DEGREE, MAX_DIMENSION, MAX_TRIALS
 from hypercourant.scalar import MAX_TOTAL_DEGREE, scalar_text
 from hypercourant.structures import structure_file
 
@@ -133,15 +133,28 @@ class TestVerifyAxioms:
         assert run_cli(capsys, *args, "0")[0] == 0
 
 
-def example_doc(tmp_path, checks=None, sections=None, **options) -> str:
+def example_doc(tmp_path, checks=None, **options) -> str:
     """The nonintegrable example with some fields overridden, as a file."""
     doc = structure_file("nonintegrable")
     if checks is not None:
         doc["checks"] = checks
-    if sections is not None:
-        doc["sections"] = sections
     doc["options"].update(options)
     path = tmp_path / "example.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def entry_doc(tmp_path, entry: str) -> str:
+    """A 1-dimensional document with `entry` at I.A[0][0], as a file."""
+    doc = {
+        "dimension": 1,
+        "structure": {
+            "I": {"A": [[entry]], "B": [["1"]], "C": [["-1"]], "D": [["0"]]},
+            "J": {"A": [["0"]], "B": [["1"]], "C": [["-1"]], "D": [["0"]]},
+        },
+        "checks": ["certification"],
+    }
+    path = tmp_path / "entry.json"
     path.write_text(json.dumps(doc))
     return str(path)
 
@@ -203,18 +216,8 @@ class TestCheck:
         assert code == 2
 
     def test_deeply_nested_entry_exits_two(self, capsys, tmp_path):
-        doc = {
-            "dimension": 1,
-            "structure": {
-                "I": {"A": [["0"]], "B": [["1"]], "C": [["-1"]], "D": [["0"]]},
-                "J": {"A": [["0"]], "B": [["1"]], "C": [["-1"]], "D": [["0"]]},
-            },
-            "sections": {"deep": ["(" * 3000 + "1" + ")" * 3000, "0"]},
-            "checks": ["certification"],
-        }
-        path = tmp_path / "deep.json"
-        path.write_text(json.dumps(doc))
-        code, out, err = run_cli(capsys, "check", str(path))
+        path = entry_doc(tmp_path, "(" * 3000 + "1" + ")" * 3000)
+        code, out, err = run_cli(capsys, "check", path)
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and "nested" in err
@@ -226,18 +229,7 @@ class TestCheck:
     )
     def test_non_ascii_digit_or_space_exits_two(self, capsys, tmp_path, entry):
         # Unicode digits and spaces are not in the grammar: a ScalarSyntaxError
-        doc = {
-            "dimension": 1,
-            "structure": {
-                "I": {"A": [["0"]], "B": [["1"]], "C": [["-1"]], "D": [["0"]]},
-                "J": {"A": [["0"]], "B": [["1"]], "C": [["-1"]], "D": [["0"]]},
-            },
-            "sections": {"s": [entry, "0"]},
-            "checks": ["certification"],
-        }
-        path = tmp_path / "unicode.json"
-        path.write_text(json.dumps(doc))
-        code, out, err = run_cli(capsys, "check", str(path))
+        code, out, err = run_cli(capsys, "check", entry_doc(tmp_path, entry))
         assert code == 2
         assert out == ""
         assert err.startswith("error: unexpected character") and "(at position" in err
@@ -271,21 +263,15 @@ class TestCheck:
         assert (code, out) == (2, "")
         assert err.startswith("error:") and f"at most {MAX_TRIALS}" in err
 
-    def test_named_sections_bound(self, capsys, tmp_path):
-        # k named sections add k(k+1)/2 inputs to each of four suites
-        assert MAX_SECTIONS * (MAX_SECTIONS + 1) // 2 <= MAX_TRIALS
-
-        def sections(k):
-            return {f"s{i}": [f"x{i % 4 + 1}"] + ["0"] * 7 for i in range(k)}
-
-        doc = example_doc(tmp_path, checks=["certification"], sections=sections(MAX_SECTIONS))
-        code, _, _ = run_cli(capsys, "check", doc)
-        assert code == 0
-        doc = example_doc(tmp_path, checks=["certification"], sections=sections(MAX_SECTIONS + 1))
-        code, out, err = run_cli(capsys, "check", doc)
+    def test_sections_key_exits_two(self, capsys, tmp_path):
+        # named sections are not part of the schema
+        doc = structure_file("nonintegrable")
+        doc["sections"] = {"s": ["x1"] + ["0"] * 7}
+        path = tmp_path / "sections.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "check", str(path))
         assert (code, out) == (2, "")
-        assert err.startswith("error:") and f"at most {MAX_SECTIONS} named sections" in err
-        assert "Traceback" not in err
+        assert err == "error: unknown top-level keys ['sections']\n"
 
     def test_unprintable_coefficient_exits_two(self, capsys, tmp_path):
         # a 4,000-digit entry parses, but J^2 + 1 has 8,000 digits, past the
@@ -326,10 +312,7 @@ class TestCheck:
         assert err == f"error: 'dimension' must be at most {MAX_DIMENSION}\n"
 
     def test_huge_integer_literal_exits_two(self, capsys, tmp_path):
-        path = example_doc(
-            tmp_path, checks=["certification"], sections={"big": ["1" * 5000] + ["0"] * 7}
-        )
-        code, out, err = run_cli(capsys, "check", path)
+        code, out, err = run_cli(capsys, "check", entry_doc(tmp_path, "1" * 5000))
         assert (code, out) == (2, "")
         assert err.startswith("error:") and "5000 digits" in err
 
@@ -366,27 +349,19 @@ class TestCheck:
         assert err.startswith("error:") and "unknown option 'span_degree'" in err
 
     def test_large_exponent_entry_exits_two(self, capsys, tmp_path):
-        path = example_doc(
-            tmp_path, checks=["certification"], sections={"big": ["(1+x1+x2)^200"] + ["0"] * 7}
-        )
-        code, out, err = run_cli(capsys, "check", path)
+        code, out, err = run_cli(capsys, "check", entry_doc(tmp_path, "(1+x1)^200"))
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and f"power larger than {MAX_EXPONENT}" in err
 
-    @pytest.mark.parametrize("factors, code", [(2048, 2), (2047, 0)])
-    def test_total_degree_bound(self, capsys, tmp_path, factors, code):
+    def test_total_degree_bound(self, capsys, tmp_path):
         # each factor is within the exponent bound; the product's total
         # degree, 32 per factor, crosses MAX_TOTAL_DEGREE at 2048 factors
-        entry = "*".join([f"x1^{MAX_EXPONENT}"] * factors)
-        path = example_doc(tmp_path, checks=["certification"], sections={"big": [entry] + ["0"] * 7})
-        got, out, err = run_cli(capsys, "check", path)
-        assert got == code
-        if code:
-            assert out == ""
-            assert err.startswith("error:") and f"degree above {MAX_TOTAL_DEGREE}" in err
-        else:
-            assert err == ""
+        # (test_parse checks that 2047 factors parse)
+        entry = "*".join([f"x1^{MAX_EXPONENT}"] * 2048)
+        code, out, err = run_cli(capsys, "check", entry_doc(tmp_path, entry))
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and f"degree above {MAX_TOTAL_DEGREE}" in err
 
     @pytest.mark.parametrize("command", ["check", "verify-axioms"])
     def test_parallel_flag_is_gone(self, capsys, tmp_path, command):

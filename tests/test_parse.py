@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from hypercourant.errors import DivisionByZero, EngineError, ScalarSyntaxError, UnknownVariable
 from hypercourant.parse import MAX_DEPTH, MAX_EXPONENT, parse_scalar
-from hypercourant.scalar import ScalarField, scalar_text
+from hypercourant.scalar import MAX_TOTAL_DEGREE, ScalarField, scalar_text
 
 
 def test_polynomial_with_rational_coefficient():
@@ -130,6 +130,17 @@ def test_powers_are_bounded():
     assert exc.value.position == 11
     with pytest.raises(ScalarSyntaxError):
         parse_scalar("(2^33)^1", 2)
+
+
+def test_total_degree_bound_is_inclusive():
+    # each factor is within the exponent bound; the product's total degree,
+    # 32 per factor, reaches MAX_TOTAL_DEGREE = 65535 between 2047 and 2048
+    def product(factors):
+        return "*".join([f"x1^{MAX_EXPONENT}"] * factors)
+
+    assert parse_scalar(product(2047), 1) == ScalarField.coordinate(1, 0) ** (32 * 2047)
+    with pytest.raises(EngineError, match=f"degree above {MAX_TOTAL_DEGREE}"):
+        parse_scalar(product(2048), 1)
 
 
 def test_integer_literals_past_the_digit_limit_are_refused():

@@ -131,11 +131,6 @@ class TestParsing:
         with pytest.raises(SchemaError):
             parse_structure_text(json.dumps(small_doc(coordinates=["u", "v"])))
 
-    def test_sections_validated(self):
-        doc = small_doc(sections={"s": ["1", "0", "0"]})
-        with pytest.raises(SchemaError):
-            parse_structure_text(json.dumps(doc))
-
     def test_unknown_option_rejected(self):
         with pytest.raises(SchemaError):
             parse_structure_text(json.dumps(small_doc(options={"tolerance": 3})))
@@ -190,18 +185,6 @@ class TestRun:
         assert report.verdict == "fail"
         assert exit_code(report) == 1
 
-    def test_named_sections_feed_extra_trials(self):
-        doc = small_doc(checks=["identities"])
-        doc["sections"] = {
-            "a": ["1", "0", "0", "0", "0", "0", "0", "0"],
-            "b": ["0", "x1", "0", "0", "0", "0", "x2", "0"],
-        }
-        sf = parse_structure_text(json.dumps(doc))
-        report = run(sf)
-        checks = report.suites[0].checks
-        extras = [c for c in checks if c.trial is None]
-        assert extras and all(c.passed for c in extras)
-
     def test_builtin_symplectic_file_certifies_through_run(self):
         doc = structure_file("holomorphic-symplectic")
         doc["checks"] = ["certification"]
@@ -234,7 +217,9 @@ class TestEmit:
     @pytest.mark.parametrize("name", EXAMPLE_NAMES)
     def test_json_matches_recorded_report(self, name):
         # the whole report of each built-in example at trials 2, seed 101,
-        # recorded before the sum-of-products kernel and the shared brackets
+        # recorded before the sum-of-products kernel and the shared brackets;
+        # flat-quaternionic re-recorded without its named sections (its 30
+        # untrialled checks dropped, every other byte as before)
         golden = json.loads(Path(__file__).with_name("check_golden.json").read_text())
         doc = structure_file(name)
         doc["options"].update(trials=2, seed=101)
