@@ -1,9 +1,11 @@
 """Coordinate Cartan calculus on R^n, degrees 0 through 2.
 
-Vector fields and 1-forms are component tuples over the chart; 2-forms are
-full antisymmetric component matrices (uniform indexing beats the storage
-saving of a triangle at this scale).  The degree ladder stops at 2-forms:
-d of a 2-form is deliberately not provided.
+Vector fields and 1-forms are component tuples over the chart, and so is a
+section of TM (+) T*M (courant.GSection: 2n components, vector part first).
+One class, _Components, holds the sums, negation, scaling and zero test of
+all three.  2-forms are full antisymmetric component matrices (uniform
+indexing beats the storage saving of a triangle at this scale).  The degree
+ladder stops at 2-forms: d of a 2-form is deliberately not provided.
 
 Each component of a bracket, Lie derivative, interior product or form-vector
 pairing is one call to scalar.sum_of_products, which fuses the n or 2n
@@ -49,10 +51,12 @@ def check_matrix(m, n: int) -> tuple:
 
 @dataclass(frozen=True)
 class _Components:
-    """n scalar components over an n-dimensional chart; the subclass says
-    whether they are a vector field's or a 1-form's."""
+    """_blocks * n scalar components over an n-dimensional chart; the
+    subclass says whether they are a vector field's, a 1-form's or, with two
+    blocks, a section's of TM (+) T*M."""
 
     components: tuple
+    _blocks = 1
 
     def __post_init__(self):
         comps = tuple(self.components)
@@ -66,20 +70,22 @@ class _Components:
 
     @property
     def dim(self) -> int:
-        return len(self.components)
+        return len(self.components) // self._blocks
 
     @classmethod
     def zero(cls, n: int):
-        return cls._of((ScalarField.zero(n),) * n)
+        return cls._of((ScalarField.zero(n),) * (cls._blocks * n))
 
     @classmethod
     def basis(cls, n: int, i: int):
-        """d/dx_{i+1} or dx_{i+1} (0-based index)."""
-        if not 0 <= i < n:
-            raise IndexOutOfRange(f"basis index {i} not in 0..{n - 1}")
+        """The frame element with component i equal to 1 (0-based index):
+        d/dx_{i+1}, dx_{i+1}, or for a section the frame section e_i."""
+        width = cls._blocks * n
+        if not 0 <= i < width:
+            raise IndexOutOfRange(f"basis index {i} not in 0..{width - 1}")
         z = ScalarField.zero(n)
         one = ScalarField.one(n)
-        return cls._of(tuple(one if k == i else z for k in range(n)))
+        return cls._of(tuple(one if k == i else z for k in range(width)))
 
     def is_zero(self) -> bool:
         return all(f.is_zero() for f in self.components)

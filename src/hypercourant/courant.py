@@ -1,7 +1,9 @@
 """The standard Courant algebroid on TM (+) T*M over a coordinate chart.
 
-Sections are pairs (vector field, 1-form).  The anchor projects onto the
-vector part, the pairing is <X+xi, Y+eta> = (xi(Y) + eta(X))/2, and the
+A section X + xi is its 2n components over the chart, vector part first, and
+its sums, negation and scaling are those of the cartan module's component
+tuples; vec and form are views of the two halves.  The anchor projects onto
+the vector part, the pairing is <X+xi, Y+eta> = (xi(Y) + eta(X))/2, and the
 Dorfman bracket is
 
     [[X+xi, Y+eta]] = [X, Y] + (L_X eta - i_Y d xi).
@@ -12,23 +14,23 @@ plus the Dorfman = Courant + D<,> decomposition on seeded random sections,
 reducing every residual to an exact zero.
 
 GSection(vec, form) and from_components validate; every section the engine
-builds goes through the unchecked GSection._of (see the cartan module).
+builds is one tuple of 2n components passed to the unchecked GSection._of
+(see the cartan module).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 
 from .cartan import (
     OneForm,
     VectorField,
+    _Components,
     exterior_derivative,
     interior_product,
     lie_bracket,
     lie_derivative,
-    pair_form_vector,
 )
 from .errors import DimensionMismatch
 from .report import check
@@ -36,39 +38,32 @@ from .sampling import random_scalar, suite_rng
 from .scalar import ScalarField, sum_of_products
 
 
-@dataclass(frozen=True)
-class GSection:
-    """A section X + xi of the generalized tangent bundle."""
+class GSection(_Components):
+    """A section X + xi of the generalized tangent bundle: its 2n components,
+    the vector part X first."""
 
-    vec: VectorField
-    form: OneForm
+    _blocks = 2
 
-    def __post_init__(self):
-        if self.vec.dim != self.form.dim:
+    def __init__(self, vec: VectorField, form: OneForm):
+        if vec.dim != form.dim:
             raise DimensionMismatch("vector and form parts live on different charts")
-
-    @classmethod
-    def _of(cls, vec: VectorField, form: OneForm) -> "GSection":
-        out = object.__new__(cls)
-        object.__setattr__(out, "vec", vec)
-        object.__setattr__(out, "form", form)
-        return out
+        object.__setattr__(self, "components", vec.components + form.components)
 
     def __hash__(self) -> int:
         # taken once: a section is a memo key of the sharing scope
         h = self.__dict__.get("_hash")
         if h is None:
-            h = hash((self.vec, self.form))
+            h = hash(self.components)
             object.__setattr__(self, "_hash", h)
         return h
 
     @property
-    def dim(self) -> int:
-        return self.vec.dim
+    def vec(self) -> VectorField:
+        return VectorField._of(self.components[: self.dim])
 
-    @classmethod
-    def zero(cls, n: int) -> "GSection":
-        return cls._of(VectorField.zero(n), OneForm.zero(n))
+    @property
+    def form(self) -> OneForm:
+        return OneForm._of(self.components[self.dim :])
 
     @classmethod
     def from_components(cls, components) -> "GSection":
@@ -79,34 +74,13 @@ class GSection:
         n = len(components) // 2
         return cls(VectorField(components[:n]), OneForm(components[n:]))
 
-    @property
-    def components(self) -> tuple:
-        return self.vec.components + self.form.components
-
-    def is_zero(self) -> bool:
-        return self.vec.is_zero() and self.form.is_zero()
-
-    def __add__(self, other: "GSection") -> "GSection":
-        return GSection._of(self.vec + other.vec, self.form + other.form)
-
-    def __sub__(self, other: "GSection") -> "GSection":
-        return GSection._of(self.vec - other.vec, self.form - other.form)
-
-    def __neg__(self) -> "GSection":
-        return GSection._of(-self.vec, -self.form)
-
-    def smul(self, f: ScalarField) -> "GSection":
-        return GSection._of(self.vec.smul(f), self.form.smul(f))
-
     def half(self) -> "GSection":
         return self.smul(ScalarField.const(self.dim, Fraction(1, 2)))
 
 
 def basis_sections(n: int) -> tuple:
     """The 2n frame sections: d/dx_1 .. d/dx_n, then dx_1 .. dx_n."""
-    out = [GSection._of(VectorField.basis(n, i), OneForm.zero(n)) for i in range(n)]
-    out += [GSection._of(VectorField.zero(n), OneForm.basis(n, i)) for i in range(n)]
-    return tuple(out)
+    return tuple(GSection.basis(n, a) for a in range(2 * n))
 
 
 def anchor(s: GSection) -> VectorField:
@@ -120,32 +94,37 @@ def anchor_apply(s: GSection, f: ScalarField) -> ScalarField:
     if f.nvars != n:
         raise DimensionMismatch("scalar lives on a different chart")
     return sum_of_products(
-        n, [(xi, f.derivative(i)) for i, xi in enumerate(s.vec.components) if not xi.is_zero()]
+        n, [(xi, f.derivative(i)) for i, xi in enumerate(s.components[:n]) if not xi.is_zero()]
     )
 
 
 def pairing(s: GSection, t: GSection) -> ScalarField:
-    """<s, t> = (s.form(t.vec) + t.form(s.vec)) / 2."""
-    half = ScalarField.const(s.dim, Fraction(1, 2))
-    return (pair_form_vector(s.form, t.vec) + pair_form_vector(t.form, s.vec)) * half
+    """<X+xi, Y+eta> = (xi(Y) + eta(X)) / 2: the 2n products of a component
+    of s with the partner component of t, summed and halved."""
+    n = s.dim
+    u = t.components
+    half = ScalarField.const(n, Fraction(1, 2))
+    return sum_of_products(n, zip(s.components, u[n:] + u[:n])) * half
 
 
 def d_map(f: ScalarField) -> GSection:
     """D f = (0, df), characterized by <Df, s> = rho(s) f / 2."""
-    return GSection._of(VectorField.zero(f.nvars), exterior_derivative(f))
+    n = f.nvars
+    return GSection._of((ScalarField.zero(n),) * n + exterior_derivative(f).components)
 
 
 def dorfman(s: GSection, t: GSection) -> GSection:
     """[[s, t]] = [X, Y] + (L_X eta - i_Y d xi)."""
-    vec = lie_bracket(s.vec, t.vec)
-    form = lie_derivative(s.vec, t.form) - interior_product(t.vec, exterior_derivative(s.form))
-    return GSection._of(vec, form)
+    x, y = s.vec, t.vec
+    form = lie_derivative(x, t.form) - interior_product(y, exterior_derivative(s.form))
+    return GSection._of(lie_bracket(x, y).components + form.components)
 
 
 def _corrupted_dorfman(s: GSection, t: GSection) -> GSection:
     # test-only mutant: the sign of the i_Y d xi term is flipped
+    n = s.dim
     flip = interior_product(t.vec, exterior_derivative(s.form))
-    return dorfman(s, t) + GSection._of(VectorField.zero(s.dim), flip + flip)
+    return dorfman(s, t) + GSection._of((ScalarField.zero(n),) * n + (flip + flip).components)
 
 
 def courant_bracket(s: GSection, t: GSection) -> GSection:

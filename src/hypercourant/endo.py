@@ -19,14 +19,15 @@ quaternionic relations I^2 = J^2 = K^2 = IJK = -1 as exact matrix
 identities.
 
 The GEndo constructor and the lifts validate their blocks (cartan.check_matrix);
-products, sums and images go through the unchecked GEndo._of and GSection._of.
+products and sums go through the unchecked GEndo._of, and an image or a
+column is its tuple of 2n components passed to the unchecked GSection._of.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cartan import OneForm, TwoForm, VectorField, check_matrix
+from .cartan import TwoForm, check_matrix
 from .courant import GSection, basis_sections, pairing
 from .errors import (
     DimensionMismatch,
@@ -119,11 +120,11 @@ class GEndo:
         if s.dim != self.n:
             raise DimensionMismatch("section and endomorphism chart dimensions differ")
         n, v = self.n, s.components
-        return _section(n, tuple(sum_of_products(n, zip(row, v)) for row in self.matrix))
+        return GSection._of(tuple(sum_of_products(n, zip(row, v)) for row in self.matrix))
 
     def columns(self) -> tuple:
         """The images of the 2n frame sections: F e_a is column a."""
-        return tuple(_section(self.n, col) for col in zip(*self.matrix))
+        return tuple(map(GSection._of, zip(*self.matrix)))
 
     def compose(self, other: "GEndo") -> "GEndo":
         """self after other."""
@@ -160,10 +161,6 @@ class GEndo:
             "C": tuple(row[:n] for row in bottom),
             "D": tuple(row[n:] for row in bottom),
         }
-
-
-def _section(n: int, components: tuple) -> GSection:
-    return GSection._of(VectorField._of(components[:n]), OneForm._of(components[n:]))
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +203,7 @@ def is_orthogonal(endo: GEndo) -> CheckReport:
     """Check <F e_a, F e_b> = <e_a, e_b> on all frame pairs, exactly."""
     n = endo.n
     basis = basis_sections(n)
-    images = [endo.apply(e) for e in basis]
+    images = endo.columns()
     for a in range(2 * n):
         for b in range(a, 2 * n):
             residual = pairing(images[a], images[b]) - pairing(basis[a], basis[b])

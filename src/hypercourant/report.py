@@ -102,28 +102,23 @@ def nonzero_witness(label: str, f: ScalarField) -> Witness:
 
 def _residual_components(residual):
     """Yield (label, ScalarField) pairs for any supported residual shape."""
-    from .cartan import OneForm, VectorField  # local import avoids a cycle
+    from .cartan import OneForm, VectorField  # local imports avoid a cycle
+    from .courant import GSection
 
     if isinstance(residual, ScalarField):
         yield "scalar", residual
         return
-    if isinstance(residual, VectorField):
-        for i, f in enumerate(residual.components):
-            yield f"vec[{i}]", f
-        return
-    if isinstance(residual, OneForm):
-        for i, f in enumerate(residual.components):
-            yield f"form[{i}]", f
-        return
-    vec = getattr(residual, "vec", None)
-    form = getattr(residual, "form", None)
-    if vec is not None and form is not None:
-        for i, f in enumerate(vec.components):
-            yield f"vec[{i}]", f
-        for i, f in enumerate(form.components):
-            yield f"form[{i}]", f
-        return
-    raise TypeError(f"unsupported residual type {type(residual).__name__}")
+    if isinstance(residual, GSection):
+        parts = ("vec", "form")
+    elif isinstance(residual, VectorField):
+        parts = ("vec",)
+    elif isinstance(residual, OneForm):
+        parts = ("form",)
+    else:
+        raise TypeError(f"unsupported residual type {type(residual).__name__}")
+    n = residual.dim
+    for k, f in enumerate(residual.components):
+        yield f"{parts[k // n]}[{k % n}]", f
 
 
 def witness_for(residual, context: str = "") -> Witness | None:

@@ -766,6 +766,8 @@ class ScalarField:
             d = self.num.derivative(var)
             return ScalarField._raw(d, self.den) if not d.is_zero() else ScalarField.zero(self.nvars)
         num = self.num.derivative(var) * self.den - self.num * self.den.derivative(var)
+        if num.is_zero():
+            return ScalarField.zero(self.nvars)
         return ScalarField(num, self.den * self.den)
 
     def evaluate(self, point: Sequence[Coeff]) -> Fraction:

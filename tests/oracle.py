@@ -12,6 +12,11 @@ term by term, with the frame pairings <e_a, e_b> hardcoded.  Agreement of
 the two routes on random sections is the main correctness evidence for the
 bracket implementation.
 
+A section is stored as one tuple of its 2n components; its arithmetic and
+its pairing are checked against the formulas on the two halves, the vector
+field X and the 1-form xi, with the pairing (xi(Y) + eta(X))/2 taken through
+pair_form_vector.
+
 The witness search is checked against the plain lexicographic walk over the
 candidate grid, which evaluates the field at every point in turn.
 
@@ -30,7 +35,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 
-from hypercourant.cartan import VectorField, exterior_derivative
+from hypercourant.cartan import VectorField, exterior_derivative, pair_form_vector
 from hypercourant.courant import GSection, basis_sections
 from hypercourant.errors import PoleAtPoint
 from hypercourant.nijenhuis import CONCOMITANT_KEYS, ConcomitantStatus, concomitant
@@ -78,6 +83,28 @@ def leibniz_dorfman(x: GSection, y: GSection) -> GSection:
             if pair:
                 out = out + dfa.smul(gb.scale(2 * pair))
     return out
+
+
+def halves_add(x: GSection, y: GSection) -> GSection:
+    return GSection(x.vec + y.vec, x.form + y.form)
+
+
+def halves_sub(x: GSection, y: GSection) -> GSection:
+    return GSection(x.vec - y.vec, x.form - y.form)
+
+
+def halves_neg(x: GSection) -> GSection:
+    return GSection(-x.vec, -x.form)
+
+
+def halves_smul(x: GSection, f: ScalarField) -> GSection:
+    return GSection(x.vec.smul(f), x.form.smul(f))
+
+
+def halves_pairing(s: GSection, t: GSection) -> ScalarField:
+    """<X+xi, Y+eta> = (xi(Y) + eta(X)) / 2."""
+    half = ScalarField.const(s.dim, Fraction(1, 2))
+    return (pair_form_vector(s.form, t.vec) + pair_form_vector(t.form, s.vec)) * half
 
 
 def oracle_concomitant(f, g, x: GSection, y: GSection) -> GSection:

@@ -1,6 +1,9 @@
 from fractions import Fraction
+from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypercourant.cartan import OneForm, VectorField
 from hypercourant.courant import (
@@ -16,12 +19,19 @@ from hypercourant.courant import (
     random_section,
     verify_axioms,
 )
-from hypercourant.errors import DimensionMismatch
+from hypercourant.errors import DimensionMismatch, IndexOutOfRange
 from hypercourant.parse import parse_scalar
 from hypercourant.sampling import random_scalar, suite_rng
 from hypercourant.scalar import ScalarField
 
-from oracle import leibniz_dorfman
+from oracle import (
+    halves_add,
+    halves_neg,
+    halves_pairing,
+    halves_smul,
+    halves_sub,
+    leibniz_dorfman,
+)
 
 
 def gs(n, *texts):
@@ -189,3 +199,47 @@ def test_section_sums_reject_other_charts():
                 x + y
             with pytest.raises(DimensionMismatch):
                 x - y
+
+
+@st.composite
+def sections(draw, n):
+    """A random section of degree <= 2, or a frame section e_a."""
+    if draw(st.booleans()):
+        return basis_sections(n)[draw(st.integers(0, 2 * n - 1))]
+    return random_section(Random(draw(st.integers(0, 2**32))), n, draw(st.integers(0, 2)))
+
+
+class TestSectionRepresentation:
+    """A section is one tuple of its 2n components; its arithmetic and its
+    pairing equal the formulas on the vector and form halves."""
+
+    @given(data=st.data())
+    @settings(max_examples=100)
+    def test_operations_match_the_halves(self, data):
+        n = data.draw(st.integers(1, 3))
+        x, y = data.draw(sections(n)), data.draw(sections(n))
+        f = random_scalar(Random(data.draw(st.integers(0, 2**32))), n, data.draw(st.integers(0, 2)))
+        cases = [
+            (x + y, halves_add(x, y)),
+            (x - y, halves_sub(x, y)),
+            (-x, halves_neg(x)),
+            (x.smul(f), halves_smul(x, f)),
+        ]
+        for got, expected in cases:
+            assert type(got) is GSection and len(got.components) == 2 * n
+            assert got == expected and hash(got) == hash(expected)
+        assert pairing(x, y) == halves_pairing(x, y) == pairing(y, x)
+        assert x.vec.components + x.form.components == x.components
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_sections_hold_2n_components(self, n):
+        assert len(GSection.zero(n).components) == 2 * n
+        assert GSection.zero(n) == GSection(VectorField.zero(n), OneForm.zero(n))
+        frame = basis_sections(n)
+        assert len(frame) == 2 * n
+        for a, e in enumerate(frame):
+            assert len(e.components) == 2 * n and e.dim == n
+            assert e == GSection.from_components(ScalarField.const(n, int(k == a)) for k in range(2 * n))
+        for index in (-1, 2 * n):
+            with pytest.raises(IndexOutOfRange):
+                GSection.basis(n, index)

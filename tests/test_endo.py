@@ -22,7 +22,7 @@ from hypercourant.errors import (
     UncertifiedStructure,
 )
 from hypercourant.parse import parse_scalar
-from hypercourant.sampling import suite_rng
+from hypercourant.sampling import random_scalar, suite_rng
 from hypercourant.scalar import ScalarField
 from hypercourant.structures import OMEGA_2, QUAT_I, QUAT_J, QUAT_K, const_matrix
 
@@ -67,6 +67,16 @@ class TestApply:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             GEndo.identity(2).apply(gs(1, "1", "0"))
+
+    def test_frame_images_are_columns(self, all_triples):
+        rng = suite_rng(5, "columns")
+        blocks = [[[random_scalar(rng, 2, 2) for _ in range(2)] for _ in range(2)] for _ in range(4)]
+        endos = [GEndo(*blocks)] + [f for hk in all_triples.values() for f in hk.members().values()]
+        for f in endos:
+            columns = f.columns()
+            assert len(columns) == 2 * f.n
+            for e, column in zip(basis_sections(f.n), columns, strict=True):
+                assert f.apply(e) == column
 
     def test_built_in_triples_make_no_kernel_call(self, all_triples, monkeypatch):
         # every row of I, J and K has one nonzero entry, and a frame section

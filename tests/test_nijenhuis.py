@@ -429,18 +429,18 @@ class TestTheoremReport:
         rng = suite_rng(7, "entry-check")
         x, y = (random_section(rng, flat.n, 1) for _ in range(2))
         calls = []
-        post_init = GSection.__post_init__
+        init = GSection.__init__
 
         def counted(entries, n):
             calls.append("entries")
             return check_fields(entries, n)
 
-        def counted_section(section):
+        def counted_section(section, vec, form):
             calls.append("section")
-            post_init(section)
+            init(section, vec, form)
 
         monkeypatch.setattr(hypercourant.cartan, "check_fields", counted)
-        monkeypatch.setattr(GSection, "__post_init__", counted_section)
+        monkeypatch.setattr(GSection, "__init__", counted_section)
         dorfman(x, y)
         flat.i.apply(x)
         connection(flat, "ijk", x, y)

@@ -613,6 +613,7 @@ class TestPackedArithmetic:
         assert ScalarField.zero(3) is ScalarField.zero(3)
         assert ScalarField.one(3) is ScalarField.one(3)
         assert sf("7/2").derivative(1) is ScalarField.zero(3)
+        assert sf("1/(1+x1^2)").derivative(1) is ScalarField.zero(3)
         # every constructor returns the shared value, parsing included
         assert Polynomial(3, {}) is Polynomial(3, {(1, 0, 0): 0}) is Polynomial.zero(3)
         assert ScalarField.const(3, 0) is sf("0") is ScalarField.zero(3)
