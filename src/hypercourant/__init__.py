@@ -61,7 +61,6 @@ from .nijenhuis import (
     VARIANTS,
     TheoremReport,
     check_connection_laws,
-    check_delta_properties,
     check_identities,
     concomitant,
     concomitant_linearity_defect,

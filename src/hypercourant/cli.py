@@ -21,7 +21,7 @@ import sys
 
 from . import __version__
 from .courant import verify_axioms
-from .errors import EngineError, InconsistentEquivalence
+from .errors import EngineError
 from .runfile import MAX_DEGREE, MAX_DIMENSION, MAX_TRIALS, RunReport, SuiteReport, emit, exit_code
 from .runfile import parse_structure, run
 from .structures import EXAMPLE_NAMES, structure_file
@@ -125,9 +125,6 @@ def main(argv=None) -> int:
             return _cmd_check(args)
         if args.command == "examples":
             return _cmd_examples(args)
-    except InconsistentEquivalence as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except EngineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -45,6 +45,8 @@ class GSection(_Components):
     _blocks = 2
 
     def __init__(self, vec: VectorField, form: OneForm):
+        if not (isinstance(vec, VectorField) and isinstance(form, OneForm)):
+            raise TypeError("a section is a VectorField and a OneForm, in that order")
         if vec.dim != form.dim:
             raise DimensionMismatch("vector and form parts live on different charts")
         object.__setattr__(self, "components", vec.components + form.components)

@@ -27,29 +27,33 @@ Vanishing of a concomitant is decided exactly on the 2n x 2n pairs of frame
 sections: restricted to a certified triple the concomitant is bilinear over
 scalars, so it vanishes everywhere exactly when it vanishes on the frame.
 The connection laws, the identities, the Delta properties and the theorem's
-connection checks run on seeded random inputs drawn by one runner, _inputs.
+connection checks are one pass, connection_pass, which draws each trial's
+(X, Y, f) once from one seeded stream and runs every selected check on it.
 
 Within one input the formulas bracket the same section pairs and take the
-same derivatives many times: N_{I,J} and the connection share H_{J,I}, and
-the Delta terms share D f.  So each input of the identities, Delta and
-theorem suites, each concomitant_statuses call and each bare concomitant
-call runs in one sharing scope (scalar.SHARING), where a Dorfman bracket of
-a section pair and a partial derivative are each computed once.  The
-concomitant_statuses scope shares endomorphism images as well: there the
-six concomitants apply I, J, K to the same frame sections and brackets, and
-the image of a frame section is not computed at all, since F e_a is column
-a of F.  In a suite input images recur less and are large, and sharing them
-raised the peak memory of the flat example by 10 % for no time measured.
-On a miss the scope calls the module globals dorfman and GEndo.apply as they
-are at that moment, so a patched or traced one still sees every computed
-call.  The scope lasts one input, not one suite: values do not recur across
-inputs, and a suite-long memo only holds memory (+30 % peak on the flat
-example).  The connection laws open none, since no bracket recurs within
-their inputs.  The scope is a context variable, so each thread has its own.
+same derivatives many times: N_{I,J} and the connection share H_{J,I}, the
+Delta terms share D f, and the identities and the theorem take the same
+connections.  So the identities, Delta and theorem checks of one input,
+each concomitant_statuses call and each bare concomitant call run in one
+sharing scope (scalar.SHARING), where a Dorfman bracket of a section pair
+and a partial derivative are each computed once.  The concomitant_statuses
+scope shares endomorphism images as well: there the six concomitants apply
+I, J, K to the same frame sections and brackets, and the image of a frame
+section is not computed at all, since F e_a is column a of F.  In a suite
+input images recur less and are large, and sharing them raised the peak
+memory of the flat example by 10 % for no time measured.  On a miss the
+scope calls the module globals dorfman and GEndo.apply as they are at that
+moment, so a patched or traced one still sees every computed call.  The
+scope lasts one input, not the pass: values do not recur across inputs,
+and a pass-long memo only holds memory (+30 % peak on the flat example).
+The laws of an input run first and open none: no bracket recurs within
+them, and holding theirs in the scope raised that peak by 11 %.  The
+scope is a context variable, so each thread has its own.
 """
 
 from __future__ import annotations
 
+import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
@@ -183,13 +187,10 @@ def delta(hk: HKTriple, fun: ScalarField, x: GSection, y: GSection) -> GSection:
 
 
 def _rotation(hk: HKTriple, variant: str) -> tuple:
-    if variant == "ijk":
-        return hk.i, hk.j, hk.k
-    if variant == "jki":
-        return hk.j, hk.k, hk.i
-    if variant == "kij":
-        return hk.k, hk.i, hk.j
-    raise ValueError(f"unknown connection variant {variant!r}")
+    """(P, Q, R): the members named by the variant, "jki" giving (J, K, I)."""
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown connection variant {variant!r}")
+    return tuple(hk.members()[name.upper()] for name in variant)
 
 
 def connection(hk: HKTriple, variant: str, x: GSection, y: GSection) -> GSection:
@@ -219,113 +220,6 @@ def torsion_formula_residual(hk: HKTriple, variant: str, x: GSection, y: GSectio
     for endo in hk.members().values():
         rhs = rhs + _image(endo, d_map(pairing(x, _image(endo, y))))
     return torsion(hk, variant, x, y) - rhs
-
-
-# ---------------------------------------------------------------------------
-# identity suites
-# ---------------------------------------------------------------------------
-
-
-def _inputs(hk: HKTriple, seed: int, stream: str, trials: int, degree: int, scalar: bool) -> list:
-    """The `trials` random inputs of one suite, as (trial, X, Y, f) tuples,
-    drawn from the (seed, stream) stream in the order X, Y, then f when
-    `scalar` (f is None otherwise)."""
-    hk.require_certified()
-    n = hk.n
-    rng = suite_rng(seed, stream)
-    out = []
-    for t in range(trials):
-        x = random_section(rng, n, degree)
-        y = random_section(rng, n, degree)
-        out.append((t, x, y, random_scalar(rng, n, degree) if scalar else None))
-    return out
-
-
-def check_connection_laws(
-    hk: HKTriple,
-    variant: str = "ijk",
-    trials: int = 10,
-    seed: int = 0,
-    degree: int = 1,
-) -> list:
-    """Exactly verify the two defining laws of the connection on `trials`
-    random inputs (X, Y, f):
-
-        nabla_{fX} Y = f nabla_X Y
-        nabla_X (fY) = (rho(X)f) Y + f nabla_X Y - Delta_f(X,Y)
-    """
-    stream = f"connection-laws-{variant}"
-    out = []
-    for t, x, y, fun in _inputs(hk, seed, stream, trials, degree, True):
-        f_nab = connection(hk, variant, x, y).smul(fun)
-        r1 = connection(hk, variant, x.smul(fun), y) - f_nab
-        r2 = connection(hk, variant, x, y.smul(fun)) - y.smul(anchor_apply(x, fun)) - f_nab
-        r2 = r2 + delta(hk, fun, x, y)
-        out.append(check(f"connection-law-tensorial[{variant}]", r1, t))
-        out.append(check(f"connection-law-leibniz-delta[{variant}]", r2, t))
-    return out
-
-
-def check_identities(
-    hk: HKTriple,
-    trials: int = 10,
-    seed: int = 0,
-    degree: int = 1,
-) -> list:
-    """The unconditional identities of the primary connection, exactly:
-
-    nabla J = 0; the (nabla I) formula against N_{I,J}; the bracket
-    decomposition; and skew-symmetry of N_{I,J}.  All hold for every
-    certified almost hypercomplex structure, integrable or not.
-    """
-    half = ScalarField.const(hk.n, Fraction(1, 2))
-    i, j, k = hk.i, hk.j, hk.k
-    out = []
-    for t, x, y, _ in _inputs(hk, seed, "identities", trials, degree, False):
-        with _sharing():
-            nab_xy = connection(hk, "ijk", x, y)
-            r = connection(hk, "ijk", x, _image(j, y)) - _image(j, nab_xy)
-            out.append(check("nabla-j-vanishes", r, t))
-
-            nij_y = concomitant(i, j, x, y)
-            nij_iy = concomitant(i, j, x, _image(i, y))
-            r = (
-                connection(hk, "ijk", x, _image(i, y))
-                - _image(i, nab_xy)
-                - _image(k, nij_iy).smul(half)
-                - _image(j, nij_y).smul(half)
-            )
-            out.append(check("nabla-i-concomitant-formula", r, t))
-
-            lhs = _bracket(x, y) + _image(k, nij_y).smul(half)
-            rhs = nab_xy - connection(hk, "ijk", y, x) + d_map(pairing(x, y))
-            for endo in (i, j, k):
-                rhs = rhs - _image(endo, d_map(pairing(x, _image(endo, y))))
-            out.append(check("bracket-decomposition", lhs - rhs, t))
-
-            r = nij_y + concomitant(i, j, y, x)
-            out.append(check("concomitant-skew", r, t))
-    return out
-
-
-def check_delta_properties(
-    hk: HKTriple,
-    trials: int = 10,
-    seed: int = 0,
-    degree: int = 1,
-) -> list:
-    """Delta_f compatibility with I, J, K and its symmetric part."""
-    two = ScalarField.const(hk.n, 2)
-    out = []
-    for t, x, y, fun in _inputs(hk, seed, "delta", trials, degree, True):
-        with _sharing():
-            base = delta(hk, fun, x, y)
-            for name, endo in hk.members().items():
-                r = delta(hk, fun, x, _image(endo, y)) - _image(endo, base)
-                out.append(check(f"delta-compat-{name.lower()}", r, t))
-            r = base + delta(hk, fun, y, x) - d_map(fun).smul(two * pairing(x, y))
-            out.append(check("delta-symmetric-part", r, t))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -407,12 +301,176 @@ def concomitant_statuses(hk: HKTriple) -> dict:
     return status
 
 
+# ---------------------------------------------------------------------------
+# the connection-level pass
+# ---------------------------------------------------------------------------
+
+CONNECTION_SUITES = ("connection-laws", "identities", "theorem")
+
+INCONSISTENT = (
+    "observed vanishing pattern contradicts the proved equivalences "
+    "(this is an engine bug, not a property of the structure)"
+)
+
+
+def _inputs(hk: HKTriple, seed: int, trials: int, degree: int) -> list:
+    """The `trials` random inputs of the connection level, as (trial, X, Y, f)
+    tuples drawn from the seed's one stream in the order X, Y, f."""
+    hk.require_certified()
+    n = hk.n
+    rng = suite_rng(seed, "connection-level")
+    out = []
+    for t in range(trials):
+        x = random_section(rng, n, degree)
+        y = random_section(rng, n, degree)
+        out.append((t, x, y, random_scalar(rng, n, degree)))
+    return out
+
+
+def _timed(seconds: dict, suite: str, fn, *args):
+    """fn(*args), its wall time added to seconds[suite]."""
+    started = time.perf_counter()
+    out = fn(*args)
+    seconds[suite] += time.perf_counter() - started
+    return out
+
+
+def _law_checks(hk: HKTriple, t: int, x, y, fun, out: dict) -> None:
+    """Append the two laws of each connection on one input to out[variant]."""
+    fx, fy = x.smul(fun), y.smul(fun)
+    leibniz = y.smul(anchor_apply(x, fun)) - delta(hk, fun, x, y)
+    for v in VARIANTS:
+        f_nab = connection(hk, v, x, y).smul(fun)
+        r1 = connection(hk, v, fx, y) - f_nab
+        r2 = connection(hk, v, x, fy) - leibniz - f_nab
+        out[v].append(check(f"connection-law-tensorial[{v}]", r1, t))
+        out[v].append(check(f"connection-law-leibniz-delta[{v}]", r2, t))
+
+
+def _identity_checks(hk: HKTriple, t: int, x, y, fun, identities: list, deltas: list) -> None:
+    """Append the four identities and the four Delta checks on one input."""
+    half = ScalarField.const(hk.n, Fraction(1, 2))
+    i, j, k = hk.i, hk.j, hk.k
+    nab_xy = connection(hk, "ijk", x, y)
+    r = connection(hk, "ijk", x, _image(j, y)) - _image(j, nab_xy)
+    identities.append(check("nabla-j-vanishes", r, t))
+    nij_y = concomitant(i, j, x, y)
+    nij_iy = concomitant(i, j, x, _image(i, y))
+    r = (
+        connection(hk, "ijk", x, _image(i, y))
+        - _image(i, nab_xy)
+        - _image(k, nij_iy).smul(half)
+        - _image(j, nij_y).smul(half)
+    )
+    identities.append(check("nabla-i-concomitant-formula", r, t))
+    lhs = _bracket(x, y) + _image(k, nij_y).smul(half)
+    rhs = nab_xy - connection(hk, "ijk", y, x) + d_map(pairing(x, y))
+    for endo in (i, j, k):
+        rhs = rhs - _image(endo, d_map(pairing(x, _image(endo, y))))
+    identities.append(check("bracket-decomposition", lhs - rhs, t))
+    r = nij_y + concomitant(i, j, y, x)
+    identities.append(check("concomitant-skew", r, t))
+    base = delta(hk, fun, x, y)
+    for name, endo in hk.members().items():
+        r = delta(hk, fun, x, _image(endo, y)) - _image(endo, base)
+        deltas.append(check(f"delta-compat-{name.lower()}", r, t))
+    r = base + delta(hk, fun, y, x) - d_map(fun).smul(ScalarField.const(hk.n, 2) * pairing(x, y))
+    deltas.append(check("delta-symmetric-part", r, t))
+
+
+def _theorem_flags(hk: HKTriple, x, y, agree: bool, parallel: dict, torsion_ok: bool) -> tuple:
+    """The flags (agree, parallel, torsion_ok) after one more input."""
+    base = connection(hk, "ijk", x, y)
+    agree = agree and all((base - connection(hk, v, x, y)).is_zero() for v in ("jki", "kij"))
+    parallel = {
+        name: parallel[name]
+        and (connection(hk, "ijk", x, _image(endo, y)) - _image(endo, base)).is_zero()
+        for name, endo in hk.members().items()
+    }
+    torsion_ok = torsion_ok and torsion_formula_residual(hk, "ijk", x, y).is_zero()
+    return agree, parallel, torsion_ok
+
+
+def _theorem(hk: HKTriple, flags: tuple, trials: int, seed: int, structure_id: str):
+    """The report of the six concomitants and the flags, consistent or not."""
+    status = concomitant_statuses(hk)
+    agree, parallel, torsion_ok = flags
+    cond_pair = status["II"].vanishes and status["JJ"].vanishes
+    cond_ij = status["IJ"].vanishes
+    cond_all = all(status[k].vanishes for k in CONCOMITANT_KEYS)
+    consistent = (
+        cond_pair == cond_ij == cond_all
+        and torsion_ok == cond_ij
+        and (not cond_ij or (agree and all(parallel.values())))
+    )
+    return TheoremReport(
+        structure_id=structure_id,
+        trials=trials,
+        seed=seed,
+        concomitants=status,
+        connections_agree=agree,
+        parallel=parallel,
+        torsion_formula=torsion_ok,
+        verdict="hypercomplex" if cond_all else "not-hypercomplex",
+        consistency="ok" if consistent else "violated",
+    )
+
+
+def connection_pass(hk: HKTriple, suites, trials, seed, degree, structure_id="unnamed") -> tuple:
+    """Run the selected suites of CONNECTION_SUITES, each on every trial's
+    (X, Y, f), drawn once.  Returns ({suite: result}, {suite: seconds}): the
+    checks of the laws by connection then by trial, of the identities for
+    every trial then of Delta for every trial, and the TheoremReport,
+    consistent or not.  The laws run outside any sharing scope, the rest of
+    an input in one; a shared value is timed to the suite that computes it
+    first.  Each suite's part is its own call, so its values are freed when
+    the next part starts."""
+    laws, identities, theorem = (s in suites for s in CONNECTION_SUITES)
+    seconds = dict.fromkeys(suites, 0.0)
+    law_checks = {v: [] for v in VARIANTS}
+    identity_checks, delta_checks = [], []
+    flags = (True, {"I": True, "J": True, "K": True}, True)
+    for t, x, y, fun in _inputs(hk, seed, trials, degree):
+        if laws:
+            _timed(seconds, "connection-laws", _law_checks, hk, t, x, y, fun, law_checks)
+        with _sharing():
+            if identities:
+                args = (hk, t, x, y, fun, identity_checks, delta_checks)
+                _timed(seconds, "identities", _identity_checks, *args)
+            if theorem:
+                flags = _timed(seconds, "theorem", _theorem_flags, hk, x, y, *flags)
+    results = {}
+    if laws:
+        results["connection-laws"] = [c for v in VARIANTS for c in law_checks[v]]
+    if identities:
+        results["identities"] = identity_checks + delta_checks
+    if theorem:
+        args = (hk, flags, trials, seed, structure_id)
+        results["theorem"] = _timed(seconds, "theorem", _theorem, *args)
+    return results, seconds
+
+
+def check_connection_laws(hk: HKTriple, trials: int = 10, seed: int = 0, degree: int = 1) -> list:
+    """Exactly verify the two defining laws of the connections "ijk", "jki"
+    and "kij" on `trials` random inputs (X, Y, f) of connection_pass:
+
+        nabla_{fX} Y = f nabla_X Y
+        nabla_X (fY) = (rho(X)f) Y + f nabla_X Y - Delta_f(X,Y)
+    """
+    return connection_pass(hk, ("connection-laws",), trials, seed, degree)[0]["connection-laws"]
+
+
+def check_identities(hk: HKTriple, trials: int = 10, seed: int = 0, degree: int = 1) -> list:
+    """Exactly verify, on `trials` random inputs, the identities of the
+    primary connection (nabla J = 0, the (nabla I) formula against N_{I,J},
+    the bracket decomposition, skew-symmetry of N_{I,J}) and Delta_f's
+    compatibility with I, J, K and its symmetric part.  All hold for every
+    certified almost hypercomplex structure, integrable or not."""
+    return connection_pass(hk, ("identities",), trials, seed, degree)[0]["identities"]
+
+
 def theorem_report(
-    hk: HKTriple,
-    trials: int = 10,
-    seed: int = 0,
-    structure_id: str = "unnamed",
-    degree: int = 1,
+    hk: HKTriple, trials: int = 10, seed: int = 0, structure_id: str = "unnamed", degree: int = 1
 ) -> TheoremReport:
     """Certify the equivalence pattern on one structure.
 
@@ -424,52 +482,12 @@ def theorem_report(
     A contradiction raises InconsistentEquivalence: it would mean the engine
     itself is wrong.
 
-    The connection-level consequences are sampled on `trials` random section
-    pairs, so at least one trial is required.
+    The connection-level consequences are sampled on the `trials` random
+    inputs of connection_pass, so at least one trial is required.
     """
     if trials < 1:
         raise ValueError("theorem_report needs at least one trial")
-    status = concomitant_statuses(hk)
-
-    connections_agree = torsion_ok = True
-    parallel = {"I": True, "J": True, "K": True}
-    for _, x, y, _ in _inputs(hk, seed, "theorem", trials, degree, False):
-        with _sharing():
-            base = connection(hk, "ijk", x, y)
-            connections_agree = connections_agree and all(
-                (base - connection(hk, v, x, y)).is_zero() for v in ("jki", "kij")
-            )
-            for name, endo in hk.members().items():
-                parallel[name] = parallel[name] and (
-                    connection(hk, "ijk", x, _image(endo, y)) - _image(endo, base)
-                ).is_zero()
-            torsion_ok = torsion_ok and torsion_formula_residual(hk, "ijk", x, y).is_zero()
-
-    cond_pair = status["II"].vanishes and status["JJ"].vanishes
-    cond_ij = status["IJ"].vanishes
-    cond_all = all(status[k].vanishes for k in CONCOMITANT_KEYS)
-
-    consistent = (
-        cond_pair == cond_ij == cond_all
-        and torsion_ok == cond_ij
-        and (not cond_ij or (connections_agree and all(parallel.values())))
-    )
-
-    rep = TheoremReport(
-        structure_id=structure_id,
-        trials=trials,
-        seed=seed,
-        concomitants=status,
-        connections_agree=connections_agree,
-        parallel=parallel,
-        torsion_formula=torsion_ok,
-        verdict="hypercomplex" if cond_all else "not-hypercomplex",
-        consistency="ok" if consistent else "violated",
-    )
-    if not consistent:
-        raise InconsistentEquivalence(
-            "observed vanishing pattern contradicts the proved equivalences "
-            "(this is an engine bug, not a property of the structure)",
-            report=rep,
-        )
+    rep = connection_pass(hk, ("theorem",), trials, seed, degree, structure_id)[0]["theorem"]
+    if not rep.passed:
+        raise InconsistentEquivalence(INCONSISTENT, report=rep)
     return rep

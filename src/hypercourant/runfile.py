@@ -19,14 +19,8 @@ from . import __version__
 from .cartan import TwoForm
 from .courant import verify_axioms
 from .endo import GEndo, HKTriple, lift_diagonal, lift_symplectic
-from .errors import DimensionMismatch, InconsistentEquivalence, SchemaError
-from .nijenhuis import (
-    VARIANTS,
-    check_connection_laws,
-    check_delta_properties,
-    check_identities,
-    theorem_report,
-)
+from .errors import DimensionMismatch, SchemaError
+from .nijenhuis import CONNECTION_SUITES, INCONSISTENT, connection_pass
 from .parse import parse_scalar
 
 SUITES = ("axioms", "certification", "connection-laws", "identities", "theorem")
@@ -250,6 +244,12 @@ def run(sf: StructureFile) -> RunReport:
     suites = []
     timings = {}
     certified = sf.triple.certified
+    results, seconds = {}, {}
+    selected = [s for s in sf.checks if s in CONNECTION_SUITES]
+    if certified and selected:
+        results, seconds = connection_pass(
+            sf.triple, selected, sf.trials, sf.seed, sf.degree, sf.digest[:19]
+        )
 
     for suite in sf.checks:
         started = time.perf_counter()
@@ -263,32 +263,15 @@ def run(sf: StructureFile) -> RunReport:
             suites.append(
                 SuiteReport(suite, "skipped", reason="structure failed certification")
             )
-        elif suite == "connection-laws":
-            checks = []
-            for variant in VARIANTS:
-                checks.extend(
-                    check_connection_laws(sf.triple, variant, sf.trials, sf.seed, degree=sf.degree)
-                )
-            suites.append(SuiteReport(suite, _suite_status(checks), checks))
-        elif suite == "identities":
-            checks = check_identities(sf.triple, sf.trials, sf.seed, degree=sf.degree)
-            checks += check_delta_properties(sf.triple, sf.trials, sf.seed, degree=sf.degree)
-            suites.append(SuiteReport(suite, _suite_status(checks), checks))
         elif suite == "theorem":
-            try:
-                rep = theorem_report(
-                    sf.triple,
-                    trials=sf.trials,
-                    seed=sf.seed,
-                    structure_id=sf.digest[:19],
-                    degree=sf.degree,
-                )
+            rep = results[suite]
+            if rep.passed:
                 suites.append(SuiteReport(suite, "pass", theorem=rep))
-            except InconsistentEquivalence as exc:
-                suites.append(
-                    SuiteReport(suite, "fail", theorem=exc.report, reason=str(exc))
-                )
-        timings[suite] = time.perf_counter() - started
+            else:
+                suites.append(SuiteReport(suite, "fail", theorem=rep, reason=INCONSISTENT))
+        else:
+            suites.append(SuiteReport(suite, _suite_status(results[suite]), results[suite]))
+        timings[suite] = seconds.get(suite, time.perf_counter() - started)
 
     verdict = "pass" if all(s.status == "pass" for s in suites) else "fail"
     return RunReport(

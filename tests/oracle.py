@@ -24,6 +24,13 @@ Concomitant vanishing, which the engine decides on the 2n frame sections
 alone, is checked against the larger family of frame sections times
 monomials, each pair evaluated with the plain eight-term concomitant.
 
+The connection-level pass, which draws each trial's input once and runs
+every selected suite on it, is checked against the four sampling loops it
+replaced (connection laws, identities, Delta properties and the theorem's
+connection flags), each run on an explicit list of inputs.  They call the
+nijenhuis module's connection, delta, concomitant and torsion formula as
+they are at call time, so a patched connection reaches them too.
+
 Polynomial arithmetic, which the engine computes on packed monomials, is
 checked against the schoolbook product, the dict sum and the derivative on
 exponent tuples; each oracle returns its terms in the order of its own grlex
@@ -35,11 +42,19 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 
+from hypercourant import nijenhuis as nij
 from hypercourant.cartan import VectorField, exterior_derivative, pair_form_vector
-from hypercourant.courant import GSection, basis_sections
+from hypercourant.courant import GSection, anchor_apply, basis_sections, d_map, pairing
 from hypercourant.errors import PoleAtPoint
-from hypercourant.nijenhuis import CONCOMITANT_KEYS, ConcomitantStatus, concomitant
-from hypercourant.report import POINT_CANDIDATES, witness_for
+from hypercourant.nijenhuis import (
+    CONCOMITANT_KEYS,
+    ConcomitantStatus,
+    _bracket,
+    _image,
+    _sharing,
+    concomitant,
+)
+from hypercourant.report import POINT_CANDIDATES, check, witness_for
 from hypercourant.sampling import monomials_up_to
 from hypercourant.scalar import Polynomial, ScalarField
 
@@ -164,6 +179,85 @@ def family_statuses(hk, family: list) -> dict:
                 out[key] = ConcomitantStatus(False, w)
                 break
     return out
+
+
+def loop_connection_laws(hk, variant: str, inputs) -> list:
+    """The connection laws of one variant, one loop over the inputs."""
+    out = []
+    for t, x, y, fun in inputs:
+        f_nab = nij.connection(hk, variant, x, y).smul(fun)
+        r1 = nij.connection(hk, variant, x.smul(fun), y) - f_nab
+        r2 = nij.connection(hk, variant, x, y.smul(fun)) - y.smul(anchor_apply(x, fun)) - f_nab
+        r2 = r2 + nij.delta(hk, fun, x, y)
+        out.append(check(f"connection-law-tensorial[{variant}]", r1, t))
+        out.append(check(f"connection-law-leibniz-delta[{variant}]", r2, t))
+    return out
+
+
+def loop_identities(hk, inputs) -> list:
+    """The four identities of the primary connection, one scope per input."""
+    half = ScalarField.const(hk.n, Fraction(1, 2))
+    i, j, k = hk.i, hk.j, hk.k
+    out = []
+    for t, x, y, _ in inputs:
+        with _sharing():
+            nab_xy = nij.connection(hk, "ijk", x, y)
+            r = nij.connection(hk, "ijk", x, _image(j, y)) - _image(j, nab_xy)
+            out.append(check("nabla-j-vanishes", r, t))
+
+            nij_y = nij.concomitant(i, j, x, y)
+            nij_iy = nij.concomitant(i, j, x, _image(i, y))
+            r = (
+                nij.connection(hk, "ijk", x, _image(i, y))
+                - _image(i, nab_xy)
+                - _image(k, nij_iy).smul(half)
+                - _image(j, nij_y).smul(half)
+            )
+            out.append(check("nabla-i-concomitant-formula", r, t))
+
+            lhs = _bracket(x, y) + _image(k, nij_y).smul(half)
+            rhs = nab_xy - nij.connection(hk, "ijk", y, x) + d_map(pairing(x, y))
+            for endo in (i, j, k):
+                rhs = rhs - _image(endo, d_map(pairing(x, _image(endo, y))))
+            out.append(check("bracket-decomposition", lhs - rhs, t))
+
+            r = nij_y + nij.concomitant(i, j, y, x)
+            out.append(check("concomitant-skew", r, t))
+    return out
+
+
+def loop_delta_properties(hk, inputs) -> list:
+    """Delta_f compatibility with I, J, K and its symmetric part."""
+    two = ScalarField.const(hk.n, 2)
+    out = []
+    for t, x, y, fun in inputs:
+        with _sharing():
+            base = nij.delta(hk, fun, x, y)
+            for name, endo in hk.members().items():
+                r = nij.delta(hk, fun, x, _image(endo, y)) - _image(endo, base)
+                out.append(check(f"delta-compat-{name.lower()}", r, t))
+            r = base + nij.delta(hk, fun, y, x) - d_map(fun).smul(two * pairing(x, y))
+            out.append(check("delta-symmetric-part", r, t))
+    return out
+
+
+def loop_theorem_flags(hk, inputs) -> tuple:
+    """(connections agree, {I, J, K: parallel}, torsion formula holds) over
+    the inputs."""
+    connections_agree = torsion_ok = True
+    parallel = {"I": True, "J": True, "K": True}
+    for _, x, y, _ in inputs:
+        with _sharing():
+            base = nij.connection(hk, "ijk", x, y)
+            connections_agree = connections_agree and all(
+                (base - nij.connection(hk, v, x, y)).is_zero() for v in ("jki", "kij")
+            )
+            for name, endo in hk.members().items():
+                parallel[name] = parallel[name] and (
+                    nij.connection(hk, "ijk", x, _image(endo, y)) - _image(endo, base)
+                ).is_zero()
+            torsion_ok = torsion_ok and nij.torsion_formula_residual(hk, "ijk", x, y).is_zero()
+    return connections_agree, parallel, torsion_ok
 
 
 def _cnorm(c):

@@ -1,8 +1,10 @@
+import dataclasses
 import json
 from pathlib import Path
 
 import pytest
 
+from hypercourant import runfile
 from hypercourant.cli import main
 from hypercourant.parse import MAX_EXPONENT
 from hypercourant.runfile import MAX_DEGREE, MAX_DIMENSION, MAX_TRIALS
@@ -391,6 +393,26 @@ class TestCheck:
         theorem = json.loads(out)["suites"][-1]["theorem"]
         assert (theorem["verdict"], theorem["consistency"]) == ("not-hypercomplex", "ok")
         assert theorem["parallel"] == {"I": False, "J": True, "K": False}
+
+    def test_inconsistent_theorem_exits_one(self, capsys, tmp_path, monkeypatch):
+        # the theorem is forced inconsistent through the pass that run calls;
+        # the run reports it as a failed suite, with no error on the way out
+        real = runfile.connection_pass
+
+        def forced(*args):
+            results, seconds = real(*args)
+            results["theorem"] = dataclasses.replace(results["theorem"], consistency="violated")
+            return results, seconds
+
+        monkeypatch.setattr(runfile, "connection_pass", forced)
+        path = example_doc(tmp_path, checks=["identities", "theorem"], trials=1, degree=1)
+        code, out, err = run_cli(capsys, "check", path, "--format", "json")
+        assert (code, err) == (1, "")
+        identities, theorem = json.loads(out)["suites"]
+        assert identities["status"] == "pass"
+        assert theorem["status"] == "fail"
+        assert theorem["theorem"]["consistency"] == "violated"
+        assert "engine bug" in theorem["reason"]
 
     def test_mathematical_failure_exits_one(self, capsys, tmp_path):
         doc = {

@@ -190,6 +190,19 @@ def test_section_algebra_dimension_checks():
         GSection.from_components((ScalarField.zero(1),) * 3)
 
 
+def test_section_constructor_rejects_swapped_parts():
+    # the parts are typed: a 1-form as the vector part is not a section
+    for vec, form in (
+        (OneForm.basis(2, 0), VectorField.zero(2)),
+        (OneForm.zero(2), OneForm.zero(2)),
+        (VectorField.zero(2), VectorField.zero(2)),
+        (GSection.zero(2), OneForm.zero(2)),
+    ):
+        with pytest.raises(TypeError):
+            GSection(vec, form)
+    assert GSection(VectorField.basis(2, 0), OneForm.zero(2)) == basis_sections(2)[0]
+
+
 def test_section_sums_reject_other_charts():
     # zero components pass their partners through, so a zero section over
     # one chart must still refuse a section over another

@@ -14,9 +14,9 @@ from hypercourant.courant import GSection, basis_sections, courant_bracket, dorf
 from hypercourant.endo import GEndo, HKTriple
 from hypercourant.errors import InconsistentEquivalence, UncertifiedStructure
 from hypercourant.nijenhuis import (
+    CONNECTION_SUITES,
     VARIANTS,
     check_connection_laws,
-    check_delta_properties,
     check_identities,
     concomitant,
     concomitant_linearity_defect,
@@ -28,8 +28,10 @@ from hypercourant.nijenhuis import (
     theorem_report,
     torsion,
     torsion_formula_residual,
+    _inputs,
     _rotation,
     _sharing,
+    connection_pass,
 )
 from hypercourant.parse import parse_scalar
 from hypercourant.report import CheckReport
@@ -38,6 +40,10 @@ from hypercourant.scalar import SHARING, ScalarField
 
 from oracle import (
     family_statuses,
+    loop_connection_laws,
+    loop_delta_properties,
+    loop_identities,
+    loop_theorem_flags,
     oracle_concomitant,
     oracle_first_slot_defect,
     spanning_family,
@@ -219,8 +225,8 @@ class TestDelta:
         assert delta(flat, ScalarField.const(4, 3), x, y).is_zero()
 
     def test_compatibility_and_symmetry(self, noni):
-        reports = check_delta_properties(noni, trials=3, seed=2)
-        assert all(r.passed for r in reports)
+        reports = [r for r in check_identities(noni, trials=3, seed=2) if "delta" in r.check_id]
+        assert len(reports) == 12 and all(r.passed for r in reports)
 
     def test_requires_certified(self):
         ident = GEndo.identity(2)
@@ -313,16 +319,22 @@ class TestTorsion:
 class TestSuites:
     def test_connection_laws_all_structures(self, all_triples):
         for hk in all_triples.values():
-            reports = check_connection_laws(hk, "ijk", trials=2, seed=3)
+            reports = check_connection_laws(hk, trials=2, seed=3)
             assert all(r.passed for r in reports)
 
     def test_connection_laws_all_variants_flat(self, flat):
-        for variant in VARIANTS:
-            reports = check_connection_laws(flat, variant, trials=2, seed=4)
-            assert all(r.passed for r in reports)
+        reports = check_connection_laws(flat, trials=2, seed=4)
+        assert all(r.passed for r in reports)
+        # grouped by variant, then by trial
+        assert [(r.check_id, r.trial) for r in reports] == [
+            (f"connection-law-{law}[{variant}]", t)
+            for variant in VARIANTS
+            for t in range(2)
+            for law in ("tensorial", "leibniz-delta")
+        ]
 
     def test_mutated_connection_fails_leibniz_law(self, flat, flipped_connection):
-        reports = check_connection_laws(flat, "ijk", trials=2, seed=5)
+        reports = check_connection_laws(flat, trials=2, seed=5)
         leibniz = [r for r in reports if "leibniz-delta" in r.check_id]
         assert any(not r.passed for r in leibniz)
         bad = next(r for r in leibniz if not r.passed)
@@ -330,9 +342,9 @@ class TestSuites:
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_mutated_connection_matches_recorded_reports(self, flat, flipped_connection, variant):
-        reports = check_connection_laws(flat, variant, trials=2, seed=5)
-        expected = MUTANT_GOLDEN["connection-laws"]["reports"][variant]
-        assert [r.to_dict() for r in reports] == expected
+        reports = check_connection_laws(flat, trials=2, seed=5)
+        got = [r.to_dict() for r in reports if r.check_id.endswith(f"[{variant}]")]
+        assert got == MUTANT_GOLDEN["connection-laws"]["reports"][variant]
 
     def test_mutated_connection_matches_recorded_identities(self, flat, flipped_connection):
         # most checks fail with witnesses that depend on the drawn sections,
@@ -350,6 +362,10 @@ class TestSuites:
                 "nabla-i-concomitant-formula",
                 "bracket-decomposition",
                 "concomitant-skew",
+                "delta-compat-i",
+                "delta-compat-j",
+                "delta-compat-k",
+                "delta-symmetric-part",
             }
 
 
@@ -453,7 +469,7 @@ class TestTheoremReport:
     @pytest.mark.parametrize(
         "suite",
         [
-            lambda hk: check_connection_laws(hk, "ijk", trials=1, degree=2),
+            lambda hk: check_connection_laws(hk, trials=1, degree=2),
             lambda hk: check_identities(hk, trials=1, degree=2),
             lambda hk: theorem_report(hk, trials=1, degree=2),
         ],
@@ -497,7 +513,7 @@ class TestTheoremReport:
 
             monkeypatch.setattr(_Components, name, flagged)
             monkeypatch.setattr(ScalarField, name, counted)
-        check_connection_laws(flat, "ijk", trials=1)
+        check_connection_laws(flat, trials=1)
         assert seen and not any(seen)
 
     def test_forged_certification_raises_inconsistency(self):
@@ -551,10 +567,23 @@ class TestSharingScope:
         assert 0 < len(calls) <= 24
 
     def test_connection_laws_open_no_scope(self, flat, monkeypatch):
-        # no bracket recurs within a connection-law input
+        # no bracket recurs within a connection-law input: 4 brackets for
+        # each of 3 connections of 3 variants
         calls = counted_brackets(monkeypatch)
-        check_connection_laws(flat, "ijk", trials=1, degree=1)
-        assert len(calls) == 12
+        check_connection_laws(flat, trials=1, degree=1)
+        assert len(calls) == 36
+
+    def test_laws_stay_outside_the_scope_the_rest_shares(self, flat, monkeypatch):
+        calls = counted_brackets(monkeypatch)
+
+        def brackets(suites):
+            calls.clear()
+            connection_pass(flat, suites, 1, 0, 1)
+            return len(calls)
+
+        laws, rest = brackets(("connection-laws",)), brackets(("identities", "theorem"))
+        assert brackets(CONNECTION_SUITES) == laws + rest
+        assert rest < brackets(("identities",)) + brackets(("theorem",))
 
     def test_torsion_takes_its_brackets_from_the_scope(self, flat, monkeypatch):
         # the skew bracket once went through courant.dorfman, 2 calls an input
@@ -596,7 +625,7 @@ class TestSharingScope:
     def test_scope_closes_after_each_suite(self, flat):
         check_identities(flat, trials=1, degree=1)
         assert SHARING.get() is None
-        check_delta_properties(flat, trials=1, degree=1)
+        check_connection_laws(flat, trials=1, degree=1)
         assert SHARING.get() is None
         theorem_report(flat, trials=1, degree=1)
         assert SHARING.get() is None
@@ -652,3 +681,53 @@ class TestSharingScope:
             thread.join()
             assert SHARING.get() is not None
         assert seen == [None]
+
+
+class TestConnectionPass:
+    """One pass over shared inputs against the four sampling loops it
+    replaced (tests/oracle.py)."""
+
+    @staticmethod
+    def assert_matches_loops(hk, trials=2, seed=5, degree=1):
+        results, _ = connection_pass(hk, CONNECTION_SUITES, trials, seed, degree, "pass")
+        inputs = _inputs(hk, seed, trials, degree)
+        laws = [r for v in VARIANTS for r in loop_connection_laws(hk, v, inputs)]
+        identities = loop_identities(hk, inputs) + loop_delta_properties(hk, inputs)
+        assert [r.to_dict() for r in results["connection-laws"]] == [r.to_dict() for r in laws]
+        assert [r.to_dict() for r in results["identities"]] == [r.to_dict() for r in identities]
+        rep = results["theorem"]
+        flags = (rep.connections_agree, rep.parallel, rep.torsion_formula)
+        assert flags == loop_theorem_flags(hk, inputs)
+        assert rep.concomitants == concomitant_statuses(hk)
+        return results
+
+    @pytest.mark.parametrize("name", ["flat", "holomorphic-symplectic", "nonintegrable"])
+    def test_matches_the_suite_loops(self, all_triples, name):
+        self.assert_matches_loops(all_triples[name])
+
+    def test_matches_the_suite_loops_under_a_mutant(self, flat, flipped_connection):
+        results = self.assert_matches_loops(flat)
+        # the mutant fails checks with witnesses, so the comparison above
+        # covered witnesses too
+        assert any(r.witness is not None for r in results["connection-laws"])
+        assert any(r.witness is not None for r in results["identities"])
+
+    @pytest.mark.parametrize("name", ["flat", "nonintegrable"])
+    def test_selection_never_moves_the_draws(self, all_triples, flipped_connection, name):
+        hk = all_triples[name]
+        every, seconds = connection_pass(hk, CONNECTION_SUITES, 2, 7, 1, "pass")
+        assert set(seconds) == set(CONNECTION_SUITES)
+        for suite in CONNECTION_SUITES:
+            alone, alone_seconds = connection_pass(hk, (suite,), 2, 7, 1, "pass")
+            assert set(alone) == set(alone_seconds) == {suite}
+            if suite == "theorem":
+                assert alone[suite].to_dict() == every[suite].to_dict()
+            else:
+                assert [r.to_dict() for r in alone[suite]] == [r.to_dict() for r in every[suite]]
+
+    def test_uncertified_triple_draws_no_inputs(self, monkeypatch):
+        ident = GEndo.identity(2)
+        bad = HKTriple.certify(ident, ident)
+        monkeypatch.setattr(hypercourant.nijenhuis, "random_section", None)
+        with pytest.raises(UncertifiedStructure):
+            connection_pass(bad, CONNECTION_SUITES, 2, 0, 1)

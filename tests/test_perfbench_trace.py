@@ -21,5 +21,13 @@ def test_traced_flat_job_counts_the_section_layers():
     done = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     trace = json.loads(done.stdout.splitlines()[-1])["trace"]
-    for name in ("courant.dorfman.calls", "courant.pairing.calls", "endo.apply.calls"):
+    # the layers the benchmark's self-test requires on flat, the suite layer
+    # included
+    for name in (
+        "courant.dorfman.calls",
+        "courant.pairing.calls",
+        "endo.apply.calls",
+        "nijenhuis.connection.calls",
+        "nijenhuis.concomitant_statuses.residuals_tested",
+    ):
         assert trace[name] > 0, name

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -5,14 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hypercourant.nijenhuis
+from hypercourant.endo import GEndo, HKTriple
 from hypercourant.errors import (
     DimensionMismatch,
     EngineError,
-    InconsistentEquivalence,
     SchemaError,
     ScalarSyntaxError,
     UnknownVariable,
 )
+from hypercourant.report import CheckReport
 from hypercourant.runfile import (
     MAX_DEGREE,
     SUITES,
@@ -162,7 +165,7 @@ class TestRun:
         assert [s.suite for s in report.suites] == list(SUITES)
         assert {s.status for s in report.suites} == {"pass"}
 
-    def test_certification_failure_downgrades_later_suites(self):
+    def test_certification_failure_downgrades_later_suites(self, monkeypatch):
         # 2 * identity on a line: orthogonality and the quaternionic
         # relations both fail, so everything downstream must be skipped
         doc = {
@@ -175,6 +178,8 @@ class TestRun:
             "options": {"trials": 2, "seed": 1, "degree": 1},
         }
         sf = parse_structure_text(json.dumps(doc))
+        # an uncertified triple draws no connection-level inputs
+        monkeypatch.setattr(hypercourant.nijenhuis, "_inputs", None)
         report = run(sf)
         by_name = {s.suite: s for s in report.suites}
         assert by_name["axioms"].status == "pass"
@@ -193,16 +198,20 @@ class TestRun:
         assert report.verdict == "pass"
         assert exit_code(report) == 0
 
-    def test_inconsistency_surfaces_as_failed_theorem_suite(self, monkeypatch):
-        import hypercourant.runfile as rf
-
-        def boom(*args, **kwargs):
-            raise InconsistentEquivalence("forced", report=None)
-
-        monkeypatch.setattr(rf, "theorem_report", boom)
-        sf = parse_structure_text(json.dumps(small_doc(checks=["theorem"])))
-        report = run(sf)
-        assert report.suites[0].status == "fail"
+    def test_inconsistency_surfaces_as_failed_theorem_suite(self):
+        # an identity triple with forged passing reports: every concomitant
+        # vanishes but the torsion formula fails, which contradicts the
+        # proof; the suite fails and the other suites keep their results
+        ident = GEndo.identity(2)
+        ok = CheckReport("forged", True)
+        fake = HKTriple(ident, ident, ident, (ok, ok, ok), ok)
+        sf = parse_structure_text(json.dumps(small_doc(checks=["theorem", "identities"])))
+        report = run(dataclasses.replace(sf, dimension=2, triple=fake))
+        theorem, identities = report.suites
+        assert theorem.status == "fail"
+        assert theorem.theorem.consistency == "violated"
+        assert "engine bug" in theorem.reason
+        assert len(identities.checks) == 8 * sf.trials
         assert report.verdict == "fail"
         assert exit_code(report) == 1
 
