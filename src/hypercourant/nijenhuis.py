@@ -32,23 +32,28 @@ connection checks are one pass, connection_pass, which draws each trial's
 
 Within one input the formulas bracket the same section pairs and take the
 same derivatives many times: N_{I,J} and the connection share H_{J,I}, the
-Delta terms share D f, and the identities and the theorem take the same
-connections.  So the identities, Delta and theorem checks of one input,
-each concomitant_statuses call and each bare concomitant call run in one
-sharing scope (scalar.SHARING), where a Dorfman bracket of a section pair
-and a partial derivative are each computed once.  The concomitant_statuses
-scope shares endomorphism images as well: there the six concomitants apply
-I, J, K to the same frame sections and brackets, and the image of a frame
-section is not computed at all, since F e_a is column a of F.  In a suite
-input images recur less and are large, and sharing them raised the peak
-memory of the flat example by 10 % for no time measured.  On a miss the
-scope calls the module globals dorfman and GEndo.apply as they are at that
-moment, so a patched or traced one still sees every computed call.  The
-scope lasts one input, not the pass: values do not recur across inputs,
-and a pass-long memo only holds memory (+30 % peak on the flat example).
-The laws of an input run first and open none: no bracket recurs within
-them, and holding theirs in the scope raised that peak by 11 %.  The
-scope is a context variable, so each thread has its own.
+Delta terms share D f, every rotation brackets [[Y,X]], and the identities
+and the theorem take the connections nabla_X Y that the laws take.  So all
+checks of one input, each concomitant_statuses call and each bare
+concomitant call run in one sharing scope (scalar.SHARING), where a Dorfman
+bracket of a section pair and a partial derivative are each computed once.
+The concomitant_statuses scope shares endomorphism images as well: there
+the six concomitants apply I, J, K to the same frame sections and brackets,
+and the image of a frame section is not computed at all, since F e_a is
+column a of F.  In a suite input images recur less and are large, and
+sharing them raised the peak memory of the flat example by 10 % for no time
+measured.  On a miss the scope calls the module globals dorfman and
+GEndo.apply as they are at that moment, so a patched or traced one still
+sees every computed call.  The scope lasts one input, not the pass: values
+do not recur across inputs, and a pass-long memo only holds memory (+30 %
+peak on the flat example).  The laws' f-scaled connections nabla_{fX} Y and
+nabla_X (fY) run in a scope nested in the input's, which reads it but holds
+only brackets of two input sections, [[Y,fX]] and [[fY,X]], which every
+rotation takes, and closes when the laws end.  Their other brackets, such
+as [[QY,P(fX)]], serve one rotation only: holding all of the laws' brackets
+in the input's scope raised the flat example's peak memory by 11 %, and
+holding every value of the f-scaled connections in the nested one by 13 %.
+The scopes are context variables, so each thread has its own.
 """
 
 from __future__ import annotations
@@ -88,6 +93,40 @@ def _sharing():
         yield
     finally:
         SHARING.reset(token)
+
+
+class _InputBrackets(dict):
+    """A sharing scope nested in the open one: it reads that scope, and
+    holds only the brackets of two of the given sections."""
+
+    def __init__(self, outer: dict, sections):
+        super().__init__()
+        self.outer = outer
+        self.sections = frozenset(sections)
+
+    def get(self, key, default=None):
+        out = dict.get(self, key)
+        return self.outer.get(key, default) if out is None else out
+
+    def __contains__(self, key) -> bool:
+        return dict.__contains__(self, key) or key in self.outer
+
+    def __setitem__(self, key, value) -> None:
+        if key[0] is dorfman and self.sections.issuperset(key[1:]):
+            dict.__setitem__(self, key, value)
+
+
+@contextmanager
+def _sharing_input_brackets(*sections):
+    """Inside the open scope (or a new one), a nested scope that keeps the
+    brackets of two of `sections` until it closes and computes every other
+    new value without holding it."""
+    with _sharing():
+        token = SHARING.set(_InputBrackets(SHARING.get(), sections))
+        try:
+            yield
+        finally:
+            SHARING.reset(token)
 
 
 def _shared(fn, a, b):
@@ -336,15 +375,19 @@ def _timed(seconds: dict, suite: str, fn, *args):
 
 
 def _law_checks(hk: HKTriple, t: int, x, y, fun, out: dict) -> None:
-    """Append the two laws of each connection on one input to out[variant]."""
+    """Append the two laws of each connection on one input to out[variant].
+    The connections nabla_X Y go to the open scope, where the other suites
+    take them; of the f-scaled ones only [[Y,fX]] and [[fY,X]], which every
+    rotation brackets, are held, and only until the laws end."""
     fx, fy = x.smul(fun), y.smul(fun)
     leibniz = y.smul(anchor_apply(x, fun)) - delta(hk, fun, x, y)
-    for v in VARIANTS:
-        f_nab = connection(hk, v, x, y).smul(fun)
-        r1 = connection(hk, v, fx, y) - f_nab
-        r2 = connection(hk, v, x, fy) - leibniz - f_nab
-        out[v].append(check(f"connection-law-tensorial[{v}]", r1, t))
-        out[v].append(check(f"connection-law-leibniz-delta[{v}]", r2, t))
+    f_nabs = [connection(hk, v, x, y).smul(fun) for v in VARIANTS]
+    with _sharing_input_brackets(x, y, fx, fy):
+        for v, f_nab in zip(VARIANTS, f_nabs):
+            r1 = connection(hk, v, fx, y) - f_nab
+            r2 = connection(hk, v, x, fy) - leibniz - f_nab
+            out[v].append(check(f"connection-law-tensorial[{v}]", r1, t))
+            out[v].append(check(f"connection-law-leibniz-delta[{v}]", r2, t))
 
 
 def _identity_checks(hk: HKTriple, t: int, x, y, fun, identities: list, deltas: list) -> None:
@@ -421,19 +464,19 @@ def connection_pass(hk: HKTriple, suites, trials, seed, degree, structure_id="un
     (X, Y, f), drawn once.  Returns ({suite: result}, {suite: seconds}): the
     checks of the laws by connection then by trial, of the identities for
     every trial then of Delta for every trial, and the TheoremReport,
-    consistent or not.  The laws run outside any sharing scope, the rest of
-    an input in one; a shared value is timed to the suite that computes it
-    first.  Each suite's part is its own call, so its values are freed when
-    the next part starts."""
+    consistent or not.  All checks of an input run in one sharing scope, and
+    a shared value is timed to the suite that computes it first: the
+    connections nabla_X Y to the laws.  Each suite's part is its own call,
+    so its values outside the scope are freed when the next part starts."""
     laws, identities, theorem = (s in suites for s in CONNECTION_SUITES)
     seconds = dict.fromkeys(suites, 0.0)
     law_checks = {v: [] for v in VARIANTS}
     identity_checks, delta_checks = [], []
     flags = (True, {"I": True, "J": True, "K": True}, True)
     for t, x, y, fun in _inputs(hk, seed, trials, degree):
-        if laws:
-            _timed(seconds, "connection-laws", _law_checks, hk, t, x, y, fun, law_checks)
         with _sharing():
+            if laws:
+                _timed(seconds, "connection-laws", _law_checks, hk, t, x, y, fun, law_checks)
             if identities:
                 args = (hk, t, x, y, fun, identity_checks, delta_checks)
                 _timed(seconds, "identities", _identity_checks, *args)

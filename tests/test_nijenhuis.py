@@ -29,6 +29,7 @@ from hypercourant.nijenhuis import (
     torsion,
     torsion_formula_residual,
     _inputs,
+    _law_checks,
     _rotation,
     _sharing,
     connection_pass,
@@ -566,14 +567,14 @@ class TestSharingScope:
         check_identities(flat, trials=1, degree=1)
         assert 0 < len(calls) <= 24
 
-    def test_connection_laws_open_no_scope(self, flat, monkeypatch):
-        # no bracket recurs within a connection-law input: 4 brackets for
-        # each of 3 connections of 3 variants
+    def test_connection_laws_compute_each_bracket_once(self, flat, monkeypatch):
+        # 4 brackets for each of 3 connections of 3 variants, 36 in all;
+        # [[Y,X]], [[Y,fX]] and [[fY,X]] recur in every variant, 30 distinct
         calls = counted_brackets(monkeypatch)
         check_connection_laws(flat, trials=1, degree=1)
-        assert len(calls) == 36
+        assert len(calls) == len(set(calls)) == 30
 
-    def test_laws_stay_outside_the_scope_the_rest_shares(self, flat, monkeypatch):
+    def test_laws_share_the_scope_of_the_rest(self, flat, monkeypatch):
         calls = counted_brackets(monkeypatch)
 
         def brackets(suites):
@@ -582,8 +583,37 @@ class TestSharingScope:
             return len(calls)
 
         laws, rest = brackets(("connection-laws",)), brackets(("identities", "theorem"))
-        assert brackets(CONNECTION_SUITES) == laws + rest
+        # the rest takes the 10 brackets of the three nabla_X Y from the laws
+        assert brackets(CONNECTION_SUITES) == rest + 20 < laws + rest
         assert rest < brackets(("identities",)) + brackets(("theorem",))
+
+    def test_laws_hold_only_the_brackets_the_rotations_share(self, flat, monkeypatch):
+        (t, x, y, fun), = _inputs(flat, 0, 1, 1)
+        fx, fy = x.smul(fun), y.smul(fun)
+        unscaled = set()
+        for v in VARIANTS:
+            p, q, _ = _rotation(flat, v)
+            px, qy = p.apply(x), q.apply(y)
+            unscaled |= {(qy, px), (y, px), (qy, x), (y, x)}
+        nested = set()
+
+        def watched(hk, variant, a, b):
+            out = connection(hk, variant, a, b)
+            scope = SHARING.get()
+            if scope is not outer:
+                nested.update(key[1:] for key in dict.keys(scope) if key[0] is dorfman)
+            return out
+
+        monkeypatch.setattr(hypercourant.nijenhuis, "connection", watched)
+        with _sharing():
+            outer = SHARING.get()
+            _law_checks(flat, t, x, y, fun, {v: [] for v in VARIANTS})
+            held = {key[1:] for key in outer if key[0] is dorfman}
+        # the input's scope keeps the 10 brackets of the three nabla_X Y
+        assert len(unscaled) == 10 and held == unscaled
+        # the f-scaled connections held [[Y,fX]] and [[fY,X]] alone, and
+        # only until the laws ended
+        assert nested == {(y, fx), (fy, x)}
 
     def test_torsion_takes_its_brackets_from_the_scope(self, flat, monkeypatch):
         # the skew bracket once went through courant.dorfman, 2 calls an input
@@ -648,10 +678,36 @@ class TestSharingScope:
             check_identities(flat, trials=1, degree=1)
         assert SHARING.get() is None
 
+        # the 11th bracket of the laws is the first of an f-scaled
+        # connection, in the scope nested in the input's
+        calls, scopes = [], []
+
+        def broken_when_scaled(s, t):
+            calls.append((s, t))
+            if len(calls) > 10:
+                scopes.append(SHARING.get())
+                raise ArithmeticError("broken bracket")
+            return dorfman(s, t)
+
+        monkeypatch.setattr(hypercourant.nijenhuis, "dorfman", broken_when_scaled)
+        with pytest.raises(ArithmeticError):
+            check_connection_laws(flat, trials=1, degree=1)
+        assert SHARING.get() is None
+        calls.clear()
+        with _sharing():  # the pass joins an open scope and nests in it
+            outer = SHARING.get()
+            with pytest.raises(ArithmeticError):
+                check_connection_laws(flat, trials=1, degree=1)
+            assert SHARING.get() is outer
+        assert scopes[1] is not outer and scopes[1].outer is outer
+        assert SHARING.get() is None
+
     def test_threads_keep_their_own_scope(self, flat, noni):
         # more threads than cores, switching often, so the suites interleave
         def reports(hk):
-            return [r.to_dict() for r in check_identities(hk, trials=2, seed=3, degree=1)]
+            suites = ("connection-laws", "identities")
+            results = connection_pass(hk, suites, 2, 3, 1)[0]
+            return [r.to_dict() for suite in suites for r in results[suite]]
 
         jobs = [("flat", flat), ("noni", noni)] * 2
         expected = {name: reports(hk) for name, hk in jobs}
@@ -704,6 +760,9 @@ class TestConnectionPass:
     @pytest.mark.parametrize("name", ["flat", "holomorphic-symplectic", "nonintegrable"])
     def test_matches_the_suite_loops(self, all_triples, name):
         self.assert_matches_loops(all_triples[name])
+
+    def test_matches_the_suite_loops_with_two_variable_denominators(self, conjugated_x2x3):
+        self.assert_matches_loops(conjugated_x2x3, trials=1)
 
     def test_matches_the_suite_loops_under_a_mutant(self, flat, flipped_connection):
         results = self.assert_matches_loops(flat)

@@ -190,6 +190,22 @@ class TestRun:
         assert report.verdict == "fail"
         assert exit_code(report) == 1
 
+    def test_flat_example_computes_each_bracket_of_an_input_once(self, monkeypatch):
+        # the laws, the identities and the theorem of an input share one
+        # scope (386 brackets when the laws ran outside it)
+        calls = []
+        dorfman = hypercourant.nijenhuis.dorfman
+
+        def counted(s, t):
+            calls.append((s, t))
+            return dorfman(s, t)
+
+        monkeypatch.setattr(hypercourant.nijenhuis, "dorfman", counted)
+        doc = structure_file("flat-quaternionic")
+        doc["options"].update(trials=2, seed=101)
+        run(parse_structure_text(json.dumps(doc)))
+        assert len(calls) == 354
+
     def test_builtin_symplectic_file_certifies_through_run(self):
         doc = structure_file("holomorphic-symplectic")
         doc["checks"] = ["certification"]
