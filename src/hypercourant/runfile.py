@@ -185,12 +185,13 @@ def parse_structure_text(text: str, digest: str | None = None) -> StructureFile:
 
     checks = doc.get("checks", list(SUITES))
     _require(isinstance(checks, list), "'checks' must be a list of suite names")
+    _require(checks, "'checks' must name at least one suite")
     checks = tuple(checks)
     for c in checks:
         _require(c in SUITES, f"unknown check suite {c!r} (known: {', '.join(SUITES)})")
     _require(len(set(checks)) == len(checks), "'checks' must not repeat suites")
 
-    given = doc.get("options") or {}
+    given = doc.get("options", {})
     _require(isinstance(given, dict), "'options' must be an object")
     options = dict(_DEFAULT_OPTIONS)
     for key, value in given.items():

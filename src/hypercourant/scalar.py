@@ -35,6 +35,9 @@ poly_gcd, which keeps every ScalarField reduced, is one algorithm on packed
 polynomials: the heuristic gcd of Char, Geddes & Gonnet (1989), which
 evaluates only variables that both operands have, lifts the gcd of the
 values back and keeps it once exact division shows that it divides both.
+_cancel divides a quotient by that gcd, for every ScalarField operation
+but Henrici's sum, which needs two gcds.  Polynomial.evaluate substitutes
+one coordinate at a time, as the witness search does.
 
 sum_of_products is the one kernel under the Cartan, Dorfman and
 endomorphism layers: it fuses a whole sum of polynomial products into one
@@ -339,14 +342,10 @@ class Polynomial:
     def evaluate(self, point: Sequence[Coeff]) -> Fraction:
         if len(point) != self.nvars:
             raise DimensionMismatch(f"point has {len(point)} coordinates, chart has {self.nvars}")
-        total = Fraction(0)
-        for m, c in self.terms:
-            term = Fraction(c)
-            for e, v in zip(m, point):
-                if e:
-                    term *= Fraction(v) ** e
-            total += term
-        return total
+        p = self
+        for var, v in enumerate(point):
+            p = p.substitute(var, v)
+        return Fraction(p.leading_coeff())
 
     def substitute(self, var: int, value: Coeff) -> "Polynomial":
         """Set x_var to a constant, as a polynomial with x_var removed
@@ -389,15 +388,6 @@ class Polynomial:
         (dk0, dc0), *tail = d.packed
         shifts = range((self.nvars - 1) * WIDTH, -1, -WIDTH)
         fields = [(s, e) for s in shifts if (e := (dk0 >> s) & _MASK)]
-        if not tail:
-            # dividing by one key keeps the order of the keys
-            out = []
-            for k, c in self.packed:
-                for s, e in fields:
-                    if (k >> s) & _MASK < e:
-                        raise ArithmeticError("polynomial division is not exact")
-                out.append((k - dk0, c))
-            return Polynomial._raw(self.nvars, tuple(out))._times(d.den, dc0 * self.den)
         # a heap of negated keys yields the leading remainder term, skipping
         # cancelled ones; the keys of self in decreasing order, negated, are
         # already a heap.  The quotient's coefficients may be Fractions.
@@ -613,9 +603,9 @@ class ScalarField:
             raise DimensionMismatch(f"{num.nvars} vs {den.nvars} variables")
         if den.is_zero():
             raise DivisionByZero("zero denominator polynomial")
-        num, den = _reduce(num, den)
-        self.num = num
-        self.den = den
+        f = _monic(*_cancel(num, den))
+        self.num = f.num
+        self.den = f.den
         self._hash = None
 
     @classmethod
@@ -686,10 +676,7 @@ class ScalarField:
                 return ScalarField.zero(self.nvars)
             if d1.is_one():
                 return ScalarField._raw(num, d1)
-            g = poly_gcd(num, d1)
-            if g.is_one():
-                return ScalarField._raw(num, d1)
-            return _monic(num.divexact(g), d1.divexact(g))
+            return _monic(*_cancel(num, d1))
         # Henrici: with reduced inputs only gcd(d1, d2) can cancel
         g0 = poly_gcd(d1, d2)
         if g0.is_one():
@@ -721,14 +708,10 @@ class ScalarField:
         n1, d1, n2, d2 = self.num, self.den, other.num, other.den
         if d1.is_one() and d2.is_one():
             return ScalarField._raw(n1 * n2, d1)
-        g1 = poly_gcd(n1, d2) if not d2.is_one() else None
-        g2 = poly_gcd(n2, d1) if not d1.is_one() else None
-        if g1 is not None and not g1.is_one():
-            n1 = n1.divexact(g1)
-            d2 = d2.divexact(g1)
-        if g2 is not None and not g2.is_one():
-            n2 = n2.divexact(g2)
-            d1 = d1.divexact(g2)
+        if not d2.is_one():
+            n1, d2 = _cancel(n1, d2)
+        if not d1.is_one():
+            n2, d1 = _cancel(n2, d1)
         return _monic(n1 * n2, d1 * d2)
 
     def __truediv__(self, other: "ScalarField") -> "ScalarField":
@@ -797,7 +780,7 @@ def _monic(num: Polynomial, den: Polynomial) -> ScalarField:
     """Finish a known-reduced quotient: normalize den to leading coefficient 1."""
     if num.is_zero():
         return ScalarField.zero(num.nvars)
-    # a monic polynomial has packed leading coefficient 1 over 1
+    # monic: packed leading coefficient == den (x1 + 1/2 is (2 x1 + 1) over 2)
     lc, d = den.packed[0][1], den.den
     if lc != 1 or d != 1:
         num = num._times(d, lc)
@@ -805,15 +788,12 @@ def _monic(num: Polynomial, den: Polynomial) -> ScalarField:
     return ScalarField._raw(num, den)
 
 
-def _reduce(num: Polynomial, den: Polynomial) -> tuple:
-    if num.is_zero():
-        return Polynomial.zero(num.nvars), Polynomial.one(num.nvars)
+def _cancel(num: Polynomial, den: Polynomial) -> tuple:
+    """num and den, each divided by their gcd."""
     g = poly_gcd(num, den)
-    if not g.is_one():
-        num = num.divexact(g)
-        den = den.divexact(g)
-    f = _monic(num, den)
-    return f.num, f.den
+    if g.is_one():
+        return num, den
+    return num.divexact(g), den.divexact(g)
 
 
 # ---------------------------------------------------------------------------

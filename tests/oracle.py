@@ -35,6 +35,8 @@ Polynomial arithmetic, which the engine computes on packed monomials, is
 checked against the schoolbook product, the dict sum and the derivative on
 exponent tuples; each oracle returns its terms in the order of its own grlex
 sort key, so the comparison checks the engine's term order as well.
+Polynomial.evaluate, which substitutes one coordinate at a time, is checked
+against the sum of its decoded terms' values in Fraction arithmetic.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from itertools import product
 from hypercourant import nijenhuis as nij
 from hypercourant.cartan import VectorField, exterior_derivative, pair_form_vector
 from hypercourant.courant import GSection, anchor_apply, basis_sections, d_map, pairing
-from hypercourant.errors import PoleAtPoint
+from hypercourant.errors import DimensionMismatch, PoleAtPoint
 from hypercourant.nijenhuis import (
     CONCOMITANT_KEYS,
     ConcomitantStatus,
@@ -314,3 +316,18 @@ def tuple_derivative(self: Polynomial, var: int) -> tuple:
             dm = m[:var] + (e - 1,) + m[var + 1:]
             out[dm] = _cnorm(out.get(dm, 0) + c * e)
     return grlex_terms(out)
+
+
+def termwise_evaluate(self: Polynomial, point) -> Fraction:
+    """The value at a point: each decoded term's coefficient times its
+    coordinate powers, summed in Fraction arithmetic."""
+    if len(point) != self.nvars:
+        raise DimensionMismatch(f"point has {len(point)} coordinates, chart has {self.nvars}")
+    total = Fraction(0)
+    for m, c in self.terms:
+        term = Fraction(c)
+        for e, v in zip(m, point):
+            if e:
+                term *= Fraction(v) ** e
+        total += term
+    return total

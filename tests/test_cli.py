@@ -295,6 +295,23 @@ class TestCheck:
         assert out == ""
         assert err == f"error: option {option!r} must be a nonnegative integer\n"
 
+    @pytest.mark.parametrize("options", [None, [], 0, False, ""])
+    def test_non_object_options_exits_two(self, capsys, tmp_path, options):
+        # falsy values too: none of them may stand for the default options
+        doc = structure_file("nonintegrable")
+        doc["options"] = options
+        path = tmp_path / "options.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "check", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: 'options' must be an object\n"
+
+    def test_empty_checks_exits_two(self, capsys, tmp_path):
+        # a report with no suite would pass without checking anything
+        code, out, err = run_cli(capsys, "check", example_doc(tmp_path, checks=[]))
+        assert (code, out) == (2, "")
+        assert err == "error: 'checks' must name at least one suite\n"
+
     def test_boolean_dimension_exits_two(self, capsys, tmp_path):
         doc = structure_file("nonintegrable")
         doc["dimension"] = True

@@ -7,7 +7,7 @@ from math import gcd
 
 import pytest
 import sympy
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracle import (
     _cnorm,
@@ -15,6 +15,7 @@ from oracle import (
     dict_add,
     grlex_terms,
     schoolbook_mul,
+    termwise_evaluate,
     tuple_derivative,
 )
 
@@ -505,22 +506,58 @@ class TestPackedProduct:
         assert_same_terms(Polynomial.const(3, Fraction(2, 3)) * p, p.scale(Fraction(2, 3)))
 
 
+@st.composite
+def divisor_pairs(draw):
+    """A polynomial and a nonzero divisor in its chart: one of up to four
+    terms, of one term, or a constant."""
+    nvars = draw(st.integers(0, 8))
+    cap = draw(st.sampled_from(EXPONENT_CAPS))
+    constants = st.one_of(st.integers(-(10**12), 10**12), SMALL_DENOMINATORS)
+    q = draw(
+        st.one_of(
+            wide_polynomials(nvars, cap),
+            wide_polynomials(nvars, cap, max_terms=1),
+            st.builds(Polynomial.const, st.just(nvars), constants),
+        ).filter(lambda q: not q.is_zero())
+    )
+    return draw(wide_polynomials(nvars, cap)), q
+
+
 class TestDivexact:
-    @given(pair=wide_pairs())
+    @given(pair=divisor_pairs())
     @settings(max_examples=100)
     def test_product_divides_back(self, pair):
         p, q = pair
-        assume(not q.is_zero())
         assert_same_terms((p * q).divexact(q), p)
 
-    @given(pair=wide_pairs())
+    @given(pair=divisor_pairs())
     @settings(max_examples=100)
     def test_inexact_division_raises(self, pair):
         p, q = pair
+        r = p * q + Polynomial.one(q.nvars)
+        if q.is_const():
+            # over Q a constant divides everything, whatever the int content
+            assert_same_terms(r.divexact(q), r.scale(1 / Fraction(q.leading_coeff())))
+            return
         # a non-constant q divides p*q + 1 only if it divides 1
-        assume(not q.is_const())
         with pytest.raises(ArithmeticError):
-            (p * q + Polynomial.one(q.nvars)).divexact(q)
+            r.divexact(q)
+
+
+class TestEvaluate:
+    @given(data=st.data())
+    @settings(max_examples=100)
+    def test_matches_termwise_sum(self, data):
+        nvars = data.draw(st.integers(0, 4))
+        p = data.draw(wide_polynomials(nvars, data.draw(st.sampled_from([1, 2, 5]))))
+        coordinates = st.one_of(
+            st.integers(-7, 7),
+            st.fractions(min_value=-7, max_value=7, max_denominator=12),
+        )
+        point = tuple(data.draw(coordinates) for _ in range(nvars))
+        for f in (p, Polynomial.zero(nvars)):
+            got = f.evaluate(point)
+            assert type(got) is Fraction and got == termwise_evaluate(f, point)
 
 
 # -- packed storage against the tuple oracles ----------------------------------

@@ -1,0 +1,80 @@
+"""Source hygiene of the package, read from its syntax trees.
+
+No module of src/hypercourant imports a name it never uses, and no
+module-level private function or class (a name with one leading
+underscore) goes unreferenced across the package.  The package's
+__init__.py re-exports what it imports, so its imports are exempt, as are
+`from __future__` imports.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "hypercourant"
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _loaded_names(tree: ast.Module) -> set:
+    """Names a module loads; a name in a string annotation does not count."""
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+def _referenced_names(tree: ast.Module) -> set:
+    """Loaded names, attribute names and names imported from elsewhere in
+    the package, which is how one module references another's definitions."""
+    used = _loaded_names(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and node.level:
+            used |= {a.name for a in node.names}
+    return used
+
+
+def _imported(tree: ast.Module) -> list:
+    """(bound name, line) for every import of a module, `from __future__`
+    excepted."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out += [((a.asname or a.name).split(".")[0], node.lineno) for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            out += [(a.asname or a.name, node.lineno) for a in node.names]
+    return out
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"], ids=lambda p: p.name)
+def test_no_unused_import(path):
+    tree = _tree(path)
+    loaded = _loaded_names(tree)
+    unused = [(name, line) for name, line in _imported(tree) if name not in loaded]
+    assert not unused, f"{path.name}: unused imports {unused}"
+
+
+def test_no_orphan_private_definition():
+    trees = {path.name: _tree(path) for path in MODULES}
+    used = set().union(*[_referenced_names(tree) for tree in trees.values()])
+    orphans = [
+        (name, node.name)
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and node.name not in used
+    ]
+    assert not orphans, f"unreferenced private definitions: {orphans}"
+
+
+def test_catches_an_orphan_and_an_unused_import():
+    tree = ast.parse("import os\nfrom math import gcd\n\ndef _lone():\n    return gcd(1, 2)\n")
+    assert [n for n, _ in _imported(tree) if n not in _loaded_names(tree)] == ["os"]
+    assert "_lone" not in _referenced_names(tree)
