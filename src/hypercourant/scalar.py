@@ -344,7 +344,7 @@ class Polynomial:
             raise DimensionMismatch(f"point has {len(point)} coordinates, chart has {self.nvars}")
         p = self
         for var, v in enumerate(point):
-            p = p.substitute(var, v)
+            p = p.substitute(var, Fraction(v))
         return Fraction(p.leading_coeff())
 
     def substitute(self, var: int, value: Coeff) -> "Polynomial":

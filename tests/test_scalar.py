@@ -553,6 +553,8 @@ class TestEvaluate:
         coordinates = st.one_of(
             st.integers(-7, 7),
             st.fractions(min_value=-7, max_value=7, max_denominator=12),
+            # anything Fraction() takes, such as a binary float
+            st.sampled_from([0.5, -1.25, 3.0]),
         )
         point = tuple(data.draw(coordinates) for _ in range(nvars))
         for f in (p, Polynomial.zero(nvars)):
