@@ -104,7 +104,7 @@ class _Components:
         self._check_type(other)
         _check_dim(self, other)
         pairs = zip(self.components, other.components)
-        return self._of(tuple(-b if a.is_zero() else a if b.is_zero() else a - b for a, b in pairs))
+        return self._of(tuple(a if b.is_zero() else -b if a.is_zero() else a - b for a, b in pairs))
 
     def __neg__(self):
         return self._of(tuple(-a for a in self.components))

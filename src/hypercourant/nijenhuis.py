@@ -31,35 +31,25 @@ connection checks are one pass, connection_pass, which draws each trial's
 (X, Y, f) once from one seeded stream and runs every selected check on it.
 
 Within one input the formulas bracket the same section pairs and take the
-same derivatives many times: N_{I,J} and the connection share H_{J,I}, the
-Delta terms share D f, every rotation brackets [[Y,X]], and the identities
-and the theorem take the connections nabla_X Y that the laws take.  So all
-checks of one input, each concomitant_statuses call and each bare
-concomitant call run in one sharing scope (scalar.SHARING), where a Dorfman
-bracket of a section pair and a partial derivative are each computed once.
-The concomitant_statuses scope shares endomorphism images as well: there
-the six concomitants apply I, J, K to the same frame sections and brackets,
-and the image of a frame section is not computed at all, since F e_a is
-column a of F.  In a suite input images recur less and are large, and
-sharing them raised the peak memory of the flat example by 10 % for no time
-measured.  On a miss the scope calls the module globals dorfman and
-GEndo.apply as they are at that moment, so a patched or traced one still
-sees every computed call.  The scope lasts one input, not the pass: values
-do not recur across inputs, and a pass-long memo only holds memory (+30 %
-peak on the flat example).  The laws' f-scaled connections nabla_{fX} Y and
-nabla_X (fY) run in a scope nested in the input's, which reads it but holds
-only brackets of two input sections, [[Y,fX]] and [[fY,X]], which every
-rotation takes, and closes when the laws end.  Their other brackets, such
-as [[QY,P(fX)]], serve one rotation only: holding all of the laws' brackets
-in the input's scope raised the flat example's peak memory by 11 %, and
-holding every value of the f-scaled connections in the nested one by 13 %.
-The scopes are context variables, so each thread has its own.
+same derivatives many times, so each value goes through scalar.shared and
+is computed once per sharing scope.  Each kind of scope is one predicate:
+  - an input's (_all_but_images) holds every bracket and derivative, for
+    one input only (a pass-long one raised flat's peak memory by 30 %), and
+    no image, since images recur less there and are large (+10 %);
+  - concomitant_statuses' (_everything) holds images too, seeded with
+    F e_a = column a of F, as all six concomitants apply I, J, K to the
+    same frame sections and brackets;
+  - the laws' f-scaled connections run in one nested in the input's
+    (_brackets_of), which reads it but holds only [[Y,fX]] and [[fY,X]],
+    the brackets every rotation takes (holding more cost 11-13 %).
+A miss calls the module globals dorfman and GEndo.apply as they are then,
+so a patched or traced one sees every computed call.  The scopes are
+context variables, so each thread has its own.
 """
 
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -77,94 +67,36 @@ from .endo import GEndo, HKTriple
 from .errors import InconsistentEquivalence
 from .report import Witness, check, witness_for
 from .sampling import random_scalar, suite_rng
-from .scalar import SHARING, ScalarField
+from .scalar import ScalarField, shared, sharing
 
 VARIANTS = ("ijk", "jki", "kij")
 
 
-@contextmanager
+def _all_but_images(key) -> bool:
+    return key[0] is not GEndo.apply
+
+
+def _everything(key) -> bool:
+    return True
+
+
+def _brackets_of(*sections):
+    """The rule of the laws' nested scope: brackets of two of `sections`."""
+    held = frozenset(sections)
+    return lambda key: key[0] is dorfman and held.issuperset(key[1:])
+
+
 def _sharing():
-    """Open a sharing scope, or join the one already open."""
-    if SHARING.get() is not None:
-        yield
-        return
-    token = SHARING.set({})
-    try:
-        yield
-    finally:
-        SHARING.reset(token)
-
-
-class _InputBrackets(dict):
-    """A sharing scope nested in the open one: it reads that scope, and
-    holds only the brackets of two of the given sections."""
-
-    def __init__(self, outer: dict, sections):
-        super().__init__()
-        self.outer = outer
-        self.sections = frozenset(sections)
-
-    def get(self, key, default=None):
-        out = dict.get(self, key)
-        return self.outer.get(key, default) if out is None else out
-
-    def __contains__(self, key) -> bool:
-        return dict.__contains__(self, key) or key in self.outer
-
-    def __setitem__(self, key, value) -> None:
-        if key[0] is dorfman and self.sections.issuperset(key[1:]):
-            dict.__setitem__(self, key, value)
-
-
-@contextmanager
-def _sharing_input_brackets(*sections):
-    """Inside the open scope (or a new one), a nested scope that keeps the
-    brackets of two of `sections` until it closes and computes every other
-    new value without holding it."""
-    with _sharing():
-        token = SHARING.set(_InputBrackets(SHARING.get(), sections))
-        try:
-            yield
-        finally:
-            SHARING.reset(token)
-
-
-def _shared(fn, a, b):
-    """fn(a, b), computed once per sharing scope; fn is the current module
-    global dorfman or GEndo.apply, so a patched or traced one is called."""
-    memo = SHARING.get()
-    if memo is None:
-        return fn(a, b)
-    key = (fn, a, b)
-    out = memo.get(key)
-    if out is None:
-        out = memo[key] = fn(a, b)
-    return out
+    """The open sharing scope, or where none is open a new input scope."""
+    return sharing(_all_but_images, join=True)
 
 
 def _bracket(s: GSection, t: GSection) -> GSection:
-    return _shared(dorfman, s, t)
-
-
-# the memo key that marks a scope sharing images too (see _share_images)
-_IMAGES = "images"
+    return shared(dorfman, s, t)
 
 
 def _image(f: GEndo, s: GSection) -> GSection:
-    memo = SHARING.get()
-    if memo is None or _IMAGES not in memo:
-        return f.apply(s)
-    return _shared(GEndo.apply, f, s)
-
-
-def _share_images(members, frame: tuple) -> None:
-    """Make the open scope share images, starting from F e_a = column a of F
-    for each member F and frame section e_a."""
-    memo = SHARING.get()
-    memo[_IMAGES] = True
-    for f in members:
-        for e, column in zip(frame, f.columns()):
-            memo[GEndo.apply, f, e] = column
+    return shared(GEndo.apply, f, s)
 
 
 def _four_terms(br, f: GEndo, g: GEndo, x: GSection, y: GSection) -> GSection:
@@ -317,16 +249,16 @@ def concomitant_statuses(hk: HKTriple) -> dict:
 
     Each concomitant is evaluated on the frame pairs in row-major order; the
     first nonzero pair supplies its witness, and it vanishes when no pair
-    is nonzero.  The six concomitants bracket the same images of frame
-    sections, so the call is one sharing scope: each distinct bracket and
-    image is computed once, and the frame images are matrix columns.
+    is nonzero.  The call is one sharing scope that holds images too, the
+    frame images being matrix columns.
     """
     hk.require_certified()
     members = hk.members()
     frame = basis_sections(hk.n)
     status = {}
-    with _sharing():
-        _share_images(members.values(), frame)
+    with sharing(_everything) as scope:
+        for f in members.values():
+            scope.update(((GEndo.apply, f, e), col) for e, col in zip(frame, f.columns()))
         for key in CONCOMITANT_KEYS:
             a, b = key
             f, g = members[a], members[b]
@@ -375,14 +307,12 @@ def _timed(seconds: dict, suite: str, fn, *args):
 
 
 def _law_checks(hk: HKTriple, t: int, x, y, fun, out: dict) -> None:
-    """Append the two laws of each connection on one input to out[variant].
-    The connections nabla_X Y go to the open scope, where the other suites
-    take them; of the f-scaled ones only [[Y,fX]] and [[fY,X]], which every
-    rotation brackets, are held, and only until the laws end."""
+    """Append the two laws of each connection on one input to out[variant];
+    the f-scaled connections run in the nested scope of _brackets_of."""
     fx, fy = x.smul(fun), y.smul(fun)
     leibniz = y.smul(anchor_apply(x, fun)) - delta(hk, fun, x, y)
     f_nabs = [connection(hk, v, x, y).smul(fun) for v in VARIANTS]
-    with _sharing_input_brackets(x, y, fx, fy):
+    with sharing(_brackets_of(x, y, fx, fy)):
         for v, f_nab in zip(VARIANTS, f_nabs):
             r1 = connection(hk, v, fx, y) - f_nab
             r2 = connection(hk, v, x, fy) - leibniz - f_nab

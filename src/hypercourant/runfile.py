@@ -118,24 +118,32 @@ def _parse_matrix(rows, n: int, coords, what: str):
     return tuple(tuple(parse_scalar(entry, coords) for entry in row) for row in rows)
 
 
+def _only(spec: dict, keys: tuple, what: str, form: str) -> None:
+    unknown = sorted(set(spec) - set(keys))
+    _require(not unknown, f"{what}: unknown keys {unknown} for the {form} form")
+
+
 def _parse_endo(spec, n: int, coords, what: str) -> GEndo:
     _require(isinstance(spec, dict), f"{what} must be an object")
     if "lift" in spec:
         kind = spec["lift"]
         if kind == "diagonal":
             _require("j" in spec, f"{what}: diagonal lift needs a 'j' matrix")
+            _only(spec, ("lift", "j"), what, "diagonal")
             return lift_diagonal(_parse_matrix(spec["j"], n, coords, f"{what}.j"))
         if kind == "symplectic":
             _require(
                 "omega" in spec and "omega_inv" in spec,
                 f"{what}: symplectic lift needs 'omega' and 'omega_inv'",
             )
+            _only(spec, ("lift", "omega", "omega_inv"), what, "symplectic")
             omega = TwoForm(_parse_matrix(spec["omega"], n, coords, f"{what}.omega"))
             inv = _parse_matrix(spec["omega_inv"], n, coords, f"{what}.omega_inv")
             return lift_symplectic(omega, inv)
         raise SchemaError(f"{what}: unknown lift kind {kind!r}")
     missing = [k for k in ("A", "B", "C", "D") if k not in spec]
     _require(not missing, f"{what}: block form needs A, B, C, D (missing {missing})")
+    _only(spec, ("A", "B", "C", "D"), what, "block")
     return GEndo(
         _parse_matrix(spec["A"], n, coords, f"{what}.A"),
         _parse_matrix(spec["B"], n, coords, f"{what}.B"),

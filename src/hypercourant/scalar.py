@@ -45,13 +45,14 @@ packed accumulator instead of building and sorting a Polynomial per product
 and per partial sum.  A sum of one product goes through Polynomial `*`,
 whose one-term path needs neither dict nor sort.
 
-SHARING is the sharing scope of the suites (see the nijenhuis module): a
-context-local dict while one suite input runs, None otherwise.  Inside it,
-ScalarField.derivative returns a derivative already taken there.
+SHARING is the open sharing scope, a Scope or None (see the nijenhuis
+module).  shared(fn, a, b) is the one memo call: ScalarField.derivative and
+the nijenhuis brackets and images all go through it.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from contextvars import ContextVar
 from fractions import Fraction
 from heapq import heappop, heappush
@@ -71,6 +72,49 @@ Rational = Fraction
 Coeff = Union[int, Fraction]
 
 SHARING: ContextVar = ContextVar("hypercourant_sharing", default=None)
+
+
+class Scope(dict):
+    """A sharing scope: values fn(a, b) keyed (fn, a, b).  It reads through
+    `outer`, and holds and looks up only the keys that keep(key) admits."""
+
+    def __init__(self, keep, outer):
+        super().__init__()
+        self.keep, self.outer = keep, outer
+
+
+@contextmanager
+def sharing(keep, join: bool = False):
+    """A new Scope for the block, holding what keep admits and reading the
+    open scope; with join, the open scope itself where there is one."""
+    outer = SHARING.get()
+    if join and outer is not None:
+        yield outer
+        return
+    token = SHARING.set(scope := Scope(keep, outer))
+    try:
+        yield scope
+    finally:
+        SHARING.reset(token)
+
+
+def shared(fn, a, b):
+    """fn(a, b) from the first scope, the open one then its outer ones, that
+    holds it; else computed by fn as passed and held where the open scope's
+    keep admits it, so a patched or traced fn sees every computed call."""
+    scope = SHARING.get()
+    if scope is None:
+        return fn(a, b)
+    key, s = (fn, a, b), scope
+    while s is not None:
+        out = s.get(key) if s.keep(key) else None
+        if out is not None:
+            return out
+        s = s.outer
+    out = fn(a, b)
+    if scope.keep(key):
+        scope[key] = out
+    return out
 
 
 def _cdiv(a: Coeff, b: int) -> Coeff:
@@ -734,15 +778,8 @@ class ScalarField:
 
     def derivative(self, var: int) -> "ScalarField":
         """Partial derivative by coordinate `var` (0-based), quotient rule;
-        taken once per sharing scope (SHARING)."""
-        memo = SHARING.get()
-        if memo is None:
-            return self._derivative(var)
-        key = (self, var)
-        d = memo.get(key)
-        if d is None:
-            d = memo[key] = self._derivative(var)
-        return d
+        taken once per sharing scope (see shared)."""
+        return shared(ScalarField._derivative, self, var)
 
     def _derivative(self, var: int) -> "ScalarField":
         if self.den.is_one():
@@ -902,7 +939,7 @@ def _mono_text(mono) -> str:
 
 def polynomial_text(p: Polynomial) -> str:
     """Canonical text; reparses to the same polynomial."""
-    if not p.terms:
+    if not p.packed:
         return "0"
     pieces = []
     for idx, (mono, c) in enumerate(p.terms):

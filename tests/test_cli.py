@@ -275,6 +275,28 @@ class TestCheck:
         assert (code, out) == (2, "")
         assert err == "error: unknown top-level keys ['sections']\n"
 
+    @pytest.mark.parametrize(
+        "name, extra, unknown",
+        [
+            ("flat-quaternionic", {"I": {"typo": [[1]]}, "J": {"A": "ignored"}}, "I: unknown keys ['typo']"),
+            (
+                "nonintegrable",
+                {"I": {"lift": "diagonal", "j": structure_file("flat-quaternionic")["structure"]["I"]["j"]}},
+                "I: unknown keys ['A', 'B', 'C', 'D']",
+            ),
+        ],
+    )
+    def test_unknown_member_key_exits_two(self, capsys, tmp_path, name, extra, unknown):
+        # a key outside the member's form is refused, not ignored
+        doc = structure_file(name)
+        for member, keys in extra.items():
+            doc["structure"][member].update(keys)
+        path = tmp_path / "member.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "check", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {unknown}")
+
     def test_unprintable_coefficient_exits_two(self, capsys, tmp_path):
         # a 4,000-digit entry parses, but J^2 + 1 has 8,000 digits, past the
         # limit of the interpreter's int() that the parser also enforces

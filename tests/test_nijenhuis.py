@@ -28,6 +28,7 @@ from hypercourant.nijenhuis import (
     theorem_report,
     torsion,
     torsion_formula_residual,
+    _bracket,
     _inputs,
     _law_checks,
     _rotation,
@@ -37,7 +38,7 @@ from hypercourant.nijenhuis import (
 from hypercourant.parse import parse_scalar
 from hypercourant.report import CheckReport
 from hypercourant.sampling import random_scalar, suite_rng
-from hypercourant.scalar import SHARING, ScalarField
+from hypercourant.scalar import SHARING, ScalarField, sharing
 
 from oracle import (
     family_statuses,
@@ -641,6 +642,44 @@ class TestSharingScope:
         concomitant_statuses(flat)
         assert images and not frame.intersection(images)
         assert flat.i.columns() == tuple(flat.i.apply(e) for e in basis_sections(flat.n))
+
+    def test_input_scope_keys_brackets_and_derivatives(self, flat):
+        with _sharing() as scope:  # the pass joins it as its input's scope
+            connection_pass(flat, CONNECTION_SUITES, 1, 0, 1)
+        assert all(type(key) is tuple and len(key) == 3 for key in scope)
+        # every bracket and derivative, and no endomorphism image
+        assert {key[0] for key in scope} == {hypercourant.nijenhuis.dorfman, ScalarField._derivative}
+
+    def test_nested_scope_reads_its_outer_and_holds_what_keep_admits(self, flat):
+        (_, x, y, _), = _inputs(flat, 0, 1, 1)
+        f, g = x.components[0], y.components[0]
+        with _sharing() as outer:
+            first = f.derivative(0)
+            with sharing(lambda key: key[0] is dorfman) as inner:
+                assert SHARING.get() is inner and inner.outer is outer
+                assert f.derivative(0) is first
+                g.derivative(1)
+                bracket = _bracket(x, y)
+                assert _bracket(x, y) is bracket
+            assert SHARING.get() is outer
+        assert dict(inner) == {(dorfman, x, y): bracket}
+        assert set(outer) == {(ScalarField._derivative, f, 0)}
+
+    def test_statuses_scope_is_seeded_with_frame_columns(self, flat, monkeypatch):
+        scopes = []
+        direct = hypercourant.nijenhuis.concomitant
+
+        def watched(*args):
+            scopes.append(SHARING.get())
+            return direct(*args)
+
+        monkeypatch.setattr(hypercourant.nijenhuis, "concomitant", watched)
+        concomitant_statuses(flat)
+        scope = scopes[0]
+        assert all(s is scope for s in scopes) and scope.outer is None
+        for f in flat.members().values():
+            for e, column in zip(basis_sections(flat.n), f.columns()):
+                assert scope[GEndo.apply, f, e] == column
 
     def test_derivatives_are_shared_only_inside_a_scope(self):
         f = ScalarField.from_polynomial(parse_scalar("x1^3*x2 - x2", 2).num)

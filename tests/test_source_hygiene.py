@@ -4,7 +4,8 @@ No module of src/hypercourant imports a name it never uses, and no
 module-level private function or class (a name with one leading
 underscore) goes unreferenced across the package.  The package's
 __init__.py re-exports what it imports, so its imports are exempt, as are
-`from __future__` imports.
+`from __future__` imports.  Only scalar.py names the sharing scope's
+context variable, SHARING.
 """
 
 from __future__ import annotations
@@ -72,6 +73,16 @@ def test_no_orphan_private_definition():
         and node.name not in used
     ]
     assert not orphans, f"unreferenced private definitions: {orphans}"
+
+
+def test_only_scalar_names_the_sharing_variable():
+    # every other module shares values through scalar.shared and scalar.sharing
+    naming = [
+        path.name
+        for path in MODULES
+        if path.name != "scalar.py" and "SHARING" in _referenced_names(_tree(path))
+    ]
+    assert not naming, f"modules naming SHARING: {naming}"
 
 
 def test_catches_an_orphan_and_an_unused_import():
