@@ -31,17 +31,19 @@ connection checks are one pass, connection_pass, which draws each trial's
 (X, Y, f) once from one seeded stream and runs every selected check on it.
 
 Within one input the formulas bracket the same section pairs and take the
-same derivatives many times, so each value goes through scalar.shared and
-is computed once per sharing scope.  Each kind of scope is one predicate:
-  - an input's (_all_but_images) holds every bracket and derivative, for
-    one input only (a pass-long one raised flat's peak memory by 30 %), and
-    no image, since images recur less there and are large (+10 %);
+same derivatives and gcds many times, so each value goes through
+scalar.shared and is computed once per sharing scope.  Each kind of scope
+is one predicate:
+  - an input's (_all_but_images) holds every bracket, derivative and gcd,
+    for one input only (a pass-long one raised flat's peak memory by 30 %),
+    and no image, since images recur less there and are large (+10 %);
   - concomitant_statuses' (_everything) holds images too, seeded with
     F e_a = column a of F, as all six concomitants apply I, J, K to the
     same frame sections and brackets;
   - the laws' f-scaled connections run in one nested in the input's
     (_brackets_of), which reads it but holds only [[Y,fX]] and [[fY,X]],
-    the brackets every rotation takes (holding more cost 11-13 %).
+    the brackets every rotation takes (holding more cost 11-13 %), and no
+    gcd: one taken there is read from the input's scope or computed.
 A miss calls the module globals dorfman and GEndo.apply as they are then,
 so a patched or traced one sees every computed call.  The scopes are
 context variables, so each thread has its own.

@@ -31,8 +31,9 @@ _DEFAULT_OPTIONS = {"trials": 10, "degree": 2, "seed": 0}
 # steeply with it, and every shipped document uses at most 2.
 MAX_DEGREE = 4
 
-# Largest chart dimension; one axiom trial at degree 2 already takes about
-# 10 s at n = 8, and the cost grows steeply with n.
+# Largest chart dimension; one axiom trial at degree 2 takes 1.1-1.5 s at
+# n = 8 against about 0.3 s at n = 6 (2-core VM), and the cost grows steeply
+# with n.
 MAX_DIMENSION = 8
 
 # Most random trials per suite; the shipped documents use 6 to 10 and

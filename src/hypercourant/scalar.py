@@ -46,8 +46,10 @@ and per partial sum.  A sum of one product goes through Polynomial `*`,
 whose one-term path needs neither dict nor sort.
 
 SHARING is the open sharing scope, a Scope or None (see the nijenhuis
-module).  shared(fn, a, b) is the one memo call: ScalarField.derivative and
-the nijenhuis brackets and images all go through it.
+module).  shared(fn, a, b) is the one memo call: poly_gcd,
+ScalarField.derivative and the nijenhuis brackets and images all go through
+it, so a value lives as long as the scope that holds it and nothing is kept
+process-wide.
 """
 
 from __future__ import annotations
@@ -493,10 +495,6 @@ class Polynomial:
 # multivariate gcd (heuristic gcd over the shared variables)
 # ---------------------------------------------------------------------------
 
-_GCD_CACHE: dict = {}
-_GCD_CACHE_LIMIT = 1 << 17
-
-
 def _int_content(p: Polynomial) -> int:
     g = 0
     for _, c in p.packed:
@@ -583,7 +581,7 @@ def _gcd_int(a: Polynomial, b: Polynomial) -> Polynomial:
                 k += unit
         g = _primitive_int(_collect(a.nvars, lift, 1))
         if g.is_one():
-            # the shared one, not a copy for the cache to keep
+            # the shared one, not a copy for a scope to keep
             return Polynomial.const(a.nvars, c)
         try:
             a.divexact(g)
@@ -597,7 +595,9 @@ def _gcd_int(a: Polynomial, b: Polynomial) -> Polynomial:
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     """Gcd over Q up to units, normalized to primitive integer coefficients
-    with positive leading coefficient.  Memoized; inputs are immutable."""
+    with positive leading coefficient.  Memoised per sharing scope, under
+    one key for both orders of the primitive parts; outside a scope every
+    call computes."""
     if a.nvars != b.nvars:
         raise DimensionMismatch(f"{a.nvars} vs {b.nvars} variables")
     if a.is_zero():
@@ -610,17 +610,10 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
         return Polynomial.one(a.nvars)
     if pa.packed == pb.packed:
         return pa
-    # (nvars, packed) determines a polynomial
-    first, second = sorted((pa.packed, pb.packed))
-    key = (a.nvars, first, second)
-    hit = _GCD_CACHE.get(key)
-    if hit is not None:
-        return hit
-    g = _gcd_int(pa, pb)
-    if len(_GCD_CACHE) >= _GCD_CACHE_LIMIT:
-        _GCD_CACHE.clear()
-    _GCD_CACHE[key] = g
-    return g
+    # one key for both orders: (nvars, packed) determines a polynomial
+    if pb.packed < pa.packed:
+        pa, pb = pb, pa
+    return shared(_gcd_int, pa, pb)
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from .cartan import TwoForm
 from .endo import GEndo, HKTriple, lift_diagonal, lift_symplectic, mat_neg
+from .runfile import SUITES
 from .scalar import ScalarField, scalar_text
 
 DIM = 4
@@ -106,9 +107,6 @@ def nonintegrable_conjugated() -> HKTriple:
 # structure files
 # ---------------------------------------------------------------------------
 
-_DEFAULT_CHECKS = ["axioms", "certification", "connection-laws", "identities", "theorem"]
-
-
 def structure_file(name: str) -> dict:
     """The JSON-able structure document for one built-in example."""
     coords = [f"x{k + 1}" for k in range(DIM)]
@@ -120,7 +118,7 @@ def structure_file(name: str) -> dict:
                 "I": {"lift": "diagonal", "j": _matrix_strings(const_matrix(QUAT_I))},
                 "J": {"lift": "diagonal", "j": _matrix_strings(const_matrix(QUAT_J))},
             },
-            "checks": list(_DEFAULT_CHECKS),
+            "checks": list(SUITES),
             "options": {"trials": 10, "degree": 2, "seed": 11},
         }
     if name == "holomorphic-symplectic":
@@ -135,7 +133,7 @@ def structure_file(name: str) -> dict:
                 },
                 "J": {"lift": "diagonal", "j": _matrix_strings(const_matrix(STANDARD_J))},
             },
-            "checks": list(_DEFAULT_CHECKS),
+            "checks": list(SUITES),
             "options": {"trials": 10, "degree": 2, "seed": 23},
         }
     if name == "nonintegrable":
@@ -147,7 +145,7 @@ def structure_file(name: str) -> dict:
             "dimension": DIM,
             "coordinates": coords,
             "structure": structure,
-            "checks": list(_DEFAULT_CHECKS),
+            "checks": list(SUITES),
             "options": {"trials": 6, "degree": 1, "seed": 37},
         }
     raise KeyError(f"unknown example {name!r}")

@@ -4,6 +4,7 @@ from contextlib import contextmanager
 import pytest
 from hypothesis import settings
 
+from hypercourant import scalar
 from hypercourant.endo import GEndo, HKTriple
 from hypercourant.scalar import SHARING, ScalarField
 from hypercourant.structures import (
@@ -83,3 +84,18 @@ def time_budget():
             signal.signal(signal.SIGALRM, previous)
 
     return within
+
+
+@pytest.fixture
+def gcd_calls(monkeypatch):
+    """The operand pairs of every scalar._gcd_int call in the test,
+    recursion included."""
+    calls = []
+    direct = scalar._gcd_int
+
+    def counted(a, b):
+        calls.append((a, b))
+        return direct(a, b)
+
+    monkeypatch.setattr(scalar, "_gcd_int", counted)
+    return calls

@@ -9,6 +9,7 @@ import pytest
 import hypercourant.cartan
 import hypercourant.courant
 import hypercourant.nijenhuis
+from hypercourant import scalar
 from hypercourant.cartan import _Components, check_fields
 from hypercourant.courant import GSection, basis_sections, courant_bracket, dorfman, random_section
 from hypercourant.endo import GEndo, HKTriple
@@ -649,6 +650,15 @@ class TestSharingScope:
         assert all(type(key) is tuple and len(key) == 3 for key in scope)
         # every bracket and derivative, and no endomorphism image
         assert {key[0] for key in scope} == {hypercourant.nijenhuis.dorfman, ScalarField._derivative}
+
+    def test_input_scope_keys_gcds_on_a_rational_triple(self, noni):
+        # flat's fields are polynomials and take no gcd; noni's take many,
+        # and the input's scope holds them with its brackets and derivatives
+        with _sharing() as scope:
+            connection_pass(noni, CONNECTION_SUITES, 1, 0, 1)
+        assert all(type(key) is tuple and len(key) == 3 for key in scope)
+        kinds = {hypercourant.nijenhuis.dorfman, ScalarField._derivative, scalar._gcd_int}
+        assert {key[0] for key in scope} == kinds
 
     def test_nested_scope_reads_its_outer_and_holds_what_keep_admits(self, flat):
         (_, x, y, _), = _inputs(flat, 0, 1, 1)

@@ -12,22 +12,37 @@ import subprocess
 import sys
 import time
 
+import pytest
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def test_traced_flat_job_counts_the_section_layers():
+# the counts the benchmark's self-test requires of each workload, the suite
+# layer included; only nonintegrable takes gcds and searches for witnesses
+REQUIRED = {
+    "flat": (),
+    "nonintegrable": (
+        "scalar.poly_gcd.calls",
+        "scalar.divexact.calls",
+        "scalar.evaluate.calls",
+        "report.find_nonzero_point.calls",
+        "report.find_nonzero_point.evaluations",
+    ),
+}
+
+
+@pytest.mark.parametrize("workload", sorted(REQUIRED))
+def test_traced_job_counts_the_layers(workload):
     job = os.path.join(ROOT, "perfbench", "job.py")
-    argv = [sys.executable, job, "flat", "101", repr(time.monotonic()), "--trace"]
+    argv = [sys.executable, job, workload, "101", repr(time.monotonic()), "--trace"]
     done = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     trace = json.loads(done.stdout.splitlines()[-1])["trace"]
-    # the layers the benchmark's self-test requires on flat, the suite layer
-    # included
     for name in (
         "courant.dorfman.calls",
         "courant.pairing.calls",
         "endo.apply.calls",
         "nijenhuis.connection.calls",
         "nijenhuis.concomitant_statuses.residuals_tested",
-    ):
+    ) + REQUIRED[workload]:
         assert trace[name] > 0, name

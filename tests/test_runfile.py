@@ -239,6 +239,22 @@ class TestEmit:
         b = emit(run(parse_structure_text(text)), "json")
         assert a == b
 
+    def test_a_run_keeps_no_gcd_for_the_next(self, gcd_calls):
+        # gcds are memoised per sharing scope only, so a second identical
+        # run computes every gcd the first one did
+        doc = structure_file("nonintegrable")
+        doc["options"]["trials"] = 1
+        text = json.dumps(doc)
+
+        def counted_run():
+            gcd_calls.clear()
+            out = emit(run(parse_structure_text(text)), "json")
+            return out, len(gcd_calls)
+
+        (first, n_first), (second, n_second) = counted_run(), counted_run()
+        assert n_first > 0 and n_first == n_second
+        assert first == second
+
     @pytest.mark.parametrize("name", EXAMPLE_NAMES)
     def test_json_matches_recorded_report(self, name):
         # the whole report of each built-in example at trials 2, seed 101,

@@ -38,6 +38,7 @@ from hypercourant.scalar import (
     partial,
     poly_gcd,
     scalar_text,
+    sharing,
     sum_of_products,
 )
 from hypercourant.structures import structure_file
@@ -360,10 +361,33 @@ class TestGcdAgainstSympy:
                 raise
 
         monkeypatch.setattr(Polynomial, "divexact", counted)
-        monkeypatch.setattr(scalar, "_GCD_CACHE", {})
         assert poly_gcd(a, b) == sf("x1^3*x2 + 4*x1^2*x2^2", 2).num
         assert failed
         assert_gcd_matches_sympy(a, b)
+
+
+class TestGcdMemo:
+    """poly_gcd memoises through the sharing scope and nowhere else."""
+
+    a = sf("(x1 + x2)*(x1 - x3)", 3).num
+    b = sf("(x1 + x2)*(x2 + 2*x3)", 3).num
+
+    def test_outside_a_scope_every_call_computes(self, gcd_calls):
+        first = poly_gcd(self.a, self.b)
+        once = len(gcd_calls)
+        assert once > 0
+        assert poly_gcd(self.a, self.b) == first
+        assert len(gcd_calls) == 2 * once
+
+    def test_a_scope_computes_once_for_both_orders_and_scalings(self, gcd_calls):
+        with sharing(lambda key: True) as scope:
+            g = poly_gcd(self.a, self.b)
+            once = len(gcd_calls)
+            assert poly_gcd(self.b, self.a) is g
+            assert poly_gcd(self.a.scale(3), self.b) is g
+        assert len(gcd_calls) == once
+        assert g == sf("x1 + x2", 3).num
+        assert [key[0] for key in scope] == [scalar._gcd_int]
 
 
 STALLED_NUMERATOR = (
