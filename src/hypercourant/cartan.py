@@ -17,11 +17,15 @@ validated operands, here and in the Courant and endomorphism layers, go
 through the unchecked `_of`; operations check only that operands share a
 chart, once per section and not per component.  Section sums skip zero
 components, which most frame sections and images are made of.
+
+Every algebra value of the package is one idiom, the scalar layer's: a
+__slots__ class whose `_of` (Polynomial._raw in the scalar layer) sets the
+slots of a new instance directly.  Equality is exact per class and equal
+values hash equal.  Nothing changes a value after it is built; that is a
+convention the engine keeps, and no __setattr__ enforces it.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .errors import DimensionMismatch, IndexOutOfRange, NotAntisymmetric
 from .scalar import ScalarField, sum_of_products
@@ -49,24 +53,38 @@ def check_matrix(m, n: int) -> tuple:
     return rows
 
 
-@dataclass(frozen=True)
 class _Components:
     """_blocks * n scalar components over an n-dimensional chart; the
     subclass says whether they are a vector field's, a 1-form's or, with two
     blocks, a section's of TM (+) T*M."""
 
-    components: tuple
+    __slots__ = ("components", "_hash")
     _blocks = 1
 
-    def __post_init__(self):
-        comps = tuple(self.components)
-        object.__setattr__(self, "components", check_fields(comps, len(comps)))
+    def __init__(self, components):
+        comps = tuple(components)
+        self.components = check_fields(comps, len(comps))
+        self._hash = None
 
     @classmethod
     def _of(cls, components: tuple):
         out = object.__new__(cls)
-        object.__setattr__(out, "components", components)
+        out.components = components
+        out._hash = None
         return out
+
+    def __eq__(self, other) -> bool:
+        return other.__class__ is self.__class__ and self.components == other.components
+
+    def __hash__(self) -> int:
+        # taken once: sections are memo keys of the sharing scope
+        h = self._hash
+        if h is None:
+            h = self._hash = hash(self.components)
+        return h
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(components={self.components!r})"
 
     @property
     def dim(self) -> int:
@@ -116,20 +134,23 @@ class _Components:
 class VectorField(_Components):
     """X = sum_i X^i d/dx_i."""
 
+    __slots__ = ()
+
 
 class OneForm(_Components):
     """xi = sum_i xi_i dx_i."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
 class TwoForm:
     """omega = sum_{i<j} omega_ij dx_i ^ dx_j, stored as the full
     antisymmetric matrix omega_ij."""
 
-    entries: tuple
+    __slots__ = ("entries",)
 
-    def __post_init__(self):
-        rows = tuple(self.entries)
+    def __init__(self, entries):
+        rows = tuple(entries)
         n = len(rows)
         rows = check_matrix(rows, n)
         for i in range(n):
@@ -138,13 +159,22 @@ class TwoForm:
             for j in range(i + 1, n):
                 if rows[i][j] != -rows[j][i]:
                     raise NotAntisymmetric(f"entries ({i},{j}) and ({j},{i}) are not opposite")
-        object.__setattr__(self, "entries", rows)
+        self.entries = rows
 
     @classmethod
     def _of(cls, entries: tuple) -> "TwoForm":
         out = object.__new__(cls)
-        object.__setattr__(out, "entries", entries)
+        out.entries = entries
         return out
+
+    def __eq__(self, other) -> bool:
+        return other.__class__ is self.__class__ and self.entries == other.entries
+
+    def __hash__(self) -> int:
+        return hash(self.entries)
+
+    def __repr__(self) -> str:
+        return f"TwoForm(entries={self.entries!r})"
 
     @property
     def dim(self) -> int:

@@ -14,8 +14,10 @@ plus the Dorfman = Courant + D<,> decomposition on seeded random sections,
 reducing every residual to an exact zero.
 
 GSection(vec, form) and from_components validate; every section the engine
-builds is one tuple of 2n components passed to the unchecked GSection._of
-(see the cartan module).
+builds is one tuple of 2n components passed to the unchecked GSection._of.
+A section is a slotted value like a Polynomial, with the equality, hash and
+`_of` of the cartan module's component tuples; its hash is taken once, as a
+section is a memo key of the sharing scope.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ class GSection(_Components):
     """A section X + xi of the generalized tangent bundle: its 2n components,
     the vector part X first."""
 
+    __slots__ = ()
     _blocks = 2
 
     def __init__(self, vec: VectorField, form: OneForm):
@@ -49,15 +52,8 @@ class GSection(_Components):
             raise TypeError("a section is a VectorField and a OneForm, in that order")
         if vec.dim != form.dim:
             raise DimensionMismatch("vector and form parts live on different charts")
-        object.__setattr__(self, "components", vec.components + form.components)
-
-    def __hash__(self) -> int:
-        # taken once: a section is a memo key of the sharing scope
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash(self.components)
-            object.__setattr__(self, "_hash", h)
-        return h
+        self.components = vec.components + form.components
+        self._hash = None
 
     @property
     def vec(self) -> VectorField:

@@ -21,11 +21,13 @@ identities.
 The GEndo constructor and the lifts validate their blocks (cartan.check_matrix);
 products and sums go through the unchecked GEndo._of, and an image or a
 column is its tuple of 2n components passed to the unchecked GSection._of.
+A GEndo is a slotted value in the idiom of the scalar and Cartan layers,
+with its hash cached in a slot; an HKTriple is a NamedTuple record.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cartan import TwoForm, check_matrix
 from .courant import GSection, basis_sections, pairing
@@ -76,23 +78,24 @@ def mat_eq(a, b) -> bool:
     return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
-@dataclass(frozen=True, init=False)
 class GEndo:
     """Endomorphism of the generalized tangent bundle: one 2n x 2n matrix
     [[A, B], [C, D]] acting on the 2n components of a section."""
 
-    matrix: tuple
+    __slots__ = ("matrix", "_hash")
 
     def __init__(self, a, b, c, d):
         n = len(a)
         a, b, c, d = (check_matrix(blk, n) for blk in (a, b, c, d))
         top = tuple(ra + rb for ra, rb in zip(a, b))
-        object.__setattr__(self, "matrix", top + tuple(rc + rd for rc, rd in zip(c, d)))
+        self.matrix = top + tuple(rc + rd for rc, rd in zip(c, d))
+        self._hash = None
 
     @classmethod
     def _of(cls, matrix: tuple) -> "GEndo":
         out = object.__new__(cls)
-        object.__setattr__(out, "matrix", matrix)
+        out.matrix = matrix
+        out._hash = None
         return out
 
     @property
@@ -108,13 +111,18 @@ class GEndo:
         z = mat_zero(n)
         return cls(z, z, z, z)
 
+    def __eq__(self, other) -> bool:
+        return other.__class__ is self.__class__ and self.matrix == other.matrix
+
     def __hash__(self) -> int:
         # taken once: an endomorphism is a memo key of the sharing scope
-        h = self.__dict__.get("_hash")
+        h = self._hash
         if h is None:
-            h = hash(self.matrix)
-            object.__setattr__(self, "_hash", h)
+            h = self._hash = hash(self.matrix)
         return h
+
+    def __repr__(self) -> str:
+        return f"GEndo(matrix={self.matrix!r})"
 
     def apply(self, s: GSection) -> "GSection":
         if s.dim != self.n:
@@ -238,8 +246,7 @@ def quaternionic_check(i: GEndo, j: GEndo, k: GEndo) -> CheckReport:
     return CheckReport("quaternionic-relations", True)
 
 
-@dataclass(frozen=True)
-class HKTriple:
+class HKTriple(NamedTuple):
     """A candidate almost hypercomplex structure with its certificates.
 
     Certification happens at construction and is never mutated; connection

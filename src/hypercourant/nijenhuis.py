@@ -52,9 +52,9 @@ context variables, so each thread has its own.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from typing import NamedTuple
 
 from .courant import (
     GSection,
@@ -202,8 +202,7 @@ def torsion_formula_residual(hk: HKTriple, variant: str, x: GSection, y: GSectio
 CONCOMITANT_KEYS = ("II", "JJ", "KK", "IJ", "JK", "KI")
 
 
-@dataclass(frozen=True)
-class ConcomitantStatus:
+class ConcomitantStatus(NamedTuple):
     vanishes: bool
     witness: Witness | None = None
 
@@ -214,8 +213,7 @@ class ConcomitantStatus:
         return out
 
 
-@dataclass(frozen=True)
-class TheoremReport:
+class TheoremReport(NamedTuple):
     """Observed vanishing pattern and connection-level consequences."""
 
     structure_id: str

@@ -4,13 +4,15 @@ A failed identity is reported, never raised, and always carries two
 independently checkable pieces of evidence: the nonzero residual printed in
 the scalar grammar, and one rational point where that residual evaluates to
 a nonzero exact value.
+
+Witnesses and reports are NamedTuple records, built once and never changed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, count
+from typing import NamedTuple
 
 from .scalar import ScalarField, coeff_text, scalar_text
 
@@ -29,8 +31,7 @@ POINT_CANDIDATES = tuple(
 )
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """Evidence that a residual expression is not identically zero."""
 
     label: str
@@ -47,8 +48,7 @@ class Witness:
         }
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     """Outcome of one identity check; witness is present exactly on failure."""
 
     check_id: str

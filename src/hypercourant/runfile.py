@@ -13,7 +13,8 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Sequence
 
 from . import __version__
 from .cartan import TwoForm
@@ -41,8 +42,7 @@ MAX_DIMENSION = 8
 MAX_TRIALS = 100
 
 
-@dataclass(frozen=True)
-class StructureFile:
+class StructureFile(NamedTuple):
     """A validated structure document."""
 
     dimension: int
@@ -54,11 +54,10 @@ class StructureFile:
     digest: str
 
 
-@dataclass
-class SuiteReport:
+class SuiteReport(NamedTuple):
     suite: str
     status: str  # pass | fail | skipped
-    checks: list = field(default_factory=list)
+    checks: Sequence = ()  # an immutable default, so reports share no container
     theorem: object = None
     reason: str = ""
 
@@ -73,15 +72,14 @@ class SuiteReport:
         return out
 
 
-@dataclass
-class RunReport:
+class RunReport(NamedTuple):
     version: str
     input_digest: str
     structure_id: str
     options: dict
     suites: list
     verdict: str
-    timings: dict = field(default_factory=dict)
+    timings: Mapping = MappingProxyType({})  # immutable too
 
     def to_dict(self, include_timings: bool = False) -> dict:
         out = {

@@ -220,6 +220,22 @@ class TestComponentValidation:
                     x.smul(f)
 
 
+class TestValueSemantics:
+    def test_a_vector_field_never_equals_a_one_form(self):
+        c = (parse_scalar("x1", 2), ScalarField.one(2))
+        assert VectorField(c) == VectorField(c) and OneForm(c) == OneForm(c)
+        assert VectorField(c) != OneForm(c) and OneForm(c) != VectorField(c)
+
+    def test_equal_two_forms_hash_equal(self):
+        def build():
+            x, z = parse_scalar("x1*x2 + 1/3", 2), ScalarField.zero(2)
+            return TwoForm(((z, x), (-x, z)))
+
+        a, b = build(), build()
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a != TwoForm.zero(2)
+
+
 @st.composite
 def sparse_components(draw, n):
     """n components: a frame section e_a, a scaled one x_k e_a, or each

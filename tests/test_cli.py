@@ -1,4 +1,3 @@
-import dataclasses
 import json
 from pathlib import Path
 
@@ -440,7 +439,7 @@ class TestCheck:
 
         def forced(*args):
             results, seconds = real(*args)
-            results["theorem"] = dataclasses.replace(results["theorem"], consistency="violated")
+            results["theorem"] = results["theorem"]._replace(consistency="violated")
             return results, seconds
 
         monkeypatch.setattr(runfile, "connection_pass", forced)

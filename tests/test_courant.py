@@ -22,7 +22,7 @@ from hypercourant.courant import (
 from hypercourant.errors import DimensionMismatch, IndexOutOfRange
 from hypercourant.parse import parse_scalar
 from hypercourant.sampling import random_scalar, suite_rng
-from hypercourant.scalar import ScalarField
+from hypercourant.scalar import ScalarField, shared, sharing
 
 from oracle import (
     halves_add,
@@ -201,6 +201,28 @@ def test_section_constructor_rejects_swapped_parts():
         with pytest.raises(TypeError):
             GSection(vec, form)
     assert GSection(VectorField.basis(2, 0), OneForm.zero(2)) == basis_sections(2)[0]
+
+
+def test_equal_components_make_equal_sections_with_equal_hashes():
+    s, t = gs(2, "x1", "0", "1/2", "x2^2"), gs(2, "x1", "0", "1/2", "x2^2")
+    assert s is not t and s == t and hash(s) == hash(t)
+    built = GSection._of(s.components) + GSection.zero(2)  # through _of
+    assert built == s and hash(built) == hash(s)
+    assert s != gs(2, "x1", "0", "1/2", "x2")
+
+
+def test_a_scope_serves_the_bracket_of_an_equal_section():
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return dorfman(a, b)
+
+    t = gs(2, "x2", "1", "x1", "0")
+    with sharing(lambda key: True):
+        first = shared(counted, gs(2, "x1*x2", "0", "1", "x1"), t)
+        again = shared(counted, gs(2, "x1*x2", "0", "1", "x1"), t)
+    assert again is first and len(calls) == 1
 
 
 def test_section_sums_reject_other_charts():

@@ -112,6 +112,14 @@ class TestConstructor:
             GEndo(square, square, ((z,), (z,)), square)
 
 
+def test_equal_endomorphisms_hash_equal(lifts):
+    again = lift_diagonal(const_matrix(QUAT_I))
+    assert again is not lifts["I"] and again == lifts["I"] and hash(again) == hash(lifts["I"])
+    twice = -(-lifts["J"])  # built through _of from new entries
+    assert twice == lifts["J"] and hash(twice) == hash(lifts["J"])
+    assert lifts["I"] != lifts["J"]
+
+
 class TestCompose:
     def test_identity_neutral(self, lifts):
         ident = GEndo.identity(4)

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hypercourant.parse import parse_scalar
-from hypercourant.report import POINT_CANDIDATES, find_nonzero_point, witness_for
+from hypercourant.report import POINT_CANDIDATES, CheckReport, find_nonzero_point, witness_for
 from hypercourant.scalar import Polynomial, ScalarField
 
 from oracle import lexicographic_nonzero_point
@@ -86,3 +86,9 @@ def test_zero_field_is_refused():
 def test_witness_prints_point_and_value():
     w = witness_for(parse_scalar("x2/(x1 + 1)", 2), context="ctx")
     assert (w.label, w.expression, w.point, w.value) == ("ctx.scalar", "(x2)/(x1 + 1)", ("0", "1"), "1")
+
+
+def test_a_report_built_from_id_and_outcome_has_no_trial_and_no_witness():
+    report = CheckReport("x", True)
+    assert (report.trial, report.witness) == (None, None)
+    assert report.to_dict() == {"check-id": "x", "pass": True}

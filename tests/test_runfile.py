@@ -1,4 +1,4 @@
-import dataclasses
+import contextlib
 import json
 from pathlib import Path
 
@@ -19,6 +19,8 @@ from hypercourant.report import CheckReport
 from hypercourant.runfile import (
     MAX_DEGREE,
     SUITES,
+    RunReport,
+    SuiteReport,
     emit,
     exit_code,
     parse_structure,
@@ -222,7 +224,7 @@ class TestRun:
         ok = CheckReport("forged", True)
         fake = HKTriple(ident, ident, ident, (ok, ok, ok), ok)
         sf = parse_structure_text(json.dumps(small_doc(checks=["theorem", "identities"])))
-        report = run(dataclasses.replace(sf, dimension=2, triple=fake))
+        report = run(sf._replace(dimension=2, triple=fake))
         theorem, identities = report.suites
         assert theorem.status == "fail"
         assert theorem.theorem.consistency == "violated"
@@ -230,6 +232,18 @@ class TestRun:
         assert len(identities.checks) == 8 * sf.trials
         assert report.verdict == "fail"
         assert exit_code(report) == 1
+
+    def test_reports_share_no_container(self):
+        # a default is fresh or immutable, so nothing done to one report's
+        # checks or timings shows in another's
+        a, b = SuiteReport("s", "pass"), SuiteReport("s", "pass")
+        with contextlib.suppress(AttributeError):
+            a.checks.append(CheckReport("x", True))
+        assert not b.checks
+        r, q = (RunReport("v", "-", "-", {}, [], "pass") for _ in range(2))
+        with contextlib.suppress(TypeError):
+            r.timings["x"] = 1.0
+        assert not q.timings
 
 
 class TestEmit:

@@ -5,12 +5,16 @@ module-level private function or class (a name with one leading
 underscore) goes unreferenced across the package.  The package's
 __init__.py re-exports what it imports, so its imports are exempt, as are
 `from __future__` imports.  Only scalar.py names the sharing scope's
-context variable, SHARING.
+context variable, SHARING.  Importing the package, as every `hypercourant`
+command does first, loads none of the code-introspection modules.
 """
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -83,6 +87,17 @@ def test_only_scalar_names_the_sharing_variable():
         if path.name != "scalar.py" and "SHARING" in _referenced_names(_tree(path))
     ]
     assert not naming, f"modules naming SHARING: {naming}"
+
+
+def test_import_loads_no_introspection_module():
+    # every command starts a fresh interpreter; dataclasses would pull in
+    # inspect, ast and dis and compile generated methods at each start
+    heavy = ("dataclasses", "inspect", "ast", "dis")
+    code = f"import sys, hypercourant, hypercourant.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_catches_an_orphan_and_an_unused_import():
