@@ -3,9 +3,11 @@
 Vector fields and 1-forms are component tuples over the chart, and so is a
 section of TM (+) T*M (courant.GSection: 2n components, vector part first).
 One class, _Components, holds the sums, negation, scaling and zero test of
-all three.  2-forms are full antisymmetric component matrices (uniform
-indexing beats the storage saving of a triangle at this scale).  The degree
-ladder stops at 2-forms: d of a 2-form is deliberately not provided.
+all three.  Each subclass names its blocks of n components in _parts, and
+witnesses label a residual's components by them: vec[k], form[k].  2-forms
+are full antisymmetric component matrices (uniform indexing beats the
+storage saving of a triangle at this scale).  The degree ladder stops at
+2-forms: d of a 2-form is deliberately not provided.
 
 Each component of a bracket, Lie derivative, interior product or form-vector
 pairing is one call to scalar.sum_of_products, which fuses the n or 2n
@@ -54,12 +56,11 @@ def check_matrix(m, n: int) -> tuple:
 
 
 class _Components:
-    """_blocks * n scalar components over an n-dimensional chart; the
-    subclass says whether they are a vector field's, a 1-form's or, with two
-    blocks, a section's of TM (+) T*M."""
+    """n scalar components over an n-dimensional chart for each block the
+    subclass names in _parts: ("vec",) for a vector field, ("form",) for a
+    1-form, ("vec", "form") for a section of TM (+) T*M."""
 
     __slots__ = ("components", "_hash")
-    _blocks = 1
 
     def __init__(self, components):
         comps = tuple(components)
@@ -88,17 +89,17 @@ class _Components:
 
     @property
     def dim(self) -> int:
-        return len(self.components) // self._blocks
+        return len(self.components) // len(self._parts)
 
     @classmethod
     def zero(cls, n: int):
-        return cls._of((ScalarField.zero(n),) * (cls._blocks * n))
+        return cls._of((ScalarField.zero(n),) * (len(cls._parts) * n))
 
     @classmethod
     def basis(cls, n: int, i: int):
         """The frame element with component i equal to 1 (0-based index):
         d/dx_{i+1}, dx_{i+1}, or for a section the frame section e_i."""
-        width = cls._blocks * n
+        width = len(cls._parts) * n
         if not 0 <= i < width:
             raise IndexOutOfRange(f"basis index {i} not in 0..{width - 1}")
         z = ScalarField.zero(n)
@@ -135,12 +136,14 @@ class VectorField(_Components):
     """X = sum_i X^i d/dx_i."""
 
     __slots__ = ()
+    _parts = ("vec",)
 
 
 class OneForm(_Components):
     """xi = sum_i xi_i dx_i."""
 
     __slots__ = ()
+    _parts = ("form",)
 
 
 class TwoForm:

@@ -45,7 +45,7 @@ class GSection(_Components):
     the vector part X first."""
 
     __slots__ = ()
-    _blocks = 2
+    _parts = ("vec", "form")
 
     def __init__(self, vec: VectorField, form: OneForm):
         if not (isinstance(vec, VectorField) and isinstance(form, OneForm)):

@@ -101,20 +101,13 @@ def nonzero_witness(label: str, f: ScalarField) -> Witness:
 
 
 def _residual_components(residual):
-    """Yield (label, ScalarField) pairs for any supported residual shape."""
-    from .cartan import OneForm, VectorField  # local imports avoid a cycle
-    from .courant import GSection
-
+    """Yield (label, ScalarField) pairs for a scalar field, or for a value
+    whose components fall into the blocks its _parts names."""
     if isinstance(residual, ScalarField):
         yield "scalar", residual
         return
-    if isinstance(residual, GSection):
-        parts = ("vec", "form")
-    elif isinstance(residual, VectorField):
-        parts = ("vec",)
-    elif isinstance(residual, OneForm):
-        parts = ("form",)
-    else:
+    parts = getattr(residual, "_parts", None)
+    if parts is None:
         raise TypeError(f"unsupported residual type {type(residual).__name__}")
     n = residual.dim
     for k, f in enumerate(residual.components):

@@ -5,14 +5,8 @@ import pytest
 from hypothesis import settings
 
 from hypercourant import scalar
-from hypercourant.endo import GEndo, HKTriple
 from hypercourant.scalar import SHARING, ScalarField
-from hypercourant.structures import (
-    DIM,
-    flat_quaternionic,
-    holomorphic_symplectic,
-    nonintegrable_conjugated,
-)
+from hypercourant.structures import DIM, conjugated, example
 
 # exact arithmetic on drawn inputs varies too much in time for a deadline
 settings.register_profile("hypercourant", deadline=None)
@@ -30,17 +24,17 @@ def no_sharing_scope_left_open():
 
 @pytest.fixture(scope="session")
 def flat():
-    return flat_quaternionic()
+    return example("flat-quaternionic")
 
 
 @pytest.fixture(scope="session")
 def holsymp():
-    return holomorphic_symplectic()
+    return example("holomorphic-symplectic")
 
 
 @pytest.fixture(scope="session")
 def noni():
-    return nonintegrable_conjugated()
+    return example("nonintegrable")
 
 
 @pytest.fixture(scope="session")
@@ -52,17 +46,8 @@ def all_triples(flat, holsymp, noni):
 def conjugated_x2x3(flat):
     """The flat triple conjugated by diag(A, (A^T)^-1), A = diag(1 + x2 x3, 1,
     1, 1): certified, with polynomial denominators in two variables."""
-    one, zero = ScalarField.one(DIM), ScalarField.zero(DIM)
-    u = one + ScalarField.coordinate(DIM, 1) * ScalarField.coordinate(DIM, 2)
-
-    def diag(first):
-        entries = (first, one, one, one)
-        return tuple(tuple(entries[i] if i == j else zero for j in range(DIM)) for i in range(DIM))
-
-    a, a_inv = diag(u), diag(one / u)
-    zblock = tuple((zero,) * DIM for _ in range(DIM))
-    frame, frame_inv = GEndo(a, zblock, zblock, a_inv), GEndo(a_inv, zblock, zblock, a)
-    return HKTriple.certify(frame @ flat.i @ frame_inv, frame @ flat.j @ frame_inv)
+    one, x2, x3 = ScalarField.one(DIM), ScalarField.coordinate(DIM, 1), ScalarField.coordinate(DIM, 2)
+    return conjugated(flat, (one + x2 * x3, one, one, one))
 
 
 @pytest.fixture

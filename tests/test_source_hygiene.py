@@ -5,7 +5,9 @@ module-level private function or class (a name with one leading
 underscore) goes unreferenced across the package.  The package's
 __init__.py re-exports what it imports, so its imports are exempt, as are
 `from __future__` imports.  Only scalar.py names the sharing scope's
-context variable, SHARING.  Importing the package, as every `hypercourant`
+context variable, SHARING.  Every import sits at module level, none in a
+function or class body, so a module's dependencies are read from its head
+and paid once, at import.  Importing the package, as every `hypercourant`
 command does first, loads none of the code-introspection modules.
 """
 
@@ -56,12 +58,31 @@ def _imported(tree: ast.Module) -> list:
     return out
 
 
+def _local_imports(tree: ast.Module) -> list:
+    """Lines of the imports inside a function or class body."""
+    scopes = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return sorted(
+        {
+            node.lineno
+            for scope in ast.walk(tree)
+            if isinstance(scope, scopes)
+            for node in ast.walk(scope)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+        }
+    )
+
+
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"], ids=lambda p: p.name)
 def test_no_unused_import(path):
     tree = _tree(path)
     loaded = _loaded_names(tree)
     unused = [(name, line) for name, line in _imported(tree) if name not in loaded]
     assert not unused, f"{path.name}: unused imports {unused}"
+
+
+def test_no_function_local_import():
+    local = [(path.name, line) for path in MODULES for line in _local_imports(_tree(path))]
+    assert not local, f"imports inside a function or class body: {local}"
 
 
 def test_no_orphan_private_definition():
@@ -104,3 +125,8 @@ def test_catches_an_orphan_and_an_unused_import():
     tree = ast.parse("import os\nfrom math import gcd\n\ndef _lone():\n    return gcd(1, 2)\n")
     assert [n for n, _ in _imported(tree) if n not in _loaded_names(tree)] == ["os"]
     assert "_lone" not in _referenced_names(tree)
+
+
+def test_catches_a_function_local_import():
+    tree = ast.parse("import os\n\ndef f():\n    from math import gcd\n    return gcd\n\nclass C:\n    import sys\n")
+    assert _local_imports(tree) == [4, 8]

@@ -2,19 +2,42 @@ import json
 
 import pytest
 
-from hypercourant.endo import GEndo, lift_diagonal, lift_symplectic, mat_neg
+from hypercourant.endo import GEndo, HKTriple, lift_diagonal, lift_symplectic, mat_neg
 from hypercourant.cartan import TwoForm
 from hypercourant.runfile import parse_structure_text
+from hypercourant.scalar import ScalarField
 from hypercourant.structures import (
     EXAMPLE_NAMES,
     OMEGA_1,
+    OMEGA_2,
     QUAT_I,
     QUAT_J,
     QUAT_K,
+    conjugated,
     const_matrix,
     conjugating_frame,
+    example,
     structure_file,
 )
+
+ONE, X1 = ScalarField.one(4), ScalarField.coordinate(4, 0)
+# A = diag(1, 1 + x1^2, 1, 1), the frame change of the nonintegrable example
+NONINTEGRABLE_DIAGONAL = (ONE, ONE + X1 * X1, ONE, ONE)
+
+
+def flat_reference() -> HKTriple:
+    return HKTriple.certify(lift_diagonal(const_matrix(QUAT_I)), lift_diagonal(const_matrix(QUAT_J)))
+
+
+# each example built from the lifts and the conjugation, not from its document
+REFERENCES = {
+    "flat-quaternionic": flat_reference,
+    "holomorphic-symplectic": lambda: HKTriple.certify(
+        lift_symplectic(TwoForm(const_matrix(OMEGA_2)), mat_neg(const_matrix(OMEGA_2))),
+        lift_diagonal(const_matrix(QUAT_I)),
+    ),
+    "nonintegrable": lambda: conjugated(flat_reference(), NONINTEGRABLE_DIAGONAL),
+}
 
 
 class TestQuaternionMatrices:
@@ -58,7 +81,7 @@ class TestBuilders:
     def test_nonintegrable_certified_but_conjugated(self, noni, flat):
         assert noni.certified
         assert noni.i != flat.i
-        frame, frame_inv = conjugating_frame()
+        frame, frame_inv = conjugating_frame(NONINTEGRABLE_DIAGONAL)
         assert frame @ frame_inv == GEndo.identity(4)
         assert noni.k == (frame @ flat.k) @ frame_inv
 
@@ -67,7 +90,7 @@ class TestBuilders:
         # diagonal lift of A j A^-1
         from hypercourant.endo import mat_mul
 
-        frame, frame_inv = conjugating_frame()
+        frame, frame_inv = conjugating_frame(NONINTEGRABLE_DIAGONAL)
         a, a_inv = frame.blocks()["A"], frame_inv.blocks()["A"]
         j_conj = mat_mul(mat_mul(a, const_matrix(QUAT_J)), a_inv)
         assert noni.j == lift_diagonal(j_conj)
@@ -88,12 +111,18 @@ class TestStructureFiles:
             "theorem",
         }
 
-    def test_file_triple_matches_builder(self, noni):
-        doc = structure_file("nonintegrable")
-        sf = parse_structure_text(json.dumps(doc))
-        assert sf.triple.i == noni.i
-        assert sf.triple.j == noni.j
-        assert sf.triple.k == noni.k
+    @pytest.mark.parametrize("name", EXAMPLE_NAMES)
+    def test_document_triple_matches_reference(self, name):
+        assert example(name) == REFERENCES[name]()
+
+    @pytest.mark.parametrize("name", EXAMPLE_NAMES)
+    def test_each_document_is_new(self, name):
+        # a benchmark job sets the seed and trials of the document it is given
+        doc = structure_file(name)
+        before = json.loads(json.dumps(doc))
+        doc["options"]["seed"] = 101
+        doc["options"]["trials"] = 2
+        assert structure_file(name) == before
 
     def test_unknown_name(self):
         with pytest.raises(KeyError):
