@@ -12,6 +12,8 @@ point witness.
 
 __version__ = "0.2.0"
 
+from types import ModuleType as _ModuleType
+
 from .cartan import (
     OneForm,
     TwoForm,
@@ -20,14 +22,12 @@ from .cartan import (
     interior_product,
     lie_bracket,
     lie_derivative,
-    pair_form_vector,
 )
 from .courant import (
     GSection,
     anchor,
     anchor_apply,
     basis_sections,
-    courant_bracket,
     d_map,
     dorfman,
     pairing,
@@ -63,11 +63,8 @@ from .nijenhuis import (
     check_connection_laws,
     check_identities,
     concomitant,
-    concomitant_linearity_defect,
     connection,
     delta,
-    linearity_defect_formula,
-    nabla_endo,
     theorem_report,
     torsion,
     torsion_formula_residual,
@@ -75,6 +72,11 @@ from .nijenhuis import (
 from .parse import parse_scalar
 from .report import CheckReport, Witness
 from .runfile import RunReport, StructureFile, emit, parse_structure, run
-from .scalar import Polynomial, Rational, ScalarField, arith, eval_at, partial, scalar_text
+from .scalar import Polynomial, ScalarField, scalar_text
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the submodules that the imports above bind are not part of the API
+__all__ = [
+    name
+    for name, value in sorted(globals().items())
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+]

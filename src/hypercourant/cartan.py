@@ -9,9 +9,9 @@ are full antisymmetric component matrices (uniform indexing beats the
 storage saving of a triangle at this scale).  The degree ladder stops at
 2-forms: d of a 2-form is deliberately not provided.
 
-Each component of a bracket, Lie derivative, interior product or form-vector
-pairing is one call to scalar.sum_of_products, which fuses the n or 2n
-products of the coordinate formula into one polynomial accumulator.
+Each component of a bracket, Lie derivative or interior product is one call
+to scalar.sum_of_products, which fuses the n or 2n products of the
+coordinate formula into one polynomial accumulator.
 
 Values are validated where they enter: the public constructors run
 check_fields, the one entry check of the package.  Results built from
@@ -253,9 +253,3 @@ def interior_product(y: VectorField, omega: TwoForm) -> OneForm:
     return OneForm._of(
         tuple(sum_of_products(n, zip(y.components, col)) for col in zip(*omega.entries))
     )
-
-
-def pair_form_vector(xi: OneForm, y: VectorField) -> ScalarField:
-    """xi(Y) = sum_i xi_i Y^i."""
-    _check_dim(xi, y)
-    return sum_of_products(xi.dim, zip(xi.components, y.components))

@@ -8,10 +8,11 @@ Dorfman bracket is
 
     [[X+xi, Y+eta]] = [X, Y] + (L_X eta - i_Y d xi).
 
-The Dorfman bracket is the primitive here; the Courant bracket is derived as
-its skew-symmetric part.  verify_axioms checks the six defining relations
-plus the Dorfman = Courant + D<,> decomposition on seeded random sections,
-reducing every residual to an exact zero.
+The Dorfman bracket is the one bracket primitive here; the Courant bracket,
+its skew-symmetric part, is taken inline where it is needed.  verify_axioms
+checks the six defining relations plus the Dorfman = Courant + D<,>
+decomposition on seeded random sections, reducing every residual to an exact
+zero.
 
 GSection(vec, form) and from_components validate; every section the engine
 builds is one tuple of 2n components passed to the unchecked GSection._of.
@@ -123,11 +124,6 @@ def _corrupted_dorfman(s: GSection, t: GSection) -> GSection:
     n = s.dim
     flip = interior_product(t.vec, exterior_derivative(s.form))
     return dorfman(s, t) + GSection._of((ScalarField.zero(n),) * n + (flip + flip).components)
-
-
-def courant_bracket(s: GSection, t: GSection) -> GSection:
-    """Skew-symmetric part ([[s, t]] - [[t, s]]) / 2."""
-    return (dorfman(s, t) - dorfman(t, s)).half()
 
 
 def random_section(rng: Random, n: int, degree: int) -> GSection:

@@ -6,22 +6,20 @@ F, G and a bracket br:
 
     H_{F,G}(X,Y) = br(FX,GY) - F br(X,GY) - G br(FX,Y) + FG br(X,Y)
 
-Three formulas use it:
+Two formulas use it, both with the Dorfman bracket:
 
-  - the Nijenhuis concomitant, with the Dorfman bracket:
+  - the Nijenhuis concomitant
         N_{F,G}(X,Y) = H_{F,G}(X,Y) + H_{G,F}(X,Y);
-  - the canonical connection of the cyclic rotation (P, Q, R) of (I, J, K),
-    with the Dorfman bracket:
+  - the canonical connection of the cyclic rotation (P, Q, R) of (I, J, K)
         nabla_X Y = -1/2 R H_{Q,P}(Y,X);
-    the variants "ijk", "jki" and "kij" are named by the rotation fed in;
-  - the closed form of the first-slot linearity defect
-    N(fX,Y) - f N(X,Y), with br(a,b) = 2<a,b> Df in both halves.
+    the variants "ijk", "jki" and "kij" are named by the rotation fed in.
 
 The concomitant is symmetric in F and G and always scalar-linear in its
 second slot; first-slot linearity needs F and G to be pairing-orthogonal
 with square -1 and (for F != G) anticommuting, which every pair drawn from a
-certified triple satisfies.  The defect is computed and reported rather than
-assumed away (see linearity_defect_formula).
+certified triple satisfies.  The test oracles compute the first-slot defect
+N(fX,Y) - f N(X,Y) directly and in closed form, the latter as the two
+four-term halves with br(a,b) = 2<a,b> Df.
 
 Vanishing of a concomitant is decided exactly on the 2n x 2n pairs of frame
 sections: restricted to a certified triple the concomitant is bilinear over
@@ -114,41 +112,6 @@ def concomitant(f: GEndo, g: GEndo, x: GSection, y: GSection) -> GSection:
         return _four_terms(_bracket, f, g, x, y) + _four_terms(_bracket, g, f, x, y)
 
 
-def concomitant_linearity_defect(
-    f: GEndo, g: GEndo, fun: ScalarField, x: GSection, y: GSection
-) -> tuple:
-    """(N(fX,Y) - f N(X,Y),  N(X,fY) - f N(X,Y)), both computed directly.
-
-    The second component is always zero; the first vanishes when F and G are
-    drawn from a certified triple, and is generally nonzero otherwise.
-    """
-    n0 = concomitant(f, g, x, y)
-    first = concomitant(f, g, x.smul(fun), y) - n0.smul(fun)
-    second = concomitant(f, g, x, y.smul(fun)) - n0.smul(fun)
-    return first, second
-
-
-def linearity_defect_formula(
-    f: GEndo, g: GEndo, fun: ScalarField, x: GSection, y: GSection
-) -> GSection:
-    """Closed form of the first-slot defect:
-
-        2<FX,GY>Df - 2<X,GY>F Df - 2<FX,Y>G Df + 2<X,Y>FG Df
-        + (the same four terms with F and G exchanged),
-
-    that is H_{F,G}(X,Y) + H_{G,F}(X,Y) with br(a,b) = 2<a,b>Df.  Derived by
-    expanding every bracket of N(fX, Y) with the two Leibniz rules of the
-    Dorfman bracket; verified against brute force in the test suite.
-    """
-    two = ScalarField.const(x.dim, 2)
-    df = d_map(fun)
-
-    def br(a, b):
-        return df.smul(two * pairing(a, b))
-
-    return _four_terms(br, f, g, x, y) + _four_terms(br, g, f, x, y)
-
-
 def delta(hk: HKTriple, fun: ScalarField, x: GSection, y: GSection) -> GSection:
     """Delta_f(X,Y) = <X,Y>Df + <IX,Y>I Df + <JX,Y>J Df + <KX,Y>K Df."""
     hk.require_certified()
@@ -180,11 +143,6 @@ def torsion(hk: HKTriple, variant: str, x: GSection, y: GSection) -> GSection:
     [X,Y] = ([[X,Y]] - [[Y,X]]) / 2 from the brackets the connections took."""
     skew = (_bracket(x, y) - _bracket(y, x)).half()
     return connection(hk, variant, x, y) - connection(hk, variant, y, x) - skew
-
-
-def nabla_endo(hk: HKTriple, variant: str, f: GEndo, x: GSection, y: GSection) -> GSection:
-    """(nabla_X F)Y = nabla_X(FY) - F(nabla_X Y)."""
-    return connection(hk, variant, x, _image(f, y)) - _image(f, connection(hk, variant, x, y))
 
 
 def torsion_formula_residual(hk: HKTriple, variant: str, x: GSection, y: GSection) -> GSection:

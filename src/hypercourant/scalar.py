@@ -70,7 +70,6 @@ from .errors import (
     PoleAtPoint,
 )
 
-Rational = Fraction
 Coeff = Union[int, Fraction]
 
 SHARING: ContextVar = ContextVar("hypercourant_sharing", default=None)
@@ -691,9 +690,6 @@ class ScalarField:
     def is_zero(self) -> bool:
         return not self.num.packed
 
-    def is_const(self) -> bool:
-        return self.num.is_const() and self.den.is_one()
-
     def _check(self, other: "ScalarField"):
         """The chart check of a zero operand, which reaches no Polynomial `_check`."""
         if self.nvars != other.nvars:
@@ -874,36 +870,6 @@ def sum_of_products(nvars: int, plus: Iterable, minus: Iterable = ()) -> ScalarF
             total = ScalarField._raw(num, Polynomial.one(nvars))
             return total if rest is None else rest + total
     return ScalarField.zero(nvars) if rest is None else rest
-
-
-# ---------------------------------------------------------------------------
-# named operations matching the public contract
-# ---------------------------------------------------------------------------
-
-
-def arith(f: ScalarField, g: ScalarField, op: str) -> ScalarField:
-    """Exact field arithmetic; op is one of add|sub|mul|div."""
-    if op == "add":
-        return f + g
-    if op == "sub":
-        return f - g
-    if op == "mul":
-        return f * g
-    if op == "div":
-        return f / g
-    raise ValueError(f"unknown op {op!r}")
-
-
-def partial(f: ScalarField, i: int) -> ScalarField:
-    """Partial derivative by the i-th coordinate, 1-based."""
-    if not 1 <= i <= f.nvars:
-        raise IndexOutOfRange(f"coordinate index {i} not in 1..{f.nvars}")
-    return f.derivative(i - 1)
-
-
-def eval_at(f: ScalarField, point: Sequence[Coeff]) -> Fraction:
-    """Exact evaluation at a rational point."""
-    return f.evaluate(point)
 
 
 # ---------------------------------------------------------------------------

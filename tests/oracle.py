@@ -15,7 +15,18 @@ bracket implementation.
 A section is stored as one tuple of its 2n components; its arithmetic and
 its pairing are checked against the formulas on the two halves, the vector
 field X and the 1-form xi, with the pairing (xi(Y) + eta(X))/2 taken through
-pair_form_vector.
+pair_form_vector, a plain sum of field products that bypasses the engine's
+fused kernel.
+
+The first-slot linearity defect N(fX,Y) - f N(X,Y) of the concomitant has
+three routes here, all asserted exactly by acceptance criterion 6: direct
+evaluation of the engine's concomitant (concomitant_linearity_defect, which
+also returns the second-slot defect), the closed form on the engine's
+four-term expression with br(a,b) = 2<a,b> Df (linearity_defect_formula),
+and the eight-term concomitant on the Leibniz-rule bracket
+(oracle_first_slot_defect).  nabla_endo is the covariant derivative
+(nabla_X F)Y = nabla_X(FY) - F(nabla_X Y) of an endomorphism, which the
+engine's suites take inline.
 
 The witness search is checked against the plain lexicographic walk over the
 candidate grid, which evaluates the field at every point in turn.
@@ -45,13 +56,14 @@ from fractions import Fraction
 from itertools import product
 
 from hypercourant import nijenhuis as nij
-from hypercourant.cartan import VectorField, exterior_derivative, pair_form_vector
+from hypercourant.cartan import OneForm, VectorField, exterior_derivative
 from hypercourant.courant import GSection, anchor_apply, basis_sections, d_map, pairing
 from hypercourant.errors import DimensionMismatch, PoleAtPoint
 from hypercourant.nijenhuis import (
     CONCOMITANT_KEYS,
     ConcomitantStatus,
     _bracket,
+    _four_terms,
     _image,
     _sharing,
     concomitant,
@@ -118,6 +130,14 @@ def halves_smul(x: GSection, f: ScalarField) -> GSection:
     return GSection(x.vec.smul(f), x.form.smul(f))
 
 
+def pair_form_vector(xi: OneForm, y: VectorField) -> ScalarField:
+    """xi(Y) = sum_i xi_i Y^i, one field product at a time."""
+    if xi.dim != y.dim:
+        raise DimensionMismatch(f"chart dimension {xi.dim} vs {y.dim}")
+    products = (a * b for a, b in zip(xi.components, y.components))
+    return sum(products, ScalarField.zero(xi.dim))
+
+
 def halves_pairing(s: GSection, t: GSection) -> ScalarField:
     """<X+xi, Y+eta> = (xi(Y) + eta(X)) / 2."""
     half = ScalarField.const(s.dim, Fraction(1, 2))
@@ -138,6 +158,42 @@ def oracle_concomitant(f, g, x: GSection, y: GSection) -> GSection:
 def oracle_first_slot_defect(f, g, fun, x: GSection, y: GSection) -> GSection:
     """N(fX, Y) - f N(X, Y), both sides on the oracle bracket."""
     return oracle_concomitant(f, g, x.smul(fun), y) - oracle_concomitant(f, g, x, y).smul(fun)
+
+
+def concomitant_linearity_defect(f, g, fun: ScalarField, x: GSection, y: GSection) -> tuple:
+    """(N(fX,Y) - f N(X,Y),  N(X,fY) - f N(X,Y)), both computed directly.
+
+    The second component is always zero; the first vanishes when F and G are
+    drawn from a certified triple, and is generally nonzero otherwise.
+    """
+    n0 = concomitant(f, g, x, y)
+    first = concomitant(f, g, x.smul(fun), y) - n0.smul(fun)
+    second = concomitant(f, g, x, y.smul(fun)) - n0.smul(fun)
+    return first, second
+
+
+def linearity_defect_formula(f, g, fun: ScalarField, x: GSection, y: GSection) -> GSection:
+    """Closed form of the first-slot defect:
+
+        2<FX,GY>Df - 2<X,GY>F Df - 2<FX,Y>G Df + 2<X,Y>FG Df
+        + (the same four terms with F and G exchanged),
+
+    that is H_{F,G}(X,Y) + H_{G,F}(X,Y) with br(a,b) = 2<a,b>Df, on the
+    engine's four-term expression.  Derived by expanding every bracket of
+    N(fX, Y) with the two Leibniz rules of the Dorfman bracket.
+    """
+    two = ScalarField.const(x.dim, 2)
+    df = d_map(fun)
+
+    def br(a, b):
+        return df.smul(two * pairing(a, b))
+
+    return _four_terms(br, f, g, x, y) + _four_terms(br, g, f, x, y)
+
+
+def nabla_endo(hk, variant: str, f, x: GSection, y: GSection) -> GSection:
+    """(nabla_X F)Y = nabla_X(FY) - F(nabla_X Y)."""
+    return nij.connection(hk, variant, x, f.apply(y)) - f.apply(nij.connection(hk, variant, x, y))
 
 
 def lexicographic_nonzero_point(f: ScalarField) -> tuple:

@@ -20,18 +20,16 @@ from fractions import Fraction
 from hypercourant.cli import main
 from hypercourant.courant import GSection, random_section, verify_axioms
 from hypercourant.endo import GEndo, is_orthogonal, mat_identity, mat_zero
-from hypercourant.nijenhuis import (
-    check_connection_laws,
-    check_identities,
-    concomitant_linearity_defect,
-    linearity_defect_formula,
-    theorem_report,
-)
+from hypercourant.nijenhuis import check_connection_laws, check_identities, theorem_report
 from hypercourant.parse import parse_scalar
 from hypercourant.sampling import random_scalar, suite_rng
 from hypercourant.structures import OMEGA_1, OMEGA_2
 
-from oracle import oracle_first_slot_defect
+from oracle import (
+    concomitant_linearity_defect,
+    linearity_defect_formula,
+    oracle_first_slot_defect,
+)
 
 
 def criterion(cid: str, budget_seconds: float):

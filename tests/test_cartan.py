@@ -12,12 +12,13 @@ from hypercourant.cartan import (
     interior_product,
     lie_bracket,
     lie_derivative,
-    pair_form_vector,
 )
 from hypercourant.errors import DimensionMismatch, IndexOutOfRange, NotAntisymmetric
 from hypercourant.parse import parse_scalar
 from hypercourant.sampling import random_scalar, suite_rng
 from hypercourant.scalar import ScalarField
+
+from oracle import pair_form_vector
 
 
 def vf(n, *texts):

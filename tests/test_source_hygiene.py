@@ -4,8 +4,12 @@ No module of src/hypercourant imports a name it never uses, and no
 module-level private function or class (a name with one leading
 underscore) goes unreferenced across the package.  The package's
 __init__.py re-exports what it imports, so its imports are exempt, as are
-`from __future__` imports.  Only scalar.py names the sharing scope's
-context variable, SHARING.  Every import sits at module level, none in a
+`from __future__` imports.  A public module-level function or class is
+used by the package, documented (README.md or pyproject.toml names it) or
+traced by the benchmark (perfbench/spans.py's TARGETS); a re-export in
+__init__.py is not a use.  README's "Library use" snippet runs as printed,
+and `from hypercourant import *` binds no submodule.  Only scalar.py names
+the sharing scope's context variable, SHARING.  Every import sits at module level, none in a
 function or class body, so a module's dependencies are read from its head
 and paid once, at import.  Importing the package, as every `hypercourant`
 command does first, loads none of the code-introspection modules.
@@ -14,15 +18,23 @@ command does first, loads none of the code-introspection modules.
 from __future__ import annotations
 
 import ast
+import contextlib
+import io
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "hypercourant"
+import hypercourant
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "hypercourant"
 MODULES = sorted(PACKAGE.glob("*.py"))
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def _tree(path: Path) -> ast.Module:
@@ -60,12 +72,11 @@ def _imported(tree: ast.Module) -> list:
 
 def _local_imports(tree: ast.Module) -> list:
     """Lines of the imports inside a function or class body."""
-    scopes = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     return sorted(
         {
             node.lineno
             for scope in ast.walk(tree)
-            if isinstance(scope, scopes)
+            if isinstance(scope, DEFINITIONS)
             for node in ast.walk(scope)
             if isinstance(node, (ast.Import, ast.ImportFrom))
         }
@@ -92,12 +103,71 @@ def test_no_orphan_private_definition():
         (name, node.name)
         for name, tree in trees.items()
         for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        if isinstance(node, DEFINITIONS)
         and node.name.startswith("_")
         and not node.name.startswith("__")
         and node.name not in used
     ]
     assert not orphans, f"unreferenced private definitions: {orphans}"
+
+
+def _traced_names(spans_source: str) -> set:
+    """Module-level names the benchmark's tracer wraps or reaches into: the
+    first part of each attribute path in TARGETS."""
+    for node in ast.parse(spans_source).body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "TARGETS" for t in node.targets):
+            return {path.split(".")[0] for _, path in ast.literal_eval(node.value).values()}
+    raise AssertionError("no TARGETS assignment")
+
+
+def _unused_public(trees: dict, documented: str, traced: set) -> list:
+    """(module, name) of each public module-level definition that no module
+    but __init__.py references, `documented` does not name and `traced`
+    does not hold."""
+    used = set().union(*[_referenced_names(t) for n, t in trees.items() if n != "__init__.py"])
+    kept = used | set(re.findall(r"\w+", documented)) | traced
+    return [
+        (name, node.name)
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, DEFINITIONS) and not node.name.startswith("_") and node.name not in kept
+    ]
+
+
+def test_no_unused_public_definition():
+    trees = {path.name: _tree(path) for path in MODULES}
+    documented = "".join((ROOT / doc).read_text(encoding="utf-8") for doc in ("README.md", "pyproject.toml"))
+    traced = _traced_names((ROOT / "perfbench" / "spans.py").read_text(encoding="utf-8"))
+    unused = _unused_public(trees, documented, traced)
+    assert not unused, f"public definitions nothing uses, documents or traces: {unused}"
+
+
+def test_catches_an_unused_public_definition():
+    trees = {
+        "__init__.py": ast.parse("from .a import Lone, lone\n"),
+        "a.py": ast.parse(
+            "def used(): pass\ndef lone(): pass\ndef shown(): pass\ndef timed(): pass\n"
+            "class Lone: pass\nclass Timed: pass\nx = used()\n"
+        ),
+    }
+    spans = 'TARGETS = {"a.timed": ("pkg.a", "timed"), "a.m": ("pkg.a", "Timed.m")}\n'
+    assert _traced_names(spans) == {"timed", "Timed"}
+    unused = _unused_public(trees, "call `shown()`", _traced_names(spans))
+    assert unused == [("a.py", "lone"), ("a.py", "Lone")]
+
+
+def test_star_import_binds_no_submodule():
+    modules = [n for n in hypercourant.__all__ if isinstance(getattr(hypercourant, n), ModuleType)]
+    assert not modules, f"submodules in __all__: {modules}"
+
+
+def test_readme_library_snippet_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    snippet = re.search(r"^## Library use\n+```python\n(.*?)^```", readme, re.S | re.M).group(1)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(snippet, "README.md", "exec"), {})
+    assert out.getvalue() == "hypercomplex\n"
 
 
 def test_only_scalar_names_the_sharing_variable():
