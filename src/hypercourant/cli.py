@@ -3,6 +3,7 @@
 Three subcommands:
 
   verify-axioms --dim N [--degree D] [--trials T] [--seed S]
+                [--format json|text] [--report OUT]
       run the bracket axiom suite on seeded random sections
   check FILE [--report OUT] [--format json|text] [--timings]
       run the suites selected by a structure file
@@ -42,8 +43,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ax.add_argument("--seed", type=int, default=0, help="seed for the random sections, >= 0")
     ax.add_argument("--format", choices=("json", "text"), default="text")
     ax.add_argument("--report", metavar="FILE", help="write the report here instead of stdout")
-    # test-only hook; deliberately absent from --help
-    ax.add_argument("--corrupt-bracket", action="store_true", help=argparse.SUPPRESS)
 
     ck = sub.add_parser("check", help="run the suites selected by a structure file")
     ck.add_argument("file", help="structure document (JSON)")
@@ -80,9 +79,7 @@ def _cmd_verify_axioms(args) -> int:
     if args.seed < 0:
         print("error: need --seed >= 0", file=sys.stderr)
         return 2
-    checks = verify_axioms(
-        args.dim, args.degree, args.trials, args.seed, _corrupt_bracket=args.corrupt_bracket
-    )
+    checks = verify_axioms(args.dim, args.degree, args.trials, args.seed)
     status = "pass" if all(c.passed for c in checks) else "fail"
     report = RunReport(
         version=__version__,
@@ -125,10 +122,7 @@ def main(argv=None) -> int:
             return _cmd_check(args)
         if args.command == "examples":
             return _cmd_examples(args)
-    except EngineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (EngineError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     raise AssertionError("unreachable")

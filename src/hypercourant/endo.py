@@ -74,10 +74,6 @@ def mat_transpose(a) -> tuple:
     return tuple(tuple(row) for row in zip(*a))
 
 
-def mat_eq(a, b) -> bool:
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
-
-
 class GEndo:
     """Endomorphism of the generalized tangent bundle: one 2n x 2n matrix
     [[A, B], [C, D]] acting on the 2n components of a section."""
@@ -183,7 +179,7 @@ def lift_diagonal(j) -> GEndo:
     """
     n = len(j)
     j = check_matrix(j, n)
-    if not mat_eq(mat_mul(j, j), mat_neg(mat_identity(n))):
+    if mat_mul(j, j) != mat_neg(mat_identity(n)):
         raise NotAlmostComplex("j^2 is not minus the identity")
     return GEndo(mat_neg(j), mat_zero(n), mat_zero(n), mat_transpose(j))
 
@@ -197,7 +193,7 @@ def lift_symplectic(omega: TwoForm, omega_inv) -> GEndo:
     n = omega.dim
     w = omega.entries
     v = check_matrix(omega_inv, n)
-    if not mat_eq(mat_mul(w, v), mat_identity(n)):
+    if mat_mul(w, v) != mat_identity(n):
         raise NotInverse("omega * omega_inv is not the identity")
     return GEndo(mat_zero(n), v, mat_neg(w), mat_zero(n))
 

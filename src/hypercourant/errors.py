@@ -37,11 +37,8 @@ class ScalarSyntaxError(EngineError):
 class UnknownVariable(EngineError):
     """Variable name not declared in the active chart."""
 
-    def __init__(self, name: str, position: int = -1):
-        msg = f"unknown variable {name!r}"
-        if position >= 0:
-            msg += f" (at position {position})"
-        super().__init__(msg)
+    def __init__(self, name: str, position: int):
+        super().__init__(f"unknown variable {name!r} (at position {position})")
         self.name = name
         self.position = position
 

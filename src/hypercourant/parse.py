@@ -7,10 +7,13 @@ Grammar (whitespace insignificant, juxtaposition is never multiplication):
     factor   := base ('^' posint)?
     base     := rational | variable | '(' expr ')'
     rational := int ('/' posint)?
-    variable := 'x' posint
+    variable := 'x1' | 'x2' | ... | 'xn'
 
-A '-' directly in front of digits in base position is part of the integer
-literal; there is no unary minus on variables or parenthesized expressions.
+The variables are the coordinates x1..xn of the n-dimensional chart, written
+without leading zeros; any other name, such as x0, x01 or x5 on a chart of
+dimension 4, is an unknown variable.  A '-' directly in front of digits in
+base position is part of the integer literal; there is no unary minus on
+variables or parenthesized expressions.
 The canonical printers in the scalar module emit text in this grammar, and
 parse(print(f)) == f holds for every field f.
 """
@@ -19,7 +22,6 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Sequence
 
 from .errors import ScalarSyntaxError, UnknownVariable
 from .scalar import ScalarField
@@ -74,15 +76,15 @@ def _tokenize(text: str):
 
 
 class _Parser:
-    def __init__(self, text: str, variables: Sequence[str]):
+    def __init__(self, text: str, n: int):
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         self.depth = 0
         # largest exponent product inside the factors parsed so far
         self.power = 1
-        self.nvars = len(variables)
-        self.index = {name: k for k, name in enumerate(variables)}
+        self.nvars = n
+        self.index = {f"x{k + 1}": k for k in range(n)}
 
     def peek(self, ahead: int = 0):
         k = min(self.pos + ahead, len(self.tokens) - 1)
@@ -192,12 +194,7 @@ class _Parser:
         return ScalarField.const(self.nvars, numerator)
 
 
-def parse_scalar(text: str, variables: Sequence[str] | int) -> ScalarField:
-    """Parse grammar text into a canonical ScalarField.
-
-    `variables` is either the ordered tuple of coordinate names or the chart
-    dimension n (meaning x1..xn).
-    """
-    if isinstance(variables, int):
-        variables = tuple(f"x{k + 1}" for k in range(variables))
-    return _Parser(text, variables).parse()
+def parse_scalar(text: str, n: int) -> ScalarField:
+    """Parse grammar text into a canonical ScalarField on the n-dimensional
+    chart, whose variables are x1..xn."""
+    return _Parser(text, n).parse()

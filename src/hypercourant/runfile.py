@@ -105,7 +105,7 @@ def _require(cond: bool, message: str):
         raise SchemaError(message)
 
 
-def _parse_matrix(rows, n: int, coords, what: str):
+def _parse_matrix(rows, n: int, what: str):
     if not isinstance(rows, list) or len(rows) != n or any(
         not isinstance(r, list) or len(r) != n for r in rows
     ):
@@ -114,7 +114,7 @@ def _parse_matrix(rows, n: int, coords, what: str):
         all(isinstance(entry, str) for row in rows for entry in row),
         f"{what}: entries must be strings in the scalar grammar",
     )
-    return tuple(tuple(parse_scalar(entry, coords) for entry in row) for row in rows)
+    return tuple(tuple(parse_scalar(entry, n) for entry in row) for row in rows)
 
 
 def _only(spec: dict, keys: tuple, what: str, form: str) -> None:
@@ -122,32 +122,32 @@ def _only(spec: dict, keys: tuple, what: str, form: str) -> None:
     _require(not unknown, f"{what}: unknown keys {unknown} for the {form} form")
 
 
-def _parse_endo(spec, n: int, coords, what: str) -> GEndo:
+def _parse_endo(spec, n: int, what: str) -> GEndo:
     _require(isinstance(spec, dict), f"{what} must be an object")
     if "lift" in spec:
         kind = spec["lift"]
         if kind == "diagonal":
             _require("j" in spec, f"{what}: diagonal lift needs a 'j' matrix")
             _only(spec, ("lift", "j"), what, "diagonal")
-            return lift_diagonal(_parse_matrix(spec["j"], n, coords, f"{what}.j"))
+            return lift_diagonal(_parse_matrix(spec["j"], n, f"{what}.j"))
         if kind == "symplectic":
             _require(
                 "omega" in spec and "omega_inv" in spec,
                 f"{what}: symplectic lift needs 'omega' and 'omega_inv'",
             )
             _only(spec, ("lift", "omega", "omega_inv"), what, "symplectic")
-            omega = TwoForm(_parse_matrix(spec["omega"], n, coords, f"{what}.omega"))
-            inv = _parse_matrix(spec["omega_inv"], n, coords, f"{what}.omega_inv")
+            omega = TwoForm(_parse_matrix(spec["omega"], n, f"{what}.omega"))
+            inv = _parse_matrix(spec["omega_inv"], n, f"{what}.omega_inv")
             return lift_symplectic(omega, inv)
         raise SchemaError(f"{what}: unknown lift kind {kind!r}")
     missing = [k for k in ("A", "B", "C", "D") if k not in spec]
     _require(not missing, f"{what}: block form needs A, B, C, D (missing {missing})")
     _only(spec, ("A", "B", "C", "D"), what, "block")
     return GEndo(
-        _parse_matrix(spec["A"], n, coords, f"{what}.A"),
-        _parse_matrix(spec["B"], n, coords, f"{what}.B"),
-        _parse_matrix(spec["C"], n, coords, f"{what}.C"),
-        _parse_matrix(spec["D"], n, coords, f"{what}.D"),
+        _parse_matrix(spec["A"], n, f"{what}.A"),
+        _parse_matrix(spec["B"], n, f"{what}.B"),
+        _parse_matrix(spec["C"], n, f"{what}.C"),
+        _parse_matrix(spec["D"], n, f"{what}.D"),
     )
 
 
@@ -185,9 +185,9 @@ def parse_structure_text(text: str, digest: str | None = None) -> StructureFile:
     _require("I" in st and "J" in st, "'structure' needs at least I and J")
     unknown = set(st) - {"I", "J", "K"}
     _require(not unknown, f"unknown structure members {sorted(unknown)}")
-    i_endo = _parse_endo(st["I"], n, coords, "I")
-    j_endo = _parse_endo(st["J"], n, coords, "J")
-    k_endo = _parse_endo(st["K"], n, coords, "K") if "K" in st else None
+    i_endo = _parse_endo(st["I"], n, "I")
+    j_endo = _parse_endo(st["J"], n, "J")
+    k_endo = _parse_endo(st["K"], n, "K") if "K" in st else None
     triple = HKTriple.certify(i_endo, j_endo, k_endo)
 
     checks = doc.get("checks", list(SUITES))

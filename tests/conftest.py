@@ -4,9 +4,10 @@ from contextlib import contextmanager
 import pytest
 from hypothesis import settings
 
-from hypercourant import scalar
+from hypercourant import courant, scalar
 from hypercourant.scalar import SHARING, ScalarField
 from hypercourant.structures import DIM, conjugated, example
+from oracle import corrupted_dorfman
 
 # exact arithmetic on drawn inputs varies too much in time for a deadline
 settings.register_profile("hypercourant", deadline=None)
@@ -48,6 +49,13 @@ def conjugated_x2x3(flat):
     1, 1): certified, with polynomial denominators in two variables."""
     one, x2, x3 = ScalarField.one(DIM), ScalarField.coordinate(DIM, 1), ScalarField.coordinate(DIM, 2)
     return conjugated(flat, (one + x2 * x3, one, one, one))
+
+
+@pytest.fixture
+def corrupted_bracket(monkeypatch):
+    """Replace the engine's Dorfman bracket with the mutant whose i_Y d xi
+    term enters with the wrong sign."""
+    monkeypatch.setattr(courant, "dorfman", corrupted_dorfman)
 
 
 @pytest.fixture

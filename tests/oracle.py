@@ -12,6 +12,13 @@ term by term, with the frame pairings <e_a, e_b> hardcoded.  Agreement of
 the two routes on random sections is the main correctness evidence for the
 bracket implementation.
 
+Two mutants show that the suites notice a broken formula.  The bracket
+mutant, corrupted_dorfman, flips the sign of the i_Y d xi term; the
+`corrupted_bracket` fixture patches it over courant.dorfman, which
+verify_axioms reads at call time.  The connection mutant, the
+`flipped_connection` fixture of the nijenhuis tests, flips the sign of the
+connection's last inner term.
+
 A section is stored as one tuple of its 2n components; its arithmetic and
 its pairing are checked against the formulas on the two halves, the vector
 field X and the 1-form xi, with the pairing (xi(Y) + eta(X))/2 taken through
@@ -56,8 +63,8 @@ from fractions import Fraction
 from itertools import product
 
 from hypercourant import nijenhuis as nij
-from hypercourant.cartan import OneForm, VectorField, exterior_derivative
-from hypercourant.courant import GSection, anchor_apply, basis_sections, d_map, pairing
+from hypercourant.cartan import OneForm, VectorField, exterior_derivative, interior_product
+from hypercourant.courant import GSection, anchor_apply, basis_sections, d_map, dorfman, pairing
 from hypercourant.errors import DimensionMismatch, PoleAtPoint
 from hypercourant.nijenhuis import (
     CONCOMITANT_KEYS,
@@ -112,6 +119,15 @@ def leibniz_dorfman(x: GSection, y: GSection) -> GSection:
             if pair:
                 out = out + dfa.smul(gb.scale(2 * pair))
     return out
+
+
+def corrupted_dorfman(s: GSection, t: GSection) -> GSection:
+    """The Dorfman bracket with the sign of its i_Y d xi term flipped.  It
+    calls the engine's dorfman as bound at import, so it stays the mutant
+    while courant.dorfman is patched to it."""
+    n = s.dim
+    flip = interior_product(t.vec, exterior_derivative(s.form))
+    return dorfman(s, t) + GSection._of((ScalarField.zero(n),) * n + (flip + flip).components)
 
 
 def halves_add(x: GSection, y: GSection) -> GSection:

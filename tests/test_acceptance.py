@@ -178,11 +178,8 @@ def test_criterion_6_concomitant_linearity(all_triples):
 
 
 @criterion("7 mutation-detection", 10)
-def test_criterion_7_mutation_detection(capsys):
-    code = main(
-        ["verify-axioms", "--dim", "2", "--trials", "3", "--seed", "1",
-         "--corrupt-bracket", "--format", "json"]
-    )
+def test_criterion_7_mutation_detection(capsys, corrupted_bracket):
+    code = main(["verify-axioms", "--dim", "2", "--trials", "3", "--seed", "1", "--format", "json"])
     out = capsys.readouterr().out
     assert code == 1
     doc = json.loads(out)

@@ -29,10 +29,10 @@ class TestVerifyAxioms:
         assert doc["suites"][0]["suite"] == "axioms"
         assert len(doc["suites"][0]["checks"]) == 21
 
-    def test_corrupted_bracket_exits_one_with_witness(self, capsys):
+    def test_corrupted_bracket_exits_one_with_witness(self, capsys, corrupted_bracket):
         code, out, _ = run_cli(
             capsys, "verify-axioms", "--dim", "2", "--trials", "2", "--seed", "1",
-            "--corrupt-bracket", "--format", "json",
+            "--format", "json",
         )
         assert code == 1
         doc = json.loads(out)
@@ -46,27 +46,27 @@ class TestVerifyAxioms:
         witness = failing[0]["witness"]
         assert witness["expression"] and witness["point"] and witness["value"] != "0"
 
-    def test_corrupted_bracket_matches_recorded_report(self, capsys):
+    def test_corrupted_bracket_matches_recorded_report(self, capsys, corrupted_bracket):
         golden = json.loads(Path(__file__).with_name("mutant_golden.json").read_text())
         golden = golden["verify-axioms"]
         code, out, _ = run_cli(capsys, *golden["argv"])
         assert (code, out) == (golden["exit"], golden["stdout"])
 
-    def test_text_format_prints_failures(self, capsys):
+    def test_text_format_prints_failures(self, capsys, corrupted_bracket):
         # n = 1 would hide the mutation (every 2-form on a line vanishes)
-        code, out, _ = run_cli(
-            capsys, "verify-axioms", "--dim", "2", "--trials", "1", "--seed", "2",
-            "--corrupt-bracket",
-        )
+        code, out, _ = run_cli(capsys, "verify-axioms", "--dim", "2", "--trials", "1", "--seed", "2")
         assert code == 1
         assert "FAIL" in out and "residual" in out
 
-    def test_corruption_invisible_on_a_line(self, capsys):
-        code, _, _ = run_cli(
-            capsys, "verify-axioms", "--dim", "1", "--trials", "2", "--seed", "2",
-            "--corrupt-bracket",
-        )
+    def test_corruption_invisible_on_a_line(self, capsys, corrupted_bracket):
+        code, _, _ = run_cli(capsys, "verify-axioms", "--dim", "1", "--trials", "2", "--seed", "2")
         assert code == 0
+
+    def test_corrupt_bracket_is_no_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify-axioms", "--dim", "2", "--corrupt-bracket"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --corrupt-bracket" in capsys.readouterr().err
 
     def test_deterministic_output(self, capsys):
         args = ("verify-axioms", "--dim", "2", "--trials", "2", "--seed", "3",

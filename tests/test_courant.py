@@ -133,9 +133,12 @@ class TestDorfman:
 
 class TestCourantBracket:
     def test_antisymmetry_on_self(self):
-        rng = suite_rng(6, "skew")
-        s = random_section(rng, 2, 2)
-        assert (dorfman(s, s) - dorfman(s, s)).half().is_zero()
+        # axiom 4 with X = Y: the skew part of [[s, s]] vanishes, so the
+        # bracket is D<s, s>
+        for seed in (6, 7, 8):
+            s = random_section(suite_rng(seed, "skew"), 2, 2)
+            assert not d_map(pairing(s, s)).is_zero()
+            assert dorfman(s, s) == d_map(pairing(s, s))
 
     def test_constant_commuting_sections(self):
         s, t = gs(2, "1", "0", "0", "0"), gs(2, "0", "1", "0", "0")
@@ -168,8 +171,8 @@ class TestVerifyAxioms:
             (r.check_id, r.trial, r.passed) for r in b
         ]
 
-    def test_corrupted_bracket_fails_axiom_4_with_witness(self):
-        reports = verify_axioms(2, degree=2, trials=3, seed=1, _corrupt_bracket=True)
+    def test_corrupted_bracket_fails_axiom_4_with_witness(self, corrupted_bracket):
+        reports = verify_axioms(2, degree=2, trials=3, seed=1)
         failed = [r for r in reports if r.check_id == AXIOM_IDS[3] and not r.passed]
         assert failed
         w = failed[0].witness

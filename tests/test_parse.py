@@ -8,7 +8,7 @@ from hypercourant.scalar import MAX_TOTAL_DEGREE, ScalarField, scalar_text
 
 
 def test_polynomial_with_rational_coefficient():
-    f = parse_scalar("3/2*x1^2*x2 - x3", ("x1", "x2", "x3"))
+    f = parse_scalar("3/2*x1^2*x2 - x3", 3)
     x1 = ScalarField.coordinate(3, 0)
     x2 = ScalarField.coordinate(3, 1)
     x3 = ScalarField.coordinate(3, 2)
@@ -16,16 +16,26 @@ def test_polynomial_with_rational_coefficient():
 
 
 def test_rational_function_denominator():
-    f = parse_scalar("1/(1+x1^2)", ("x1",))
+    f = parse_scalar("1/(1+x1^2)", 1)
     assert f.den == parse_scalar("x1^2 + 1", 1).num
     assert f.den.leading_coeff() == 1
 
 
 def test_unknown_variable_with_position():
     with pytest.raises(UnknownVariable) as exc:
-        parse_scalar("x1 + x4", ("x1", "x2"))
+        parse_scalar("x1 + x4", 2)
     assert exc.value.name == "x4"
     assert exc.value.position == 5
+
+
+@pytest.mark.parametrize(
+    "text, name, position",
+    [("x0", "x0", 0), ("x01", "x01", 0), ("x5", "x5", 0), ("x1 + x00", "x00", 5)],
+)
+def test_chart_names_have_no_leading_zero_or_index_zero(text, name, position):
+    with pytest.raises(UnknownVariable) as exc:
+        parse_scalar(text, 4)
+    assert (exc.value.name, exc.value.position) == (name, position)
 
 
 def test_dimension_argument_accepts_int():

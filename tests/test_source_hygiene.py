@@ -11,8 +11,11 @@ __init__.py is not a use.  README's "Library use" snippet runs as printed,
 and `from hypercourant import *` binds no submodule.  Only scalar.py names
 the sharing scope's context variable, SHARING.  Every import sits at module level, none in a
 function or class body, so a module's dependencies are read from its head
-and paid once, at import.  Importing the package, as every `hypercourant`
-command does first, loads none of the code-introspection modules.
+and paid once, at import.  The package carries no switch that only tests
+turn on: no function parameter named with a leading underscore and no
+command-line option hidden from --help; a test that needs a mutant patches
+it in.  Importing the package, as every `hypercourant` command does first,
+loads none of the code-introspection modules.
 """
 
 from __future__ import annotations
@@ -118,6 +121,36 @@ def _traced_names(spans_source: str) -> set:
         if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "TARGETS" for t in node.targets):
             return {path.split(".")[0] for _, path in ast.literal_eval(node.value).values()}
     raise AssertionError("no TARGETS assignment")
+
+
+def _test_only_switches(tree: ast.Module) -> list:
+    """(line, name) of each function parameter whose name starts with an
+    underscore and of each add_argument(..., help=argparse.SUPPRESS)."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            params = args.posonlyargs + args.args + args.kwonlyargs
+            params += [p for p in (args.vararg, args.kwarg) if p]
+            found += [(p.lineno, p.arg) for p in params if p.arg.startswith("_")]
+        elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "add_argument":
+            if any(k.arg == "help" and ast.unparse(k.value).endswith("SUPPRESS") for k in node.keywords):
+                found.append((node.lineno, "/".join(ast.literal_eval(a) for a in node.args)))
+    return sorted(found)
+
+
+def test_no_test_only_switch():
+    found = [(path.name, *hit) for path in MODULES for hit in _test_only_switches(_tree(path))]
+    assert not found, f"switches only a test would set: {found}"
+
+
+def test_catches_a_test_only_switch():
+    tree = ast.parse(
+        "import argparse\n\ndef f(x, *, _hook=False):\n    return lambda _y: x\n\n"
+        "p.add_argument('--hook', action='store_true', help=argparse.SUPPRESS)\n"
+        "p.add_argument('--shown', help='shown')\n"
+    )
+    assert _test_only_switches(tree) == [(3, "_hook"), (4, "_y"), (6, "--hook")]
 
 
 def _unused_public(trees: dict, documented: str, traced: set) -> list:

@@ -45,14 +45,14 @@ class TestQuaternionMatrices:
         i = const_matrix(QUAT_I)
         j = const_matrix(QUAT_J)
         k = const_matrix(QUAT_K)
-        from hypercourant.endo import mat_eq, mat_identity, mat_mul
+        from hypercourant.endo import mat_identity, mat_mul
 
         minus_one = mat_neg(mat_identity(4))
-        assert mat_eq(mat_mul(i, i), minus_one)
-        assert mat_eq(mat_mul(j, j), minus_one)
-        assert mat_eq(mat_mul(k, k), minus_one)
-        assert mat_eq(mat_mul(i, j), k)
-        assert mat_eq(mat_mul(mat_mul(i, j), k), minus_one)
+        assert mat_mul(i, i) == minus_one
+        assert mat_mul(j, j) == minus_one
+        assert mat_mul(k, k) == minus_one
+        assert mat_mul(i, j) == k
+        assert mat_mul(mat_mul(i, j), k) == minus_one
 
 
 class TestBuilders:
