@@ -183,14 +183,6 @@ class TwoForm:
     def dim(self) -> int:
         return len(self.entries)
 
-    @classmethod
-    def zero(cls, n: int) -> "TwoForm":
-        z = ScalarField.zero(n)
-        return cls._of(tuple((z,) * n for _ in range(n)))
-
-    def is_zero(self) -> bool:
-        return all(f.is_zero() for row in self.entries for f in row)
-
 
 # ---------------------------------------------------------------------------
 # operations

@@ -18,9 +18,10 @@ frame sections (enough, since both sides are bilinear over scalars) and the
 quaternionic relations I^2 = J^2 = K^2 = IJK = -1 as exact matrix
 identities.
 
-The GEndo constructor and the lifts validate their blocks (cartan.check_matrix);
-products and sums go through the unchecked GEndo._of, and an image or a
-column is its tuple of 2n components passed to the unchecked GSection._of.
+An endomorphism acts on sections, composes, and gives its frame columns and
+its blocks.  The GEndo constructor and the lifts validate their blocks
+(cartan.check_matrix); products and negations go through the unchecked
+GEndo._of, and an image or a column is its 2n components in GSection._of.
 A GEndo is a slotted value in the idiom of the scalar and Cartan layers,
 with its hash cached in a slot; an HKTriple is a NamedTuple record.
 """
@@ -58,16 +59,8 @@ def mat_mul(a, b) -> tuple:
     return tuple(tuple(sum_of_products(nvars, zip(row, col)) for col in cols) for row in a)
 
 
-def mat_add(a, b) -> tuple:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
 def mat_neg(a) -> tuple:
     return tuple(tuple(-x for x in row) for row in a)
-
-
-def mat_scale(a, f: ScalarField) -> tuple:
-    return tuple(tuple(f * x for x in row) for row in a)
 
 
 def mat_transpose(a) -> tuple:
@@ -102,11 +95,6 @@ class GEndo:
     def identity(cls, n: int) -> "GEndo":
         return cls(mat_identity(n), mat_zero(n), mat_zero(n), mat_identity(n))
 
-    @classmethod
-    def zero(cls, n: int) -> "GEndo":
-        z = mat_zero(n)
-        return cls(z, z, z, z)
-
     def __eq__(self, other) -> bool:
         return other.__class__ is self.__class__ and self.matrix == other.matrix
 
@@ -139,22 +127,8 @@ class GEndo:
     def __matmul__(self, other: "GEndo") -> "GEndo":
         return self.compose(other)
 
-    def __add__(self, other: "GEndo") -> "GEndo":
-        if self.n != other.n:
-            raise DimensionMismatch("endomorphism dimensions differ")
-        return GEndo._of(mat_add(self.matrix, other.matrix))
-
     def __neg__(self) -> "GEndo":
         return GEndo._of(mat_neg(self.matrix))
-
-    def __sub__(self, other: "GEndo") -> "GEndo":
-        return self + (-other)
-
-    def scale(self, f: ScalarField) -> "GEndo":
-        return GEndo._of(mat_scale(self.matrix, f))
-
-    def is_zero(self) -> bool:
-        return all(f.is_zero() for row in self.matrix for f in row)
 
     def blocks(self) -> dict:
         n = self.n
@@ -218,12 +192,13 @@ def is_orthogonal(endo: GEndo) -> CheckReport:
 
 
 def _first_matrix_defect(endo: GEndo, expect: GEndo, what: str) -> Witness | None:
-    diff = endo - expect
-    for name, blk in diff.blocks().items():
-        for i, row in enumerate(blk):
-            for j, f in enumerate(row):
-                if not f.is_zero():
-                    return nonzero_witness(f"{what}, block {name}[{i}][{j}]", f)
+    """The first entry, blocks A to D each row by row, where endo differs from expect."""
+    wanted = expect.blocks()
+    for name, blk in endo.blocks().items():
+        for i, (row, want) in enumerate(zip(blk, wanted[name])):
+            for j, (f, g) in enumerate(zip(row, want)):
+                if f != g:
+                    return nonzero_witness(f"{what}, block {name}[{i}][{j}]", f - g)
     return None
 
 

@@ -145,12 +145,17 @@ def torsion(hk: HKTriple, variant: str, x: GSection, y: GSection) -> GSection:
     return connection(hk, variant, x, y) - connection(hk, variant, y, x) - skew
 
 
-def torsion_formula_residual(hk: HKTriple, variant: str, x: GSection, y: GSection) -> GSection:
-    """T(X,Y) - (I D<X,IY> + J D<X,JY> + K D<X,KY>)."""
+def _torsion_rhs(hk: HKTriple, x: GSection, y: GSection) -> GSection:
+    """I D<X,IY> + J D<X,JY> + K D<X,KY>, the torsion formula's right side."""
     rhs = GSection.zero(x.dim)
     for endo in hk.members().values():
         rhs = rhs + _image(endo, d_map(pairing(x, _image(endo, y))))
-    return torsion(hk, variant, x, y) - rhs
+    return rhs
+
+
+def torsion_formula_residual(hk: HKTriple, variant: str, x: GSection, y: GSection) -> GSection:
+    """T(X,Y) - (I D<X,IY> + J D<X,JY> + K D<X,KY>)."""
+    return torsion(hk, variant, x, y) - _torsion_rhs(hk, x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -295,9 +300,7 @@ def _identity_checks(hk: HKTriple, t: int, x, y, fun, identities: list, deltas: 
     )
     identities.append(check("nabla-i-concomitant-formula", r, t))
     lhs = _bracket(x, y) + _image(k, nij_y).smul(half)
-    rhs = nab_xy - connection(hk, "ijk", y, x) + d_map(pairing(x, y))
-    for endo in (i, j, k):
-        rhs = rhs - _image(endo, d_map(pairing(x, _image(endo, y))))
+    rhs = nab_xy - connection(hk, "ijk", y, x) + d_map(pairing(x, y)) - _torsion_rhs(hk, x, y)
     identities.append(check("bracket-decomposition", lhs - rhs, t))
     r = nij_y + concomitant(i, j, y, x)
     identities.append(check("concomitant-skew", r, t))

@@ -151,14 +151,13 @@ def _parse_endo(spec, n: int, what: str) -> GEndo:
     )
 
 
-def parse_structure_text(text: str, digest: str | None = None) -> StructureFile:
+def parse_structure_text(text: str) -> StructureFile:
     """Parse and validate a structure document from JSON text."""
-    if digest is None:
-        try:
-            data = text.encode("utf-8")
-        except UnicodeEncodeError:  # argv bytes that did not decode
-            raise SchemaError("the document is not valid UTF-8") from None
-        digest = "sha256:" + hashlib.sha256(data).hexdigest()
+    try:
+        data = text.encode("utf-8")
+    except UnicodeEncodeError:  # argv bytes that did not decode
+        raise SchemaError("the document is not valid UTF-8") from None
+    digest = "sha256:" + hashlib.sha256(data).hexdigest()
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -223,7 +222,8 @@ def parse_structure_text(text: str, digest: str | None = None) -> StructureFile:
 
 
 def parse_structure(source: str) -> StructureFile:
-    """Parse from a file path, or directly from JSON text."""
+    """Parse from a file path, or directly from JSON text.  A strict UTF-8
+    decode round-trips, so a file's digest is the sha256 of its bytes."""
     if os.path.exists(source):
         with open(source, "rb") as fh:
             data = fh.read()
@@ -231,7 +231,7 @@ def parse_structure(source: str) -> StructureFile:
             text = data.decode("utf-8")
         except UnicodeDecodeError:
             raise SchemaError("the file is not valid UTF-8") from None
-        return parse_structure_text(text, "sha256:" + hashlib.sha256(data).hexdigest())
+        return parse_structure_text(text)
     stripped = source.lstrip()
     if stripped.startswith("{"):
         return parse_structure_text(source)

@@ -357,12 +357,6 @@ class Polynomial:
             n, d = -n, -d
         return _canon(self.nvars, tuple([(k, c * n) for k, c in self.packed]), self.den * d)
 
-    def scale(self, c: Coeff) -> "Polynomial":
-        c = c if isinstance(c, (int, Fraction)) else Fraction(c)
-        if not c:
-            return Polynomial.zero(self.nvars)
-        return self._times(c.numerator, c.denominator)
-
     def __pow__(self, e: int) -> "Polynomial":
         if e < 0:
             raise ValueError("negative power of a polynomial")
@@ -754,10 +748,6 @@ class ScalarField:
         if self.is_zero():
             raise DivisionByZero("division by the zero field")
         return _monic(self.den, self.num)
-
-    def scale(self, c: Coeff) -> "ScalarField":
-        num = self.num.scale(c)
-        return ScalarField._raw(num, self.den) if num.packed else ScalarField.zero(self.nvars)
 
     def __pow__(self, e: int) -> "ScalarField":
         # powers of coprime num and den stay coprime, and a power of a monic

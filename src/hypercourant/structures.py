@@ -49,8 +49,8 @@ OMEGA_1 = ((0, 0, 1, 0), (0, 0, 0, -1), (-1, 0, 0, 0), (0, 1, 0, 0))
 OMEGA_2 = ((0, 0, 0, 1), (0, 0, 1, 0), (0, -1, 0, 0), (-1, 0, 0, 0))
 
 
-def const_matrix(rows, n: int = DIM) -> tuple:
-    return tuple(tuple(ScalarField.const(n, v) for v in row) for row in rows)
+def const_matrix(rows) -> tuple:
+    return tuple(tuple(ScalarField.const(DIM, v) for v in row) for row in rows)
 
 
 def _matrix_strings(m) -> list:

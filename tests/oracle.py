@@ -117,7 +117,7 @@ def leibniz_dorfman(x: GSection, y: GSection) -> GSection:
             out = out - frame[a].smul(gb * _rho_apply(b, n, fa))
             pair = _frame_pairing(a, b, n)
             if pair:
-                out = out + dfa.smul(gb.scale(2 * pair))
+                out = out + dfa.smul(gb * ScalarField.const(n, 2 * pair))
     return out
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -191,6 +192,13 @@ class TestCheck:
         assert [s["suite"] for s in doc["suites"]] == ["certification", "identities"]
         assert doc["input-digest"].startswith("sha256:")
 
+    def test_input_digest_is_sha256_of_file_bytes(self, capsys, small_file):
+        data = Path(small_file).read_bytes()
+        digest = "sha256:" + hashlib.sha256(data).hexdigest()
+        _, out, _ = run_cli(capsys, "check", small_file, "--format", "json")
+        assert json.loads(out)["input-digest"] == digest
+        assert runfile.parse_structure_text(data.decode("utf-8")).digest == digest
+
     def test_report_written_to_file(self, capsys, small_file, tmp_path):
         out_path = tmp_path / "report.json"
         code, out, _ = run_cli(
@@ -332,6 +340,11 @@ class TestCheck:
         code, out, err = run_cli(capsys, "check", example_doc(tmp_path, checks=[]))
         assert (code, out) == (2, "")
         assert err == "error: 'checks' must name at least one suite\n"
+
+    def test_repeated_check_exits_two(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "check", example_doc(tmp_path, checks=["axioms", "axioms"]))
+        assert (code, out) == (2, "")
+        assert err == "error: 'checks' must not repeat suites\n"
 
     def test_boolean_dimension_exits_two(self, capsys, tmp_path):
         doc = structure_file("nonintegrable")

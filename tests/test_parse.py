@@ -47,13 +47,13 @@ def test_whitespace_insignificant():
 
 
 def test_negative_literal_in_base_position():
-    assert parse_scalar("-2*x1", 1) == ScalarField.coordinate(1, 0).scale(-2)
+    assert parse_scalar("-2*x1", 1) == ScalarField.coordinate(1, 0) * ScalarField.const(1, -2)
     assert parse_scalar("3 * -2", 1) == ScalarField.const(1, -6)
 
 
 def test_rational_literal_is_greedy():
     # 1/2 is one literal, so 1/2*x1 is (1/2)*x1, not 1/(2*x1)
-    assert parse_scalar("1/2*x1", 1) == ScalarField.coordinate(1, 0).scale("1/2")
+    assert parse_scalar("1/2*x1", 1) == ScalarField.coordinate(1, 0) * ScalarField.const(1, "1/2")
     # but a parenthesized denominator is a division
     assert parse_scalar("1/(2)*x1", 1) == parse_scalar("1/2*x1", 1)
 

@@ -116,6 +116,10 @@ class TestParsing:
         with pytest.raises(SchemaError):
             parse_structure_text(json.dumps(small_doc(checks=["axioms", "nope"])))
 
+    def test_checks_must_not_repeat(self):
+        with pytest.raises(SchemaError, match="^'checks' must not repeat suites$"):
+            parse_structure_text(json.dumps(small_doc(checks=["axioms", "axioms"])))
+
     def test_bad_json(self):
         with pytest.raises(SchemaError):
             parse_structure_text("{not json")

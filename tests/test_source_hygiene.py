@@ -7,7 +7,12 @@ __init__.py re-exports what it imports, so its imports are exempt, as are
 `from __future__` imports.  A public module-level function or class is
 used by the package, documented (README.md or pyproject.toml names it) or
 traced by the benchmark (perfbench/spans.py's TARGETS); a re-export in
-__init__.py is not a use.  README's "Library use" snippet runs as printed,
+__init__.py is not a use.  Every module-level function and every method
+runs: `examples` on the three built-in documents, `check` on each of them
+(trials 1, degree 1), `verify-axioms` and README's `theorem_report` call,
+recorded in a fresh interpreter by a global trace function, reach them all;
+dunder methods, errors.py and the full attribute paths in TARGETS are
+exempt.  README's "Library use" snippet runs as printed,
 and `from hypercourant import *` binds no submodule.  Only scalar.py names
 the sharing scope's context variable, SHARING.  Every import sits at module level, none in a
 function or class body, so a module's dependencies are read from its head
@@ -23,6 +28,7 @@ from __future__ import annotations
 import ast
 import contextlib
 import io
+import json
 import os
 import re
 import subprocess
@@ -114,13 +120,18 @@ def test_no_orphan_private_definition():
     assert not orphans, f"unreferenced private definitions: {orphans}"
 
 
+def _targets(spans_source: str) -> list:
+    """The (module, attribute path) pairs of the benchmark's TARGETS."""
+    for node in ast.parse(spans_source).body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "TARGETS" for t in node.targets):
+            return list(ast.literal_eval(node.value).values())
+    raise AssertionError("no TARGETS assignment")
+
+
 def _traced_names(spans_source: str) -> set:
     """Module-level names the benchmark's tracer wraps or reaches into: the
     first part of each attribute path in TARGETS."""
-    for node in ast.parse(spans_source).body:
-        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "TARGETS" for t in node.targets):
-            return {path.split(".")[0] for _, path in ast.literal_eval(node.value).values()}
-    raise AssertionError("no TARGETS assignment")
+    return {path.split(".")[0] for _, path in _targets(spans_source)}
 
 
 def _test_only_switches(tree: ast.Module) -> list:
@@ -187,6 +198,109 @@ def test_catches_an_unused_public_definition():
     assert _traced_names(spans) == {"timed", "Timed"}
     unused = _unused_public(trees, "call `shown()`", _traced_names(spans))
     assert unused == [("a.py", "lone"), ("a.py", "Lone")]
+
+
+# The commands and the library call a test of the run rule makes, in a fresh
+# interpreter under a global trace function that records each code object
+# entered and traces no line of it.  It prints the (file, first line) pairs.
+_RUN = r"""
+import json, os, sys, tempfile
+
+from hypercourant import theorem_report
+from hypercourant.cli import main
+from hypercourant.structures import EXAMPLE_NAMES, example
+
+ran = set()
+
+
+def record(frame, event, arg):
+    ran.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+    return None
+
+
+sys.settrace(record)
+with tempfile.TemporaryDirectory() as tmp:
+    for name in EXAMPLE_NAMES:
+        path = os.path.join(tmp, name + ".json")
+        main(["examples", name, "--emit", path])
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["options"].update(trials=1, degree=1)
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        form = ["--format", "text", "--timings"] if name == "flat-quaternionic" else ["--format", "json"]
+        main(["check", path, *form, "--report", path + ".out"])
+    main(["verify-axioms", "--dim", "2", "--trials", "1", "--degree", "1", "--report", os.path.join(tmp, "axioms")])
+theorem_report(example("flat-quaternionic"), trials=1)
+sys.settrace(None)
+print(json.dumps(sorted(ran)))
+"""
+
+
+def _first_line(node) -> int:
+    """The line a def's code object starts on: its first decorator's, if any."""
+    return min([node.lineno] + [d.lineno for d in node.decorator_list])
+
+
+def _members(trees: dict) -> dict:
+    """{(module, first line): name} of each module-level function and each
+    method of a module-level class; a method is named Class.method."""
+    out = {}
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, functions):
+                out[module, _first_line(node)] = node.name
+            elif isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, functions):
+                        out[module, _first_line(item)] = f"{node.name}.{item.name}"
+    return out
+
+
+def _unrun(trees: dict, ran: set, exempt: set) -> list:
+    """(module, name) of each member that never ran; dunder methods and the
+    (module, name) pairs in `exempt` are not asked to."""
+    return sorted(
+        (module, name)
+        for (module, line), name in _members(trees).items()
+        if (module, line) not in ran
+        and (module, name) not in exempt
+        and not re.search(r"(^|\.)__\w+__$", name)
+    )
+
+
+def _traced_paths(spans_source: str) -> set:
+    """(module file, full attribute path) of each TARGETS entry."""
+    return {(module.rsplit(".", 1)[-1] + ".py", path) for module, path in _targets(spans_source)}
+
+
+def test_every_member_runs():
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    done = subprocess.run([sys.executable, "-c", _RUN], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    ran = {(Path(f).name, line) for f, line in json.loads(done.stdout) if Path(f).resolve().parent == PACKAGE}
+    trees = {path.name: _tree(path) for path in MODULES if path.name != "errors.py"}
+    traced = _traced_paths((ROOT / "perfbench" / "spans.py").read_text(encoding="utf-8"))
+    unrun = _unrun(trees, ran, traced)
+    assert not unrun, f"members no command or documented library call runs: {unrun}"
+
+
+def test_catches_a_member_that_never_runs():
+    trees = {
+        "a.py": ast.parse(
+            "def ran(): pass\ndef idle(): pass\ndef timed(): pass\n"
+            "class C:\n    def __eq__(self, o): pass\n    @property\n    def n(self): pass\n"
+            "    @classmethod\n    def make(cls): pass\n    def timed(self): pass\n"
+        ),
+    }
+    spans = 'TARGETS = {"a.t": ("pkg.a", "C.timed")}\n'
+    assert _traced_paths(spans) == {("a.py", "C.timed")}
+    # C.n's code starts at its decorator, line 6; a traced method exempts
+    # neither its class nor a function of the same name
+    assert _unrun(trees, {("a.py", 1), ("a.py", 6)}, _traced_paths(spans)) == [
+        ("a.py", "C.make"), ("a.py", "idle"), ("a.py", "timed")
+    ]
 
 
 def test_star_import_binds_no_submodule():
