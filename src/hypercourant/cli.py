@@ -43,16 +43,19 @@ def _build_parser() -> argparse.ArgumentParser:
     ax.add_argument("--seed", type=int, default=0, help="seed for the random sections, >= 0")
     ax.add_argument("--format", choices=("json", "text"), default="text")
     ax.add_argument("--report", metavar="FILE", help="write the report here instead of stdout")
+    ax.set_defaults(run=_cmd_verify_axioms)
 
     ck = sub.add_parser("check", help="run the suites selected by a structure file")
     ck.add_argument("file", help="structure document (JSON)")
     ck.add_argument("--format", choices=("json", "text"), default="text")
     ck.add_argument("--report", metavar="FILE", help="write the report here instead of stdout")
     ck.add_argument("--timings", action="store_true", help="include wall time per suite")
+    ck.set_defaults(run=_cmd_check)
 
     ex = sub.add_parser("examples", help="write a built-in example structure document")
     ex.add_argument("name", choices=EXAMPLE_NAMES)
     ex.add_argument("--emit", metavar="FILE", help="write here instead of stdout")
+    ex.set_defaults(run=_cmd_examples)
     return parser
 
 
@@ -113,19 +116,12 @@ def _cmd_examples(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        if args.command == "verify-axioms":
-            return _cmd_verify_axioms(args)
-        if args.command == "check":
-            return _cmd_check(args)
-        if args.command == "examples":
-            return _cmd_examples(args)
+        return args.run(args)
     except (EngineError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

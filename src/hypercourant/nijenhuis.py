@@ -30,15 +30,19 @@ connection checks are one pass, connection_pass, which draws each trial's
 
 Within one input the formulas bracket the same section pairs and take the
 same derivatives and gcds many times, so each value goes through
-scalar.shared and is computed once per sharing scope.  Each kind of scope
-is one predicate:
-  - an input's (_all_but_images) holds every bracket, derivative and gcd,
-    for one input only (a pass-long one raised flat's peak memory by 30 %),
-    and no image, since images recur less there and are large (+10 %);
-  - concomitant_statuses' (_everything) holds images too, seeded with
-    F e_a = column a of F, as all six concomitants apply I, J, K to the
-    same frame sections and brackets;
-  - the laws' f-scaled connections run in one nested in the input's
+scalar.shared and is computed once per sharing scope.  Only the three loops
+that own a scope open one; a formula function never does, and outside a
+scope it computes every value.  A standalone concomitant therefore takes
+[[X,Y]] once in each half; a library caller who wants it shared opens
+scalar.sharing around the call.  Each kind of scope is one predicate:
+  - connection_pass opens an input's (_all_but_images) per input; it holds
+    every bracket, derivative and gcd, for one input only (a pass-long one
+    raised flat's peak memory by 30 %), and no image, since images recur
+    less there and are large (+10 %);
+  - concomitant_statuses opens one (_everything) that holds images too,
+    seeded with F e_a = column a of F, as all six concomitants apply I, J,
+    K to the same frame sections and brackets;
+  - _law_checks runs the f-scaled connections in one nested in the input's
     (_brackets_of), which reads it but holds only [[Y,fX]] and [[fY,X]],
     the brackets every rotation takes (holding more cost 11-13 %), and no
     gcd: one taken there is read from the input's scope or computed.
@@ -86,11 +90,6 @@ def _brackets_of(*sections):
     return lambda key: key[0] is dorfman and held.issuperset(key[1:])
 
 
-def _sharing():
-    """The open sharing scope, or where none is open a new input scope."""
-    return sharing(_all_but_images, join=True)
-
-
 def _bracket(s: GSection, t: GSection) -> GSection:
     return shared(dorfman, s, t)
 
@@ -108,8 +107,7 @@ def _four_terms(br, f: GEndo, g: GEndo, x: GSection, y: GSection) -> GSection:
 
 def concomitant(f: GEndo, g: GEndo, x: GSection, y: GSection) -> GSection:
     """The eight-term Nijenhuis concomitant N_{F,G}(X,Y)."""
-    with _sharing():  # the two halves share [[X,Y]]
-        return _four_terms(_bracket, f, g, x, y) + _four_terms(_bracket, g, f, x, y)
+    return _four_terms(_bracket, f, g, x, y) + _four_terms(_bracket, g, f, x, y)
 
 
 def delta(hk: HKTriple, fun: ScalarField, x: GSection, y: GSection) -> GSection:
@@ -365,7 +363,7 @@ def connection_pass(hk: HKTriple, suites, trials, seed, degree, structure_id="un
     identity_checks, delta_checks = [], []
     flags = (True, {"I": True, "J": True, "K": True}, True)
     for t, x, y, fun in _inputs(hk, seed, trials, degree):
-        with _sharing():
+        with sharing(_all_but_images):
             if laws:
                 _timed(seconds, "connection-laws", _law_checks, hk, t, x, y, fun, law_checks)
             if identities:

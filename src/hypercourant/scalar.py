@@ -45,11 +45,12 @@ packed accumulator instead of building and sorting a Polynomial per product
 and per partial sum.  A sum of one product goes through Polynomial `*`,
 whose one-term path needs neither dict nor sort.
 
-SHARING is the open sharing scope, a Scope or None (see the nijenhuis
-module).  shared(fn, a, b) is the one memo call: poly_gcd,
-ScalarField.derivative and the nijenhuis brackets and images all go through
-it, so a value lives as long as the scope that holds it and nothing is kept
-process-wide.
+SHARING is the open sharing scope, a Scope or None.  shared(fn, a, b) is
+the one memo call: poly_gcd, ScalarField.derivative and the nijenhuis
+brackets and images all go through it, so a value lives as long as the
+scope that holds it and nothing is kept process-wide.  sharing(keep) opens
+a scope; only the three loops of the nijenhuis module that own one call it
+(see there), and the formula functions they run never do.
 """
 
 from __future__ import annotations
@@ -85,14 +86,10 @@ class Scope(dict):
 
 
 @contextmanager
-def sharing(keep, join: bool = False):
+def sharing(keep):
     """A new Scope for the block, holding what keep admits and reading the
-    open scope; with join, the open scope itself where there is one."""
-    outer = SHARING.get()
-    if join and outer is not None:
-        yield outer
-        return
-    token = SHARING.set(scope := Scope(keep, outer))
+    open scope."""
+    token = SHARING.set(scope := Scope(keep, SHARING.get()))
     try:
         yield scope
     finally:

@@ -49,6 +49,16 @@ connection flags), each run on an explicit list of inputs.  They call the
 nijenhuis module's connection, delta, concomitant and torsion formula as
 they are at call time, so a patched connection reaches them too.
 
+The theorem suite is checked beyond the built-in examples on triples built
+here from them.  frame_conjugate conjugates a triple by P = diag(M, M^-T)
+for a matrix M of polynomials, an automorphism of the pairing; a Courant
+automorphism is one where M = (D phi)^-1 for a polynomial automorphism
+phi, which pulls an integrable triple back to an integrable one
+(pullback_frame), while a unitriangular M that is no Jacobian's inverse
+(NON_JACOBIAN_FRAME) need not.  product_triple is the block-diagonal triple
+on the product chart, its second factor's coordinates renamed past the
+first's.
+
 Polynomial arithmetic, which the engine computes on packed monomials, is
 checked against the schoolbook product, the dict sum and the derivative on
 exponent tuples; each oracle returns its terms in the order of its own grlex
@@ -59,25 +69,28 @@ against the sum of its decoded terms' values in Fraction arithmetic.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from itertools import product
 
 from hypercourant import nijenhuis as nij
 from hypercourant.cartan import OneForm, VectorField, exterior_derivative, interior_product
 from hypercourant.courant import GSection, anchor_apply, basis_sections, d_map, dorfman, pairing
+from hypercourant.endo import GEndo, HKTriple, mat_transpose
 from hypercourant.errors import DimensionMismatch, PoleAtPoint
 from hypercourant.nijenhuis import (
     CONCOMITANT_KEYS,
     ConcomitantStatus,
+    _all_but_images,
     _bracket,
     _four_terms,
     _image,
-    _sharing,
     concomitant,
 )
+from hypercourant.parse import parse_scalar
 from hypercourant.report import POINT_CANDIDATES, check, witness_for
 from hypercourant.sampling import monomials_up_to
-from hypercourant.scalar import Polynomial, ScalarField
+from hypercourant.scalar import Polynomial, ScalarField, scalar_text, sharing
 
 
 def _rho_apply(a: int, n: int, g: ScalarField) -> ScalarField:
@@ -274,7 +287,7 @@ def loop_identities(hk, inputs) -> list:
     i, j, k = hk.i, hk.j, hk.k
     out = []
     for t, x, y, _ in inputs:
-        with _sharing():
+        with sharing(_all_but_images):
             nab_xy = nij.connection(hk, "ijk", x, y)
             r = nij.connection(hk, "ijk", x, _image(j, y)) - _image(j, nab_xy)
             out.append(check("nabla-j-vanishes", r, t))
@@ -305,7 +318,7 @@ def loop_delta_properties(hk, inputs) -> list:
     two = ScalarField.const(hk.n, 2)
     out = []
     for t, x, y, fun in inputs:
-        with _sharing():
+        with sharing(_all_but_images):
             base = nij.delta(hk, fun, x, y)
             for name, endo in hk.members().items():
                 r = nij.delta(hk, fun, x, _image(endo, y)) - _image(endo, base)
@@ -321,7 +334,7 @@ def loop_theorem_flags(hk, inputs) -> tuple:
     connections_agree = torsion_ok = True
     parallel = {"I": True, "J": True, "K": True}
     for _, x, y, _ in inputs:
-        with _sharing():
+        with sharing(_all_but_images):
             base = nij.connection(hk, "ijk", x, y)
             connections_agree = connections_agree and all(
                 (base - nij.connection(hk, v, x, y)).is_zero() for v in ("jki", "kij")
@@ -332,6 +345,87 @@ def loop_theorem_flags(hk, inputs) -> tuple:
                 ).is_zero()
             torsion_ok = torsion_ok and nij.torsion_formula_residual(hk, "ijk", x, y).is_zero()
     return connections_agree, parallel, torsion_ok
+
+
+def _matrix(rows, n: int) -> tuple:
+    """A matrix of grammar text as ScalarFields on the n-dimensional chart."""
+    return tuple(tuple(parse_scalar(entry, n) for entry in row) for row in rows)
+
+
+def frame_conjugate(hk, m_rows, m_inv_rows):
+    """hk conjugated by P = diag(M, M^-T), each member F taken to P F P^-1
+    and the result certified again; M and M^-1 are rows of grammar text."""
+    n = hk.n
+    m, m_inv = _matrix(m_rows, n), _matrix(m_inv_rows, n)
+    zero = _matrix([["0"] * n] * n, n)
+    p = GEndo(m, zero, zero, mat_transpose(m_inv))
+    p_inv = GEndo(m_inv, zero, zero, mat_transpose(m))
+    return HKTriple.certify(p @ hk.i @ p_inv, p @ hk.j @ p_inv)
+
+
+# D phi for phi(x) = (x1 + x2^2, x2 + x3 x4, x3 + x4^3, x4), unitriangular,
+# and its polynomial inverse M, so that frame_conjugate(hk, M, D phi) is the
+# pullback phi^* hk of a triple with constant entries.
+PULLBACK_JACOBIAN = (
+    ("1", "2*x2", "0", "0"),
+    ("0", "1", "x4", "x3"),
+    ("0", "0", "1", "3*x4^2"),
+    ("0", "0", "0", "1"),
+)
+PULLBACK_FRAME = (
+    ("1", "-2*x2", "2*x2*x4", "2*x2*x3 - 6*x2*x4^3"),
+    ("0", "1", "-1*x4", "3*x4^3 - x3"),
+    ("0", "0", "1", "-3*x4^2"),
+    ("0", "0", "0", "1"),
+)
+
+# M = 1 + x3 E12 + x1 E34 and its inverse; no map has M^-1 as its Jacobian,
+# whose first row dx1 - x3 dx2 is not closed.
+NON_JACOBIAN_FRAME = (
+    ("1", "x3", "0", "0"),
+    ("0", "1", "0", "0"),
+    ("0", "0", "1", "x1"),
+    ("0", "0", "0", "1"),
+)
+NON_JACOBIAN_INVERSE = (
+    ("1", "-1*x3", "0", "0"),
+    ("0", "1", "0", "0"),
+    ("0", "0", "1", "-1*x1"),
+    ("0", "0", "0", "1"),
+)
+
+
+def pullback_frame(hk):
+    """The pullback of a triple with constant entries along phi."""
+    return frame_conjugate(hk, PULLBACK_FRAME, PULLBACK_JACOBIAN)
+
+
+def non_jacobian_conjugate(hk):
+    """hk conjugated by the unitriangular M that is no Jacobian's inverse."""
+    return frame_conjugate(hk, NON_JACOBIAN_FRAME, NON_JACOBIAN_INVERSE)
+
+
+def _renamed(f: ScalarField, shift: int, n: int) -> ScalarField:
+    """f on the n-dimensional chart with x_k renamed x_{k + shift}."""
+    return parse_scalar(re.sub(r"x(\d+)", lambda m: f"x{int(m.group(1)) + shift}", scalar_text(f)), n)
+
+
+def product_triple(first, second):
+    """The block-diagonal triple of first x second on the chart of n1 + n2
+    coordinates, second's renamed x_{n1+1}.."""
+    n1, n = first.n, first.n + second.n
+    zero = ScalarField.zero(n)
+
+    def block_sum(a, b) -> tuple:
+        top = [[_renamed(f, 0, n) for f in row] + [zero] * second.n for row in a]
+        low = [[zero] * n1 + [_renamed(f, n1, n) for f in row] for row in b]
+        return tuple(map(tuple, top + low))
+
+    def member(f, g):
+        fb, gb = f.blocks(), g.blocks()
+        return GEndo(*(block_sum(fb[k], gb[k]) for k in "ABCD"))
+
+    return HKTriple.certify(member(first.i, second.i), member(first.j, second.j))
 
 
 def _cnorm(c):

@@ -1,4 +1,5 @@
 import json
+import re
 import sys
 import threading
 from fractions import Fraction
@@ -15,6 +16,7 @@ from hypercourant.courant import GSection, basis_sections, dorfman, random_secti
 from hypercourant.endo import GEndo, HKTriple
 from hypercourant.errors import InconsistentEquivalence, UncertifiedStructure
 from hypercourant.nijenhuis import (
+    CONCOMITANT_KEYS,
     CONNECTION_SUITES,
     VARIANTS,
     check_connection_laws,
@@ -26,15 +28,15 @@ from hypercourant.nijenhuis import (
     theorem_report,
     torsion,
     torsion_formula_residual,
+    _all_but_images,
     _bracket,
     _inputs,
     _law_checks,
     _rotation,
-    _sharing,
     connection_pass,
 )
 from hypercourant.parse import parse_scalar
-from hypercourant.report import CheckReport
+from hypercourant.report import CheckReport, Witness
 from hypercourant.sampling import random_scalar, suite_rng
 from hypercourant.scalar import SHARING, ScalarField, sharing
 
@@ -47,8 +49,11 @@ from oracle import (
     loop_identities,
     loop_theorem_flags,
     nabla_endo,
+    non_jacobian_conjugate,
     oracle_concomitant,
     oracle_first_slot_defect,
+    product_triple,
+    pullback_frame,
     spanning_family,
 )
 
@@ -106,7 +111,7 @@ class TestConcomitant:
         assert (concomitant(flat.i, flat.j, x, y) - concomitant(flat.j, flat.i, x, y)).is_zero()
 
     def test_at_most_seven_brackets_a_call(self, flat, monkeypatch):
-        # [[X, Y]] is shared by the two four-term halves
+        # in a caller's scope [[X, Y]] is shared by the two four-term halves
         calls = []
 
         def counted(s, t):
@@ -117,7 +122,8 @@ class TestConcomitant:
         rng = suite_rng(15, "nij-count")
         x = random_section(rng, 4, 1)
         y = random_section(rng, 4, 1)
-        concomitant(flat.i, flat.j, x, y)
+        with sharing(_all_but_images):
+            concomitant(flat.i, flat.j, x, y)
         assert 0 < len(calls) <= 7
 
     def test_matches_oracle_bracket_route(self, flat):
@@ -547,6 +553,69 @@ class TestTheoremReport:
         assert rep.consistency == "violated"
 
 
+def outcome(rep) -> tuple:
+    """A report's vanishing pattern, verdict, consistency and flags."""
+    pattern = {k: v.vanishes for k, v in rep.concomitants.items()}
+    return pattern, rep.verdict, rep.consistency, rep.connections_agree, rep.parallel, rep.torsion_formula
+
+
+def moved(w: Witness, n: int) -> Witness:
+    """A witness on an n-dimensional chart as the second factor of a product
+    with an n-dimensional first factor gives it: frame index a < n (a
+    vector) becomes a + n, a form's a + 2n, and coordinate x_k becomes
+    x_{k+n}, which the point search sets after the first factor's zeros."""
+    prefix, a, b, part, k = re.fullmatch(r"(.*)\((\d+), (\d+)\)\.(vec|form)\[(\d+)\]", w.label).groups()
+    a, b = (int(i) + (n if int(i) < n else 2 * n) for i in (a, b))
+    return Witness(
+        label=f"{prefix}({a}, {b}).{part}[{int(k) + n}]",
+        expression=re.sub(r"x(\d+)", lambda m: f"x{int(m.group(1)) + n}", w.expression),
+        point=("0",) * n + w.point,
+        value=w.value,
+    )
+
+
+class TestBeyondTheExamples:
+    """The theorem suite on triples built from the examples: pulled back
+    along a polynomial automorphism, conjugated by a frame that is no
+    Jacobian's inverse, and the n = 8 product flat x nonintegrable."""
+
+    @pytest.fixture(scope="class")
+    def pulled_back(self, flat):
+        return pullback_frame(flat)
+
+    def test_pullback_certifies_with_nonconstant_brackets(self, pulled_back):
+        assert pulled_back.certified
+        frame = basis_sections(pulled_back.n)
+        members = pulled_back.members().values()
+        brackets = [dorfman(f.apply(a), g.apply(b)) for f in members for g in members for a in frame for b in frame]
+        assert (len(brackets), sum(not br.is_zero() for br in brackets)) == (576, 311)
+
+    def test_pullback_stays_hypercomplex(self, pulled_back):
+        # N[I,J] = 0 on nonzero brackets: the connections agree and I, J, K
+        # are parallel
+        rep = theorem_report(pulled_back, trials=1, degree=1)
+        pattern = dict.fromkeys(CONCOMITANT_KEYS, True)
+        assert outcome(rep) == (pattern, "hypercomplex", "ok", True, {"I": True, "J": True, "K": True}, True)
+
+    @pytest.mark.parametrize("name", ["flat", "holomorphic-symplectic"])
+    def test_non_jacobian_conjugate_is_not_integrable(self, all_triples, name):
+        rep = theorem_report(non_jacobian_conjugate(all_triples[name]), trials=1, degree=1)
+        pattern = dict.fromkeys(CONCOMITANT_KEYS, False)
+        assert outcome(rep) == (pattern, "not-hypercomplex", "ok", False, {"I": False, "J": True, "K": False}, False)
+
+    def test_product_reports_like_its_nonintegrable_factor(self, flat, noni):
+        product = product_triple(flat, noni)
+        assert product.n == 8 and product.certified
+        rep = theorem_report(product, trials=1, degree=1)
+        factor = theorem_report(noni, trials=1, degree=1)
+        assert outcome(rep) == outcome(factor)
+        for key in CONCOMITANT_KEYS:
+            w = factor.concomitants[key].witness
+            assert rep.concomitants[key].witness == (w and moved(w, noni.n))
+        w = rep.concomitants["JJ"].witness
+        assert (w.label, w.point) == ("N[J,J] on family pair (4, 5).vec[5]", ("0",) * 4 + ("1", "0", "0", "0"))
+
+
 def counted_brackets(monkeypatch) -> list:
     calls = []
 
@@ -556,6 +625,22 @@ def counted_brackets(monkeypatch) -> list:
 
     monkeypatch.setattr(hypercourant.nijenhuis, "dorfman", counted)
     return calls
+
+
+def input_scope(hk, monkeypatch):
+    """The scope of the one input of a full pass at trials 1, filled by
+    every suite of the pass: the one open when the laws start."""
+    scopes = []
+    direct = hypercourant.nijenhuis._law_checks
+
+    def watched(*args):
+        scopes.append(SHARING.get())
+        return direct(*args)
+
+    monkeypatch.setattr(hypercourant.nijenhuis, "_law_checks", watched)
+    connection_pass(hk, CONNECTION_SUITES, 1, 0, 1)
+    scope, = scopes
+    return scope
 
 
 class TestSharingScope:
@@ -607,8 +692,7 @@ class TestSharingScope:
             return out
 
         monkeypatch.setattr(hypercourant.nijenhuis, "connection", watched)
-        with _sharing():
-            outer = SHARING.get()
+        with sharing(_all_but_images) as outer:
             _law_checks(flat, t, x, y, fun, {v: [] for v in VARIANTS})
             held = {key[1:] for key in outer if key[0] is dorfman}
         # the input's scope keeps the 10 brackets of the three nabla_X Y
@@ -644,18 +728,16 @@ class TestSharingScope:
         assert images and not frame.intersection(images)
         assert flat.i.columns() == tuple(flat.i.apply(e) for e in basis_sections(flat.n))
 
-    def test_input_scope_keys_brackets_and_derivatives(self, flat):
-        with _sharing() as scope:  # the pass joins it as its input's scope
-            connection_pass(flat, CONNECTION_SUITES, 1, 0, 1)
+    def test_input_scope_keys_brackets_and_derivatives(self, flat, monkeypatch):
+        scope = input_scope(flat, monkeypatch)
         assert all(type(key) is tuple and len(key) == 3 for key in scope)
         # every bracket and derivative, and no endomorphism image
         assert {key[0] for key in scope} == {hypercourant.nijenhuis.dorfman, ScalarField._derivative}
 
-    def test_input_scope_keys_gcds_on_a_rational_triple(self, noni):
+    def test_input_scope_keys_gcds_on_a_rational_triple(self, noni, monkeypatch):
         # flat's fields are polynomials and take no gcd; noni's take many,
         # and the input's scope holds them with its brackets and derivatives
-        with _sharing() as scope:
-            connection_pass(noni, CONNECTION_SUITES, 1, 0, 1)
+        scope = input_scope(noni, monkeypatch)
         assert all(type(key) is tuple and len(key) == 3 for key in scope)
         kinds = {hypercourant.nijenhuis.dorfman, ScalarField._derivative, scalar._gcd_int}
         assert {key[0] for key in scope} == kinds
@@ -663,7 +745,7 @@ class TestSharingScope:
     def test_nested_scope_reads_its_outer_and_holds_what_keep_admits(self, flat):
         (_, x, y, _), = _inputs(flat, 0, 1, 1)
         f, g = x.components[0], y.components[0]
-        with _sharing() as outer:
+        with sharing(_all_but_images) as outer:
             first = f.derivative(0)
             with sharing(lambda key: key[0] is dorfman) as inner:
                 assert SHARING.get() is inner and inner.outer is outer
@@ -694,9 +776,9 @@ class TestSharingScope:
     def test_derivatives_are_shared_only_inside_a_scope(self):
         f = ScalarField.from_polynomial(parse_scalar("x1^3*x2 - x2", 2).num)
         assert f.derivative(0) is not f.derivative(0)
-        with _sharing():
+        with sharing(_all_but_images):
             first = f.derivative(0)
-            with _sharing():  # a nested scope joins the open one
+            with sharing(_all_but_images):  # a nested scope reads the open one
                 assert f.derivative(0) is first
         assert SHARING.get() is None
         assert f.derivative(0) == first
@@ -743,12 +825,11 @@ class TestSharingScope:
             check_connection_laws(flat, trials=1, degree=1)
         assert SHARING.get() is None
         calls.clear()
-        with _sharing():  # the pass joins an open scope and nests in it
-            outer = SHARING.get()
+        with sharing(_all_but_images) as outer:  # the pass nests in an open scope
             with pytest.raises(ArithmeticError):
                 check_connection_laws(flat, trials=1, degree=1)
             assert SHARING.get() is outer
-        assert scopes[1] is not outer and scopes[1].outer is outer
+        assert scopes[1].outer.outer is outer
         assert SHARING.get() is None
 
     def test_threads_keep_their_own_scope(self, flat, noni):
@@ -780,7 +861,7 @@ class TestSharingScope:
 
     def test_scope_is_context_local(self):
         seen = []
-        with _sharing():
+        with sharing(_all_but_images):
             thread = threading.Thread(target=lambda: seen.append(SHARING.get()))
             thread.start()
             thread.join()

@@ -14,9 +14,12 @@ recorded in a fresh interpreter by a global trace function, reach them all;
 dunder methods, errors.py and the full attribute paths in TARGETS are
 exempt.  README's "Library use" snippet runs as printed,
 and `from hypercourant import *` binds no submodule.  Only scalar.py names
-the sharing scope's context variable, SHARING.  Every import sits at module level, none in a
-function or class body, so a module's dependencies are read from its head
-and paid once, at import.  The package carries no switch that only tests
+the sharing scope's context variable, SHARING, and only the three loops
+that own a scope open one: every call of sharing is the item of a with
+statement in connection_pass, _law_checks or concomitant_statuses, and
+passes the scope's one rule and nothing more.  Every import sits at module
+level, none in a function or class body, so a module's dependencies are
+read from its head and paid once, at import.  The package carries no switch that only tests
 turn on: no function parameter named with a leading underscore and no
 command-line option hidden from --help; a test that needs a mutant patches
 it in.  Importing the package, as every `hypercourant` command does first,
@@ -325,6 +328,52 @@ def test_only_scalar_names_the_sharing_variable():
         if path.name != "scalar.py" and "SHARING" in _referenced_names(_tree(path))
     ]
     assert not naming, f"modules naming SHARING: {naming}"
+
+
+SCOPE_OWNERS = ("connection_pass", "_law_checks", "concomitant_statuses")
+
+
+def _stray_scopes(tree: ast.Module) -> list:
+    """(line, fault) of each call of sharing that is not the item of a with
+    statement in the body of one of SCOPE_OWNERS, and of each that passes
+    more than one argument."""
+    owned, calls = set(), []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            function = getattr(node, "name", "<lambda>")
+        if isinstance(node, (ast.With, ast.AsyncWith)) and function in SCOPE_OWNERS:
+            owned.update(id(item.context_expr) for item in node.items)
+        if isinstance(node, ast.Call):
+            if "sharing" in (getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                calls.append(node)
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    found = [(c.lineno, "opened outside an owning loop") for c in calls if id(c) not in owned]
+    found += [(c.lineno, "more than one argument") for c in calls if len(c.args) + len(c.keywords) > 1]
+    return sorted(found)
+
+
+def test_only_the_owning_loops_open_a_scope():
+    found = [(path.name, *hit) for path in MODULES for hit in _stray_scopes(_tree(path))]
+    assert not found, f"sharing scopes opened elsewhere or with a second argument: {found}"
+
+
+def test_catches_a_stray_scope():
+    tree = ast.parse(
+        "def concomitant(x):\n    with sharing(keep, reuse=True):\n        return x\n\n"
+        "def connection_pass(x):\n    with sharing(keep) as s, open(x):\n        f = lambda: sharing(keep)\n"
+        "    return scalar.sharing(keep, True)\n"
+    )
+    assert _stray_scopes(tree) == [
+        (2, "more than one argument"),
+        (2, "opened outside an owning loop"),
+        (7, "opened outside an owning loop"),
+        (8, "more than one argument"),
+        (8, "opened outside an owning loop"),
+    ]
 
 
 def test_import_loads_no_introspection_module():
