@@ -10,7 +10,7 @@ to an exact zero; failures come with a symbolic residual and a rational
 point witness.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from types import ModuleType as _ModuleType
 

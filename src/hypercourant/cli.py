@@ -87,7 +87,6 @@ def _cmd_verify_axioms(args) -> int:
     report = RunReport(
         version=__version__,
         input_digest="-",
-        structure_id="axioms-only",
         options={
             "dim": args.dim,
             "degree": args.degree,

@@ -175,11 +175,8 @@ class ConcomitantStatus(NamedTuple):
 
 
 class TheoremReport(NamedTuple):
-    """Observed vanishing pattern and connection-level consequences."""
+    """The theorem alone: the concomitants, connection flags, verdict, consistency."""
 
-    structure_id: str
-    trials: int
-    seed: int
     concomitants: dict
     connections_agree: bool
     parallel: dict
@@ -189,9 +186,6 @@ class TheoremReport(NamedTuple):
 
     def to_dict(self) -> dict:
         return {
-            "structure-id": self.structure_id,
-            "trials": self.trials,
-            "seed": self.seed,
             "concomitants": {k: v.to_dict() for k, v in self.concomitants.items()},
             "connection-equality": self.connections_agree,
             "parallel": dict(self.parallel),
@@ -323,7 +317,7 @@ def _theorem_flags(hk: HKTriple, x, y, agree: bool, parallel: dict, torsion_ok: 
     return agree, parallel, torsion_ok
 
 
-def _theorem(hk: HKTriple, flags: tuple, trials: int, seed: int, structure_id: str):
+def _theorem(hk: HKTriple, flags: tuple):
     """The report of the six concomitants and the flags, consistent or not."""
     status = concomitant_statuses(hk)
     agree, parallel, torsion_ok = flags
@@ -336,9 +330,6 @@ def _theorem(hk: HKTriple, flags: tuple, trials: int, seed: int, structure_id: s
         and (not cond_ij or (agree and all(parallel.values())))
     )
     return TheoremReport(
-        structure_id=structure_id,
-        trials=trials,
-        seed=seed,
         concomitants=status,
         connections_agree=agree,
         parallel=parallel,
@@ -348,15 +339,16 @@ def _theorem(hk: HKTriple, flags: tuple, trials: int, seed: int, structure_id: s
     )
 
 
-def connection_pass(hk: HKTriple, suites, trials, seed, degree, structure_id="unnamed") -> tuple:
+def connection_pass(hk: HKTriple, suites, trials, seed, degree) -> tuple:
     """Run the selected suites of CONNECTION_SUITES, each on every trial's
     (X, Y, f), drawn once.  Returns ({suite: result}, {suite: seconds}): the
     checks of the laws by connection then by trial, of the identities for
     every trial then of Delta for every trial, and the TheoremReport,
-    consistent or not.  All checks of an input run in one sharing scope, and
-    a shared value is timed to the suite that computes it first: the
-    connections nabla_X Y to the laws.  Each suite's part is its own call,
-    so its values outside the scope are freed when the next part starts."""
+    consistent or not, which holds the theorem alone: trials, seed and
+    degree are the caller's to report.  All checks of an input run in one
+    sharing scope, and a shared value is timed to the suite that computes it
+    first: the connections nabla_X Y to the laws.  Each suite's part is its
+    own call, so its values outside the scope are freed when it ends."""
     laws, identities, theorem = (s in suites for s in CONNECTION_SUITES)
     seconds = dict.fromkeys(suites, 0.0)
     law_checks = {v: [] for v in VARIANTS}
@@ -377,8 +369,7 @@ def connection_pass(hk: HKTriple, suites, trials, seed, degree, structure_id="un
     if identities:
         results["identities"] = identity_checks + delta_checks
     if theorem:
-        args = (hk, flags, trials, seed, structure_id)
-        results["theorem"] = _timed(seconds, "theorem", _theorem, *args)
+        results["theorem"] = _timed(seconds, "theorem", _theorem, hk, flags)
     return results, seconds
 
 
@@ -401,9 +392,7 @@ def check_identities(hk: HKTriple, trials: int = 10, seed: int = 0, degree: int 
     return connection_pass(hk, ("identities",), trials, seed, degree)[0]["identities"]
 
 
-def theorem_report(
-    hk: HKTriple, trials: int = 10, seed: int = 0, structure_id: str = "unnamed", degree: int = 1
-) -> TheoremReport:
+def theorem_report(hk: HKTriple, trials: int = 10, seed: int = 0, degree: int = 1) -> TheoremReport:
     """Certify the equivalence pattern on one structure.
 
     The three vanishing conditions (N_II = N_JJ = 0, N_IJ = 0, all six zero)
@@ -419,7 +408,7 @@ def theorem_report(
     """
     if trials < 1:
         raise ValueError("theorem_report needs at least one trial")
-    rep = connection_pass(hk, ("theorem",), trials, seed, degree, structure_id)[0]["theorem"]
+    rep = connection_pass(hk, ("theorem",), trials, seed, degree)[0]["theorem"]
     if not rep.passed:
         raise InconsistentEquivalence(INCONSISTENT, report=rep)
     return rep

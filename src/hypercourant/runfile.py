@@ -75,7 +75,6 @@ class SuiteReport(NamedTuple):
 class RunReport(NamedTuple):
     version: str
     input_digest: str
-    structure_id: str
     options: dict
     suites: list
     verdict: str
@@ -85,7 +84,6 @@ class RunReport(NamedTuple):
         out = {
             "version": self.version,
             "input-digest": self.input_digest,
-            "structure-id": self.structure_id,
             "options": dict(self.options),
             "suites": [s.to_dict() for s in self.suites],
             "verdict": self.verdict,
@@ -255,9 +253,7 @@ def run(sf: StructureFile) -> RunReport:
     results, seconds = {}, {}
     selected = [s for s in sf.checks if s in CONNECTION_SUITES]
     if certified and selected:
-        results, seconds = connection_pass(
-            sf.triple, selected, sf.trials, sf.seed, sf.degree, sf.digest[:19]
-        )
+        results, seconds = connection_pass(sf.triple, selected, sf.trials, sf.seed, sf.degree)
 
     for suite in sf.checks:
         started = time.perf_counter()
@@ -285,7 +281,6 @@ def run(sf: StructureFile) -> RunReport:
     return RunReport(
         version=__version__,
         input_digest=sf.digest,
-        structure_id=sf.digest[:19],
         options={"trials": sf.trials, "degree": sf.degree, "seed": sf.seed},
         suites=suites,
         verdict=verdict,
@@ -312,7 +307,6 @@ def _emit_text(report: RunReport, include_timings: bool) -> str:
     lines = [
         f"hypercourant {report.version}",
         f"input      {report.input_digest}",
-        f"structure  {report.structure_id}",
         f"options    {json.dumps(report.options, sort_keys=True)}",
         "",
     ]

@@ -15,13 +15,13 @@ triple parsed from that document, so tests exercise what `check` runs.
                          dx2^dx4 is the constant holomorphic symplectic form
                          dz1^dz2.  Integrable.  Multiplication by i in
                          (z1, z2) is left multiplication by i, QUAT_I.
-  nonintegrable          the flat triple conjugated by the position
-                         dependent frame change diag(A, (A^T)^-1) with
-                         A = diag(1, 1+x1^2, 1, 1), written in block form.
-                         Conjugation preserves orthogonality and the
-                         quaternionic relations but breaks integrability, so
-                         certification passes while concomitants pick up
-                         nonzero witnesses.
+  nonintegrable          the flat triple conjugated by frame_change(A, A^-1)
+                         with A = diag(1, 1+x1^2, 1, 1), in block form: it
+                         certifies, and its concomitants have witnesses.
+
+frame_change(M, M^-1) is P = diag(M, M^-T) and P^-1 for an invertible matrix
+M of scalar fields; conjugated(hk, P, P^-1) takes each member F to P F P^-1,
+which keeps certification but not integrability, and refuses a wrong P^-1.
 
 With the transpose realization of the dual map, composing the two diagonal
 lifts gives I J equal to the lift of -(ij), so K is built as I J rather than
@@ -33,7 +33,8 @@ from __future__ import annotations
 
 import json
 
-from .endo import GEndo, HKTriple, mat_neg, mat_zero
+from .endo import GEndo, HKTriple, mat_neg, mat_transpose, mat_zero
+from .errors import NotInverse
 from .runfile import SUITES, parse_structure_text
 from .scalar import ScalarField, scalar_text
 
@@ -57,23 +58,23 @@ def _matrix_strings(m) -> list:
     return [[scalar_text(f) for f in row] for row in m]
 
 
-def conjugating_frame(diagonal) -> tuple:
-    """The frame change diag(A, (A^T)^-1) with A the diagonal matrix of the
-    scalar fields `diagonal`, and its inverse, as GEndos."""
-    n = len(diagonal)
-    one, zero = ScalarField.one(n), ScalarField.zero(n)
-
-    def diag(entries):
-        return tuple(tuple(entries[i] if i == j else zero for j in range(n)) for i in range(n))
-
-    a, a_inv = diag(diagonal), diag(tuple(one / d for d in diagonal))
-    return GEndo(a, mat_zero(n), mat_zero(n), a_inv), GEndo(a_inv, mat_zero(n), mat_zero(n), a)
+def diagonal(entries) -> tuple:
+    n, zero = len(entries), ScalarField.zero(len(entries))
+    return tuple((zero,) * i + (f,) + (zero,) * (n - 1 - i) for i, f in enumerate(entries))
 
 
-def conjugated(hk: HKTriple, diagonal) -> HKTriple:
-    """hk conjugated by conjugating_frame(diagonal), certified again."""
-    frame, frame_inv = conjugating_frame(diagonal)
-    return HKTriple.certify(frame @ hk.i @ frame_inv, frame @ hk.j @ frame_inv)
+def frame_change(m, m_inv) -> tuple:
+    """The frame change P = diag(M, M^-T) for a matrix M of scalar fields
+    with inverse m_inv, and P^-1 = diag(M^-1, M^T), as GEndos."""
+    zero = mat_zero(len(m))
+    return GEndo(m, zero, zero, mat_transpose(m_inv)), GEndo(m_inv, zero, zero, mat_transpose(m))
+
+
+def conjugated(hk: HKTriple, p: GEndo, p_inv: GEndo) -> HKTriple:
+    """hk with each member F taken to p F p_inv, certified again."""
+    if p @ p_inv != GEndo.identity(hk.n):
+        raise NotInverse("p @ p_inv is not the identity")
+    return HKTriple.certify(p @ hk.i @ p_inv, p @ hk.j @ p_inv)
 
 
 def _diagonal_lift(rows) -> dict:
@@ -82,7 +83,8 @@ def _diagonal_lift(rows) -> dict:
 
 def _nonintegrable_members() -> dict:
     one, x1 = ScalarField.one(DIM), ScalarField.coordinate(DIM, 0)
-    triple = conjugated(example("flat-quaternionic"), (one, one + x1 * x1, one, one))
+    m, m_inv = (diagonal((one, a, one, one)) for a in (one + x1 * x1, one / (one + x1 * x1)))
+    triple = conjugated(example("flat-quaternionic"), *frame_change(m, m_inv))
     return {
         member: {k: _matrix_strings(v) for k, v in endo.blocks().items()}
         for member, endo in (("I", triple.i), ("J", triple.j))

@@ -6,7 +6,7 @@ from hypothesis import settings
 
 from hypercourant import courant, scalar
 from hypercourant.scalar import SHARING, ScalarField
-from hypercourant.structures import DIM, conjugated, example
+from hypercourant.structures import DIM, conjugated, diagonal, example, frame_change
 from oracle import corrupted_dorfman
 
 # exact arithmetic on drawn inputs varies too much in time for a deadline
@@ -45,10 +45,12 @@ def all_triples(flat, holsymp, noni):
 
 @pytest.fixture(scope="session")
 def conjugated_x2x3(flat):
-    """The flat triple conjugated by diag(A, (A^T)^-1), A = diag(1 + x2 x3, 1,
-    1, 1): certified, with polynomial denominators in two variables."""
+    """The flat triple conjugated by frame_change(A, A^-1), A = diag(1 +
+    x2 x3, 1, 1, 1): certified, with polynomial denominators in two
+    variables."""
     one, x2, x3 = ScalarField.one(DIM), ScalarField.coordinate(DIM, 1), ScalarField.coordinate(DIM, 2)
-    return conjugated(flat, (one + x2 * x3, one, one, one))
+    a, a_inv = (diagonal((d, one, one, one)) for d in (one + x2 * x3, one / (one + x2 * x3)))
+    return conjugated(flat, *frame_change(a, a_inv))
 
 
 @pytest.fixture

@@ -50,14 +50,17 @@ nijenhuis module's connection, delta, concomitant and torsion formula as
 they are at call time, so a patched connection reaches them too.
 
 The theorem suite is checked beyond the built-in examples on triples built
-here from them.  frame_conjugate conjugates a triple by P = diag(M, M^-T)
-for a matrix M of polynomials, an automorphism of the pairing; a Courant
-automorphism is one where M = (D phi)^-1 for a polynomial automorphism
-phi, which pulls an integrable triple back to an integrable one
-(pullback_frame), while a unitriangular M that is no Jacobian's inverse
-(NON_JACOBIAN_FRAME) need not.  product_triple is the block-diagonal triple
-on the product chart, its second factor's coordinates renamed past the
-first's.
+here from them by structures.conjugated.  The frame change P = diag(M,
+M^-T) of structures.frame_change is an automorphism of the pairing for any
+invertible M; it is a Courant automorphism when M = (D phi)^-1 for a
+polynomial automorphism phi, which pulls an integrable triple back to an
+integrable one (pullback_frame, and triangular_frame for any triangular
+phi), while a unitriangular M that is no Jacobian's inverse
+(NON_JACOBIAN_FRAME) need not.  e^B (b_field), (X, xi) |-> (X, xi + i_X B),
+is a Courant automorphism for a closed 2-form B (CLOSED_B), and for B not
+closed (NON_CLOSED_B) an automorphism of the pairing only.  product_triple
+is the block-diagonal triple on the product chart, its second factor's
+coordinates renamed past the first's.
 
 Polynomial arithmetic, which the engine computes on packed monomials, is
 checked against the schoolbook product, the dict sum and the derivative on
@@ -76,7 +79,7 @@ from itertools import product
 from hypercourant import nijenhuis as nij
 from hypercourant.cartan import OneForm, VectorField, exterior_derivative, interior_product
 from hypercourant.courant import GSection, anchor_apply, basis_sections, d_map, dorfman, pairing
-from hypercourant.endo import GEndo, HKTriple, mat_transpose
+from hypercourant.endo import GEndo, HKTriple, mat_identity, mat_mul, mat_neg, mat_transpose, mat_zero
 from hypercourant.errors import DimensionMismatch, PoleAtPoint
 from hypercourant.nijenhuis import (
     CONCOMITANT_KEYS,
@@ -91,6 +94,7 @@ from hypercourant.parse import parse_scalar
 from hypercourant.report import POINT_CANDIDATES, check, witness_for
 from hypercourant.sampling import monomials_up_to
 from hypercourant.scalar import Polynomial, ScalarField, scalar_text, sharing
+from hypercourant.structures import conjugated, frame_change
 
 
 def _rho_apply(a: int, n: int, g: ScalarField) -> ScalarField:
@@ -352,20 +356,18 @@ def _matrix(rows, n: int) -> tuple:
     return tuple(tuple(parse_scalar(entry, n) for entry in row) for row in rows)
 
 
-def frame_conjugate(hk, m_rows, m_inv_rows):
-    """hk conjugated by P = diag(M, M^-T), each member F taken to P F P^-1
-    and the result certified again; M and M^-1 are rows of grammar text."""
-    n = hk.n
-    m, m_inv = _matrix(m_rows, n), _matrix(m_inv_rows, n)
-    zero = _matrix([["0"] * n] * n, n)
-    p = GEndo(m, zero, zero, mat_transpose(m_inv))
-    p_inv = GEndo(m_inv, zero, zero, mat_transpose(m))
-    return HKTriple.certify(p @ hk.i @ p_inv, p @ hk.j @ p_inv)
+def b_field(b_rows) -> tuple:
+    """(e^B, e^-B) as GEndos for the 2-form B with entries B[i][j] in grammar
+    text: (X, xi) |-> (X, xi +- i_X B), the C block C[j][i] = B[i][j]."""
+    n = len(b_rows)
+    one, zero = mat_identity(n), mat_zero(n)
+    c = mat_transpose(_matrix(b_rows, n))
+    return GEndo(one, zero, c, one), GEndo(one, zero, mat_neg(c), one)
 
 
 # D phi for phi(x) = (x1 + x2^2, x2 + x3 x4, x3 + x4^3, x4), unitriangular,
-# and its polynomial inverse M, so that frame_conjugate(hk, M, D phi) is the
-# pullback phi^* hk of a triple with constant entries.
+# and its polynomial inverse M, so that conjugating by frame_change(M, D phi)
+# is the pullback phi^* hk of a triple with constant entries.
 PULLBACK_JACOBIAN = (
     ("1", "2*x2", "0", "0"),
     ("0", "1", "x4", "x3"),
@@ -397,12 +399,38 @@ NON_JACOBIAN_INVERSE = (
 
 def pullback_frame(hk):
     """The pullback of a triple with constant entries along phi."""
-    return frame_conjugate(hk, PULLBACK_FRAME, PULLBACK_JACOBIAN)
+    m, m_inv = _matrix(PULLBACK_FRAME, hk.n), _matrix(PULLBACK_JACOBIAN, hk.n)
+    return conjugated(hk, *frame_change(m, m_inv))
 
 
 def non_jacobian_conjugate(hk):
     """hk conjugated by the unitriangular M that is no Jacobian's inverse."""
-    return frame_conjugate(hk, NON_JACOBIAN_FRAME, NON_JACOBIAN_INVERSE)
+    m, m_inv = _matrix(NON_JACOBIAN_FRAME, hk.n), _matrix(NON_JACOBIAN_INVERSE, hk.n)
+    return conjugated(hk, *frame_change(m, m_inv))
+
+
+# B = d(x1 x2 dx3) = x2 dx1^dx3 + x1 dx2^dx3, closed, and B = x1 dx2^dx3,
+# whose dB = dx1^dx2^dx3 is not; rows of B[i][j] for b_field.
+CLOSED_B = (("0", "0", "x2", "0"), ("0", "0", "x1", "0"), ("-1*x2", "-1*x1", "0", "0"), ("0",) * 4)
+NON_CLOSED_B = (("0",) * 4, ("0", "0", "x1", "0"), ("0", "-1*x1", "0", "0"), ("0",) * 4)
+
+
+def _mat_sum(a, b) -> tuple:
+    return tuple(tuple(f + g for f, g in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def triangular_frame(polys) -> tuple:
+    """(M, D phi) for phi_i = x_i + p_i, where p_i = polys[i] depends on
+    x_{i+1}.. only: D phi = 1 + N with N strictly upper triangular, hence
+    nilpotent, and M = (D phi)^-1 = sum over k < n of (-N)^k."""
+    n = len(polys)
+    one = mat_identity(n)
+    nil = tuple(tuple(p.derivative(j) for j in range(n)) for p in polys)
+    m = power = one
+    for _ in range(n - 1):
+        power = mat_mul(power, mat_neg(nil))
+        m = _mat_sum(m, power)
+    return m, _mat_sum(one, nil)
 
 
 def _renamed(f: ScalarField, shift: int, n: int) -> ScalarField:

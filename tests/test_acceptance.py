@@ -66,7 +66,7 @@ def test_criterion_1_axiom_suite():
 @criterion("2 flat-quaternionic", 30)
 def test_criterion_2_flat_structure(flat):
     assert flat.certified
-    rep = theorem_report(flat, trials=10, seed=2, structure_id="flat")
+    rep = theorem_report(flat, trials=10, seed=2)
     assert all(st.vanishes for st in rep.concomitants.values())
     assert rep.connections_agree
     assert all(rep.parallel.values())
@@ -81,14 +81,14 @@ def test_criterion_3_holomorphic_symplectic(holsymp):
     assert OMEGA_2[0][3] == 1 and OMEGA_2[1][2] == 1
     assert all(r.passed for r in holsymp.orthogonality)
     assert holsymp.quaternionic.passed
-    rep = theorem_report(holsymp, trials=10, seed=3, structure_id="hs")
+    rep = theorem_report(holsymp, trials=10, seed=3)
     assert rep.verdict == "hypercomplex" and rep.consistency == "ok"
 
 
 @criterion("4 nonintegrable-conjugated", 60)
 def test_criterion_4_nonintegrable(noni):
     assert noni.certified
-    rep = theorem_report(noni, trials=10, seed=4, structure_id="noni")
+    rep = theorem_report(noni, trials=10, seed=4)
     for key in ("JJ", "IJ"):
         status = rep.concomitants[key]
         assert not status.vanishes

@@ -6,6 +6,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hypercourant.cartan
 import hypercourant.courant
@@ -37,10 +39,14 @@ from hypercourant.nijenhuis import (
 )
 from hypercourant.parse import parse_scalar
 from hypercourant.report import CheckReport, Witness
-from hypercourant.sampling import random_scalar, suite_rng
-from hypercourant.scalar import SHARING, ScalarField, sharing
+from hypercourant.sampling import monomials_up_to, random_scalar, suite_rng
+from hypercourant.scalar import SHARING, Polynomial, ScalarField, sharing
+from hypercourant.structures import conjugated, frame_change
 
 from oracle import (
+    CLOSED_B,
+    NON_CLOSED_B,
+    b_field,
     concomitant_linearity_defect,
     family_statuses,
     linearity_defect_formula,
@@ -55,6 +61,7 @@ from oracle import (
     product_triple,
     pullback_frame,
     spanning_family,
+    triangular_frame,
 )
 
 
@@ -380,7 +387,7 @@ class TestSuites:
 
 class TestTheoremReport:
     def test_flat_is_hypercomplex(self, flat):
-        rep = theorem_report(flat, trials=3, seed=0, structure_id="flat")
+        rep = theorem_report(flat, trials=3, seed=0)
         assert rep.verdict == "hypercomplex"
         assert rep.consistency == "ok"
         assert rep.connections_agree
@@ -389,12 +396,12 @@ class TestTheoremReport:
         assert all(st.vanishes for st in rep.concomitants.values())
 
     def test_holomorphic_symplectic_is_hypercomplex(self, holsymp):
-        rep = theorem_report(holsymp, trials=3, seed=0, structure_id="hs")
+        rep = theorem_report(holsymp, trials=3, seed=0)
         assert rep.verdict == "hypercomplex"
         assert rep.consistency == "ok"
 
     def test_nonintegrable_pattern(self, noni):
-        rep = theorem_report(noni, trials=3, seed=0, structure_id="noni")
+        rep = theorem_report(noni, trials=3, seed=0)
         assert rep.verdict == "not-hypercomplex"
         assert rep.consistency == "ok"
         assert not rep.concomitants["IJ"].vanishes
@@ -425,7 +432,7 @@ class TestTheoremReport:
         # recorded from the earlier three-loop implementation of the sampled
         # checks and the bracket-cached concomitant evaluation
         golden = json.loads(Path(__file__).with_name("theorem_golden.json").read_text())
-        rep = theorem_report(all_triples[name], trials=2, seed=101, structure_id="golden")
+        rep = theorem_report(all_triples[name], trials=2, seed=101)
         assert rep.to_dict() == golden[name]
 
     def test_frame_decides_like_spanning_family(self, noni):
@@ -533,7 +540,7 @@ class TestTheoremReport:
         ok = CheckReport("forged", True)
         fake = HKTriple(ident, ident, ident, (ok, ok, ok), ok)
         with pytest.raises(InconsistentEquivalence) as exc:
-            theorem_report(fake, trials=2, seed=0, structure_id="forged")
+            theorem_report(fake, trials=2, seed=0)
         assert exc.value.report is not None
         assert exc.value.report.consistency == "violated"
 
@@ -546,11 +553,28 @@ class TestTheoremReport:
             lambda hk, variant, x, y: GSection.zero(x.dim),
         )
         with pytest.raises(InconsistentEquivalence) as exc:
-            theorem_report(noni, trials=2, seed=0, structure_id="noni")
+            theorem_report(noni, trials=2, seed=0)
         rep = exc.value.report
         assert rep.torsion_formula and not rep.concomitants["IJ"].vanishes
         assert not any(rep.parallel.values())
         assert rep.consistency == "violated"
+
+
+# the degree 1 and 2 monomials of p_i in phi_i = x_i + p_i(x_{i+1}, .., x_4)
+TRIANGULAR_MONOMIALS = [[(0,) * (i + 1) + m for m in monomials_up_to(3 - i, 2) if any(m)] for i in range(4)]
+
+
+@st.composite
+def triangular_polys(draw) -> list:
+    """p_1..p_4 of a triangular automorphism phi, with coefficients in
+    -3..3, not all zero; a constant term would not change D phi."""
+    size = sum(map(len, TRIANGULAR_MONOMIALS))
+    coeffs = iter(draw(st.lists(st.integers(-3, 3), min_size=size, max_size=size).filter(any)))
+    polys = []
+    for monos in TRIANGULAR_MONOMIALS:
+        terms = {m: c for m, c in zip(monos, coeffs) if c}
+        polys.append(ScalarField.from_polynomial(Polynomial(4, terms)))
+    return polys
 
 
 def outcome(rep) -> tuple:
@@ -559,29 +583,38 @@ def outcome(rep) -> tuple:
     return pattern, rep.verdict, rep.consistency, rep.connections_agree, rep.parallel, rep.torsion_formula
 
 
-def moved(w: Witness, n: int) -> Witness:
-    """A witness on an n-dimensional chart as the second factor of a product
-    with an n-dimensional first factor gives it: frame index a < n (a
+def moved(w: Witness, n: int, second: bool = True) -> Witness:
+    """A witness on an n-dimensional chart as a factor of a product with
+    another n-dimensional factor gives it.  As the first factor, a form's
+    frame index a >= n becomes a + n and the point search sets the second
+    factor's zeros after the point.  As the second, frame index a < n (a
     vector) becomes a + n, a form's a + 2n, and coordinate x_k becomes
     x_{k+n}, which the point search sets after the first factor's zeros."""
     prefix, a, b, part, k = re.fullmatch(r"(.*)\((\d+), (\d+)\)\.(vec|form)\[(\d+)\]", w.label).groups()
-    a, b = (int(i) + (n if int(i) < n else 2 * n) for i in (a, b))
+    shift, zeros = (n if second else 0), ("0",) * n
+    a, b = (int(i) + shift + (0 if int(i) < n else n) for i in (a, b))
     return Witness(
-        label=f"{prefix}({a}, {b}).{part}[{int(k) + n}]",
-        expression=re.sub(r"x(\d+)", lambda m: f"x{int(m.group(1)) + n}", w.expression),
-        point=("0",) * n + w.point,
+        label=f"{prefix}({a}, {b}).{part}[{int(k) + shift}]",
+        expression=re.sub(r"x(\d+)", lambda m: f"x{int(m.group(1)) + shift}", w.expression),
+        point=zeros + w.point if second else w.point + zeros,
         value=w.value,
     )
 
 
 class TestBeyondTheExamples:
     """The theorem suite on triples built from the examples: pulled back
-    along a polynomial automorphism, conjugated by a frame that is no
-    Jacobian's inverse, and the n = 8 product flat x nonintegrable."""
+    along a fixed or a random triangular polynomial automorphism,
+    conjugated by a frame that is no Jacobian's inverse or by e^B, and the
+    n = 8 products of two examples."""
 
     @pytest.fixture(scope="class")
     def pulled_back(self, flat):
         return pullback_frame(flat)
+
+    @pytest.fixture(scope="class")
+    def reports(self, all_triples):
+        """Each example's theorem report at trials 1, degree 1."""
+        return {name: theorem_report(hk, trials=1, degree=1) for name, hk in all_triples.items()}
 
     def test_pullback_certifies_with_nonconstant_brackets(self, pulled_back):
         assert pulled_back.certified
@@ -603,17 +636,59 @@ class TestBeyondTheExamples:
         pattern = dict.fromkeys(CONCOMITANT_KEYS, False)
         assert outcome(rep) == (pattern, "not-hypercomplex", "ok", False, {"I": False, "J": True, "K": False}, False)
 
-    def test_product_reports_like_its_nonintegrable_factor(self, flat, noni):
-        product = product_triple(flat, noni)
-        assert product.n == 8 and product.certified
-        rep = theorem_report(product, trials=1, degree=1)
-        factor = theorem_report(noni, trials=1, degree=1)
-        assert outcome(rep) == outcome(factor)
-        for key in CONCOMITANT_KEYS:
-            w = factor.concomitants[key].witness
-            assert rep.concomitants[key].witness == (w and moved(w, noni.n))
-        w = rep.concomitants["JJ"].witness
-        assert (w.label, w.point) == ("N[J,J] on family pair (4, 5).vec[5]", ("0",) * 4 + ("1", "0", "0", "0"))
+    @pytest.mark.parametrize("name", ["flat", "holomorphic-symplectic", "nonintegrable"])
+    def test_closed_b_field_keeps_the_outcome(self, all_triples, reports, name):
+        # e^B for closed B is a Courant automorphism
+        rep = theorem_report(conjugated(all_triples[name], *b_field(CLOSED_B)), trials=1, degree=1)
+        assert outcome(rep) == outcome(reports[name])
+
+    @pytest.mark.parametrize("name", ["flat", "nonintegrable"])
+    def test_non_closed_b_field_keeps_these_outcomes(self, all_triples, reports, name):
+        rep = theorem_report(conjugated(all_triples[name], *b_field(NON_CLOSED_B)), trials=1, degree=1)
+        assert outcome(rep) == outcome(reports[name])
+
+    def test_non_closed_b_field_breaks_holomorphic_symplectic(self, holsymp):
+        # e^B for B = x1 dx2^dx3 keeps the pairing but not the bracket: only
+        # N[J,J] vanishes, and the reported pattern is still consistent
+        rep = theorem_report(conjugated(holsymp, *b_field(NON_CLOSED_B)), trials=1, degree=1)
+        pattern = dict(dict.fromkeys(CONCOMITANT_KEYS, False), JJ=True)
+        assert outcome(rep) == (pattern, "not-hypercomplex", "ok", False, {"I": False, "J": True, "K": False}, False)
+
+    @pytest.mark.parametrize("name", ["flat", "holomorphic-symplectic"])
+    @given(polys=triangular_polys())
+    @settings(max_examples=2)
+    def test_triangular_pullback_keeps_the_outcome(self, all_triples, reports, name, polys):
+        # phi^* of a constant triple is the conjugate by P = diag(M, M^-T),
+        # M = (D phi)^-1, a Courant automorphism
+        pulled_back = conjugated(all_triples[name], *frame_change(*triangular_frame(polys)))
+        assert pulled_back.certified
+        rep = theorem_report(pulled_back, trials=1, degree=1)
+        assert outcome(rep) == outcome(reports[name])
+
+    def test_product_reports_like_its_nonintegrable_factor(self, all_triples, reports):
+        # every pair has a nonintegrable factor, first or second
+        pairs = [("flat", "nonintegrable"), ("nonintegrable", "flat"), ("holomorphic-symplectic", "nonintegrable")]
+        for first, second in pairs:
+            one, two = all_triples[first], all_triples[second]
+            product = product_triple(one, two)
+            assert product.n == 8 and product.certified
+            rep = theorem_report(product, trials=1, degree=1)
+            a, b = reports[first], reports[second]
+            for key in CONCOMITANT_KEYS:
+                status, sa, sb = rep.concomitants[key], a.concomitants[key], b.concomitants[key]
+                assert status.vanishes == (sa.vanishes and sb.vanishes)
+                if sa.witness is not None:
+                    assert status.witness == moved(sa.witness, one.n, second=False)
+                else:
+                    assert status.witness == (sb.witness and moved(sb.witness, two.n))
+            assert rep.connections_agree == (a.connections_agree and b.connections_agree)
+            assert rep.parallel == {k: a.parallel[k] and b.parallel[k] for k in "IJK"}
+            assert rep.torsion_formula == (a.torsion_formula and b.torsion_formula)
+            both = a.verdict == b.verdict == "hypercomplex"
+            assert rep.verdict == ("hypercomplex" if both else "not-hypercomplex")
+            if (first, second) == ("flat", "nonintegrable"):
+                w = rep.concomitants["JJ"].witness
+                assert (w.label, w.point) == ("N[J,J] on family pair (4, 5).vec[5]", ("0",) * 4 + ("1", "0", "0", "0"))
 
 
 def counted_brackets(monkeypatch) -> list:
@@ -798,7 +873,7 @@ class TestSharingScope:
         ok = CheckReport("forged", True)
         fake = HKTriple(ident, ident, ident, (ok, ok, ok), ok)
         with pytest.raises(InconsistentEquivalence):
-            theorem_report(fake, trials=2, seed=0, structure_id="forged")
+            theorem_report(fake, trials=2, seed=0)
         assert SHARING.get() is None
 
         def broken(s, t):
@@ -875,7 +950,7 @@ class TestConnectionPass:
 
     @staticmethod
     def assert_matches_loops(hk, trials=2, seed=5, degree=1):
-        results, _ = connection_pass(hk, CONNECTION_SUITES, trials, seed, degree, "pass")
+        results, _ = connection_pass(hk, CONNECTION_SUITES, trials, seed, degree)
         inputs = _inputs(hk, seed, trials, degree)
         laws = [r for v in VARIANTS for r in loop_connection_laws(hk, v, inputs)]
         identities = loop_identities(hk, inputs) + loop_delta_properties(hk, inputs)
@@ -904,10 +979,10 @@ class TestConnectionPass:
     @pytest.mark.parametrize("name", ["flat", "nonintegrable"])
     def test_selection_never_moves_the_draws(self, all_triples, flipped_connection, name):
         hk = all_triples[name]
-        every, seconds = connection_pass(hk, CONNECTION_SUITES, 2, 7, 1, "pass")
+        every, seconds = connection_pass(hk, CONNECTION_SUITES, 2, 7, 1)
         assert set(seconds) == set(CONNECTION_SUITES)
         for suite in CONNECTION_SUITES:
-            alone, alone_seconds = connection_pass(hk, (suite,), 2, 7, 1, "pass")
+            alone, alone_seconds = connection_pass(hk, (suite,), 2, 7, 1)
             assert set(alone) == set(alone_seconds) == {suite}
             if suite == "theorem":
                 assert alone[suite].to_dict() == every[suite].to_dict()

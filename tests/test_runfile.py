@@ -244,7 +244,7 @@ class TestRun:
         with contextlib.suppress(AttributeError):
             a.checks.append(CheckReport("x", True))
         assert not b.checks
-        r, q = (RunReport("v", "-", "-", {}, [], "pass") for _ in range(2))
+        r, q = (RunReport("v", "-", {}, [], "pass") for _ in range(2))
         with contextlib.suppress(TypeError):
             r.timings["x"] = 1.0
         assert not q.timings

@@ -4,6 +4,7 @@ import pytest
 
 from hypercourant.endo import GEndo, HKTriple, lift_diagonal, lift_symplectic, mat_neg
 from hypercourant.cartan import TwoForm
+from hypercourant.errors import NotInverse
 from hypercourant.runfile import parse_structure_text
 from hypercourant.scalar import ScalarField
 from hypercourant.structures import (
@@ -15,14 +16,16 @@ from hypercourant.structures import (
     QUAT_K,
     conjugated,
     const_matrix,
-    conjugating_frame,
+    diagonal,
     example,
+    frame_change,
     structure_file,
 )
 
 ONE, X1 = ScalarField.one(4), ScalarField.coordinate(4, 0)
-# A = diag(1, 1 + x1^2, 1, 1), the frame change of the nonintegrable example
-NONINTEGRABLE_DIAGONAL = (ONE, ONE + X1 * X1, ONE, ONE)
+# A = diag(1, 1 + x1^2, 1, 1) and its inverse, whose frame change gives the
+# nonintegrable example
+NONINTEGRABLE_FRAME = tuple(diagonal((ONE, a, ONE, ONE)) for a in (ONE + X1 * X1, ONE / (ONE + X1 * X1)))
 
 
 def flat_reference() -> HKTriple:
@@ -36,7 +39,7 @@ REFERENCES = {
         lift_symplectic(TwoForm(const_matrix(OMEGA_2)), mat_neg(const_matrix(OMEGA_2))),
         lift_diagonal(const_matrix(QUAT_I)),
     ),
-    "nonintegrable": lambda: conjugated(flat_reference(), NONINTEGRABLE_DIAGONAL),
+    "nonintegrable": lambda: conjugated(flat_reference(), *frame_change(*NONINTEGRABLE_FRAME)),
 }
 
 
@@ -81,16 +84,24 @@ class TestBuilders:
     def test_nonintegrable_certified_but_conjugated(self, noni, flat):
         assert noni.certified
         assert noni.i != flat.i
-        frame, frame_inv = conjugating_frame(NONINTEGRABLE_DIAGONAL)
+        frame, frame_inv = frame_change(*NONINTEGRABLE_FRAME)
         assert frame @ frame_inv == GEndo.identity(4)
         assert noni.k == (frame @ flat.k) @ frame_inv
+
+    def test_conjugated_refuses_a_wrong_inverse(self, flat):
+        # P^-1 given as P: P P = diag(A^2, A^-2) is not the identity
+        frame, frame_inv = frame_change(*NONINTEGRABLE_FRAME)
+        with pytest.raises(NotInverse):
+            conjugated(flat, frame, frame)
+        with pytest.raises(NotInverse):
+            conjugated(flat, frame_inv, frame_inv)
 
     def test_conjugated_j_is_diagonal_lift_of_conjugated_matrix(self, noni):
         # conjugating a diagonal lift by diag(A, (A^T)^-1) equals the
         # diagonal lift of A j A^-1
         from hypercourant.endo import mat_mul
 
-        frame, frame_inv = conjugating_frame(NONINTEGRABLE_DIAGONAL)
+        frame, frame_inv = frame_change(*NONINTEGRABLE_FRAME)
         a, a_inv = frame.blocks()["A"], frame_inv.blocks()["A"]
         j_conj = mat_mul(mat_mul(a, const_matrix(QUAT_J)), a_inv)
         assert noni.j == lift_diagonal(j_conj)
