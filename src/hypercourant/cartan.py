@@ -215,8 +215,11 @@ def exterior_derivative(arg):
         rows = [[ScalarField.zero(n)] * n for _ in range(n)]
         for i in range(n):
             for j in range(i + 1, n):
-                rows[i][j] = c[j].derivative(i) - c[i].derivative(j)
-                rows[j][i] = -rows[i][j]
+                # a zero operand costs no ScalarField call, a zero entry stays the shared zero
+                a, b = c[j].derivative(i), c[i].derivative(j)
+                entry = a if b.is_zero() else -b if a.is_zero() else a - b
+                if not entry.is_zero():
+                    rows[i][j], rows[j][i] = entry, -entry
         return TwoForm._of(tuple(map(tuple, rows)))
     raise TypeError("exterior_derivative takes a ScalarField or a OneForm")
 

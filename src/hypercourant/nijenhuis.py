@@ -261,11 +261,12 @@ def _timed(seconds: dict, suite: str, fn, *args):
     return out
 
 
-def _law_checks(hk: HKTriple, t: int, x, y, fun, out: dict) -> None:
-    """Append the two laws of each connection on one input to out[variant];
-    the f-scaled connections run in the nested scope of _brackets_of."""
+def _law_checks(hk: HKTriple, t: int, x, y, fun, delta_xy, out: dict) -> None:
+    """Append the two laws of each connection on one input, whose
+    Delta_f(X,Y) is delta_xy, to out[variant]; the f-scaled connections run
+    in the nested scope of _brackets_of."""
     fx, fy = x.smul(fun), y.smul(fun)
-    leibniz = y.smul(anchor_apply(x, fun)) - delta(hk, fun, x, y)
+    leibniz = y.smul(anchor_apply(x, fun)) - delta_xy
     f_nabs = [connection(hk, v, x, y).smul(fun) for v in VARIANTS]
     with sharing(_brackets_of(x, y, fx, fy)):
         for v, f_nab in zip(VARIANTS, f_nabs):
@@ -275,8 +276,9 @@ def _law_checks(hk: HKTriple, t: int, x, y, fun, out: dict) -> None:
             out[v].append(check(f"connection-law-leibniz-delta[{v}]", r2, t))
 
 
-def _identity_checks(hk: HKTriple, t: int, x, y, fun, identities: list, deltas: list) -> None:
-    """Append the four identities and the four Delta checks on one input."""
+def _identity_checks(hk: HKTriple, t: int, x, y, fun, delta_xy, identities: list, deltas: list) -> None:
+    """Append the four identities and the four Delta checks on one input,
+    whose Delta_f(X,Y) is delta_xy."""
     half = ScalarField.const(hk.n, Fraction(1, 2))
     i, j, k = hk.i, hk.j, hk.k
     nab_xy = connection(hk, "ijk", x, y)
@@ -296,11 +298,10 @@ def _identity_checks(hk: HKTriple, t: int, x, y, fun, identities: list, deltas: 
     identities.append(check("bracket-decomposition", lhs - rhs, t))
     r = nij_y + concomitant(i, j, y, x)
     identities.append(check("concomitant-skew", r, t))
-    base = delta(hk, fun, x, y)
     for name, endo in hk.members().items():
-        r = delta(hk, fun, x, _image(endo, y)) - _image(endo, base)
+        r = delta(hk, fun, x, _image(endo, y)) - _image(endo, delta_xy)
         deltas.append(check(f"delta-compat-{name.lower()}", r, t))
-    r = base + delta(hk, fun, y, x) - d_map(fun).smul(ScalarField.const(hk.n, 2) * pairing(x, y))
+    r = delta_xy + delta(hk, fun, y, x) - d_map(fun).smul(ScalarField.const(hk.n, 2) * pairing(x, y))
     deltas.append(check("delta-symmetric-part", r, t))
 
 
@@ -347,19 +348,24 @@ def connection_pass(hk: HKTriple, suites, trials, seed, degree) -> tuple:
     consistent or not, which holds the theorem alone: trials, seed and
     degree are the caller's to report.  All checks of an input run in one
     sharing scope, and a shared value is timed to the suite that computes it
-    first: the connections nabla_X Y to the laws.  Each suite's part is its
-    own call, so its values outside the scope are freed when it ends."""
+    first: the connections nabla_X Y to the laws, and Delta_f(X,Y), computed
+    once per input for the laws and the identities, to the first of them
+    selected.  Each suite's part is its own call, so its values outside the
+    scope are freed when it ends."""
     laws, identities, theorem = (s in suites for s in CONNECTION_SUITES)
     seconds = dict.fromkeys(suites, 0.0)
     law_checks = {v: [] for v in VARIANTS}
     identity_checks, delta_checks = [], []
     flags = (True, {"I": True, "J": True, "K": True}, True)
+    delta_suite = "connection-laws" if laws else "identities"
     for t, x, y, fun in _inputs(hk, seed, trials, degree):
         with sharing(_all_but_images):
+            if laws or identities:
+                delta_xy = _timed(seconds, delta_suite, delta, hk, fun, x, y)
             if laws:
-                _timed(seconds, "connection-laws", _law_checks, hk, t, x, y, fun, law_checks)
+                _timed(seconds, "connection-laws", _law_checks, hk, t, x, y, fun, delta_xy, law_checks)
             if identities:
-                args = (hk, t, x, y, fun, identity_checks, delta_checks)
+                args = (hk, t, x, y, fun, delta_xy, identity_checks, delta_checks)
                 _timed(seconds, "identities", _identity_checks, *args)
             if theorem:
                 flags = _timed(seconds, "theorem", _theorem_flags, hk, x, y, *flags)

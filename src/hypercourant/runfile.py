@@ -5,16 +5,30 @@ grammar; exactness forbids floats anywhere.  Reports are canonical: sorted
 keys, exact rationals as "p/q" strings, and no wall-clock data unless
 explicitly requested, so a given (input, seed, version) always produces
 byte-identical output.
+
+The input digest is the SHA-256 of the document's UTF-8 bytes, taken with
+the interpreter's builtin module (_sha2, or _sha256 before Python 3.12), as
+the standard library's random does for its sha512.  hashlib would load
+OpenSSL for this one digest, about 3.7 MB of resident memory paid at every
+command's start; it is the fallback only for an interpreter built without
+the builtin module.  The hex digests are the same.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import time
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
+
+try:  # the builtin module first; see the module docstring
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10-3.11
+    except ImportError:  # an interpreter built without the builtin hashes
+        from hashlib import sha256
 
 from . import __version__
 from .cartan import TwoForm
@@ -155,7 +169,7 @@ def parse_structure_text(text: str) -> StructureFile:
         data = text.encode("utf-8")
     except UnicodeEncodeError:  # argv bytes that did not decode
         raise SchemaError("the document is not valid UTF-8") from None
-    digest = "sha256:" + hashlib.sha256(data).hexdigest()
+    digest = "sha256:" + sha256(data).hexdigest()
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -56,7 +56,8 @@ invertible M; it is a Courant automorphism when M = (D phi)^-1 for a
 polynomial automorphism phi, which pulls an integrable triple back to an
 integrable one (pullback_frame, and triangular_frame for any triangular
 phi), while a unitriangular M that is no Jacobian's inverse
-(NON_JACOBIAN_FRAME) need not.  e^B (b_field), (X, xi) |-> (X, xi + i_X B),
+(NON_JACOBIAN_FRAME, or any unitriangular_frame whose inverse fails
+is_jacobian) need not.  e^B (b_field), (X, xi) |-> (X, xi + i_X B),
 is a Courant automorphism for a closed 2-form B (CLOSED_B), and for B not
 closed (NON_CLOSED_B) an automorphism of the pairing only.  product_triple
 is the block-diagonal triple on the product chart, its second factor's
@@ -356,12 +357,12 @@ def _matrix(rows, n: int) -> tuple:
     return tuple(tuple(parse_scalar(entry, n) for entry in row) for row in rows)
 
 
-def b_field(b_rows) -> tuple:
-    """(e^B, e^-B) as GEndos for the 2-form B with entries B[i][j] in grammar
-    text: (X, xi) |-> (X, xi +- i_X B), the C block C[j][i] = B[i][j]."""
-    n = len(b_rows)
+def b_field(b) -> tuple:
+    """(e^B, e^-B) as GEndos for the 2-form B with entries B[i][j]:
+    (X, xi) |-> (X, xi +- i_X B), the C block C[j][i] = B[i][j]."""
+    n = len(b)
     one, zero = mat_identity(n), mat_zero(n)
-    c = mat_transpose(_matrix(b_rows, n))
+    c = mat_transpose(b)
     return GEndo(one, zero, c, one), GEndo(one, zero, mat_neg(c), one)
 
 
@@ -410,27 +411,40 @@ def non_jacobian_conjugate(hk):
 
 
 # B = d(x1 x2 dx3) = x2 dx1^dx3 + x1 dx2^dx3, closed, and B = x1 dx2^dx3,
-# whose dB = dx1^dx2^dx3 is not; rows of B[i][j] for b_field.
-CLOSED_B = (("0", "0", "x2", "0"), ("0", "0", "x1", "0"), ("-1*x2", "-1*x1", "0", "0"), ("0",) * 4)
-NON_CLOSED_B = (("0",) * 4, ("0", "0", "x1", "0"), ("0", "-1*x1", "0", "0"), ("0",) * 4)
+# whose dB = dx1^dx2^dx3 is not; the matrices B[i][j] for b_field.
+CLOSED_B = _matrix((("0", "0", "x2", "0"), ("0", "0", "x1", "0"), ("-1*x2", "-1*x1", "0", "0"), ("0",) * 4), 4)
+NON_CLOSED_B = _matrix((("0",) * 4, ("0", "0", "x1", "0"), ("0", "-1*x1", "0", "0"), ("0",) * 4), 4)
 
 
 def _mat_sum(a, b) -> tuple:
     return tuple(tuple(f + g for f, g in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
+def unitriangular_frame(nil) -> tuple:
+    """(1 + N, (1 + N)^-1) for N strictly upper triangular, hence nilpotent:
+    the inverse is the sum over k < n of (-N)^k."""
+    one = mat_identity(len(nil))
+    inverse = power = one
+    for _ in range(len(nil) - 1):
+        power = mat_mul(power, mat_neg(nil))
+        inverse = _mat_sum(inverse, power)
+    return _mat_sum(one, nil), inverse
+
+
 def triangular_frame(polys) -> tuple:
     """(M, D phi) for phi_i = x_i + p_i, where p_i = polys[i] depends on
-    x_{i+1}.. only: D phi = 1 + N with N strictly upper triangular, hence
-    nilpotent, and M = (D phi)^-1 = sum over k < n of (-N)^k."""
+    x_{i+1}.. only: D phi = 1 + N with N strictly upper triangular, and
+    M = (D phi)^-1."""
     n = len(polys)
-    one = mat_identity(n)
-    nil = tuple(tuple(p.derivative(j) for j in range(n)) for p in polys)
-    m = power = one
-    for _ in range(n - 1):
-        power = mat_mul(power, mat_neg(nil))
-        m = _mat_sum(m, power)
-    return m, _mat_sum(one, nil)
+    d_phi, m = unitriangular_frame(tuple(tuple(p.derivative(j) for j in range(n)) for p in polys))
+    return m, d_phi
+
+
+def is_jacobian(m) -> bool:
+    """Whether the polynomial matrix m is D phi for a polynomial map phi: a
+    closed polynomial 1-form on the chart is exact, so exactly when every
+    row of m is closed."""
+    return all(e.is_zero() for row in m for d_row in exterior_derivative(OneForm(row)).entries for e in d_row)
 
 
 def _renamed(f: ScalarField, shift: int, n: int) -> ScalarField:

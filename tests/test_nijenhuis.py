@@ -6,14 +6,14 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import hypercourant.cartan
 import hypercourant.courant
 import hypercourant.nijenhuis
 from hypercourant import scalar
-from hypercourant.cartan import _Components, check_fields
+from hypercourant.cartan import OneForm, _Components, check_fields, exterior_derivative
 from hypercourant.courant import GSection, basis_sections, dorfman, random_section
 from hypercourant.endo import GEndo, HKTriple
 from hypercourant.errors import InconsistentEquivalence, UncertifiedStructure
@@ -46,9 +46,12 @@ from hypercourant.structures import conjugated, frame_change
 from oracle import (
     CLOSED_B,
     NON_CLOSED_B,
+    NON_JACOBIAN_INVERSE,
     b_field,
     concomitant_linearity_defect,
+    corrupted_dorfman,
     family_statuses,
+    is_jacobian,
     linearity_defect_formula,
     loop_connection_laws,
     loop_delta_properties,
@@ -62,6 +65,7 @@ from oracle import (
     pullback_frame,
     spanning_family,
     triangular_frame,
+    unitriangular_frame,
 )
 
 
@@ -577,10 +581,56 @@ def triangular_polys(draw) -> list:
     return polys
 
 
+# the monomials of degree 1 and 2 in x1..x4
+QUADRATIC_MONOMIALS = [m for m in monomials_up_to(4, 2) if any(m)]
+
+
+@st.composite
+def quadratic_one_forms(draw) -> OneForm:
+    """alpha = sum_i a_i dx_i with each a_i of degree <= 2 and coefficients
+    in -3..3; a constant term would not change d alpha."""
+    size = 4 * len(QUADRATIC_MONOMIALS)
+    coeffs = iter(draw(st.lists(st.integers(-3, 3), min_size=size, max_size=size)))
+    return OneForm(
+        ScalarField.from_polynomial(Polynomial(4, {m: c for m, c in zip(QUADRATIC_MONOMIALS, coeffs) if c}))
+        for _ in range(4)
+    )
+
+
+@st.composite
+def strictly_upper(draw) -> tuple:
+    """N strictly upper triangular with each entry c x_k, c in -3..3, like
+    the N = x3 E12 + x1 E34 of NON_JACOBIAN_FRAME (fuller entries make the
+    conjugate's report take seconds)."""
+    zero = ScalarField.zero(4)
+
+    def entry():
+        c, k = draw(st.integers(-3, 3)), draw(st.integers(0, 3))
+        return ScalarField.const(4, c) * ScalarField.coordinate(4, k)
+
+    return tuple(tuple(entry() if j > i else zero for j in range(4)) for i in range(4))
+
+
 def outcome(rep) -> tuple:
     """A report's vanishing pattern, verdict, consistency and flags."""
     pattern = {k: v.vanishes for k, v in rep.concomitants.items()}
     return pattern, rep.verdict, rep.consistency, rep.connections_agree, rep.parallel, rep.torsion_formula
+
+
+def fixed_phi() -> list:
+    """p_1..p_4 of the phi of pullback_frame: (x2^2, x3 x4, x4^3, 0)."""
+    return [parse_scalar(p, 4) for p in ("x2^2", "x3*x4", "x4^3", "0")]
+
+
+def pullback_outcome(hk, polys) -> tuple:
+    """The outcome of the report on phi^* hk, consistent or not: the
+    conjugate by P = diag(M, M^-T), M = (D phi)^-1, a Courant automorphism."""
+    pulled_back = conjugated(hk, *frame_change(*triangular_frame(polys)))
+    assert pulled_back.certified
+    try:
+        return outcome(theorem_report(pulled_back, trials=1, degree=1))
+    except InconsistentEquivalence as exc:
+        return outcome(exc.report)
 
 
 def moved(w: Witness, n: int, second: bool = True) -> Witness:
@@ -604,8 +654,10 @@ def moved(w: Witness, n: int, second: bool = True) -> Witness:
 class TestBeyondTheExamples:
     """The theorem suite on triples built from the examples: pulled back
     along a fixed or a random triangular polynomial automorphism,
-    conjugated by a frame that is no Jacobian's inverse or by e^B, and the
-    n = 8 products of two examples."""
+    conjugated by a fixed or a random frame that is no Jacobian's inverse,
+    or by e^B for a fixed B or for B = d alpha with alpha random, and the
+    n = 8 products of two examples.  The connection and bracket mutants
+    break the pullback property, so it can fail."""
 
     @pytest.fixture(scope="class")
     def pulled_back(self, flat):
@@ -655,15 +707,47 @@ class TestBeyondTheExamples:
         assert outcome(rep) == (pattern, "not-hypercomplex", "ok", False, {"I": False, "J": True, "K": False}, False)
 
     @pytest.mark.parametrize("name", ["flat", "holomorphic-symplectic"])
+    @given(alpha=quadratic_one_forms())
+    @settings(max_examples=2)
+    def test_exact_b_field_keeps_the_outcome(self, all_triples, reports, name, alpha):
+        # e^B for B = d alpha, closed, is a Courant automorphism
+        conjugate = conjugated(all_triples[name], *b_field(exterior_derivative(alpha).entries))
+        rep = theorem_report(conjugate, trials=1, degree=1)
+        assert outcome(rep) == outcome(reports[name])
+
+    def test_jacobian_oracle_tells_the_fixed_frames_apart(self):
+        # D phi is a Jacobian; the inverse of NON_JACOBIAN_FRAME is not
+        assert is_jacobian(triangular_frame(fixed_phi())[1])
+        assert not is_jacobian(tuple(tuple(parse_scalar(e, 4) for e in row) for row in NON_JACOBIAN_INVERSE))
+
+    @pytest.mark.parametrize("name", ["flat", "holomorphic-symplectic"])
+    @given(nil=strictly_upper())
+    @settings(max_examples=2)
+    def test_non_jacobian_conjugate_is_consistent(self, all_triples, name, nil):
+        # P = diag(M, M^-T) keeps the pairing but, with M^-1 no Jacobian,
+        # not the bracket; the report may change, and must stay consistent
+        m, m_inv = unitriangular_frame(nil)
+        assume(not is_jacobian(m_inv))
+        rep = theorem_report(conjugated(all_triples[name], *frame_change(m, m_inv)), trials=1, degree=1)
+        assert rep.consistency == "ok"
+
+    @pytest.mark.parametrize("name", ["flat", "holomorphic-symplectic"])
     @given(polys=triangular_polys())
     @settings(max_examples=2)
     def test_triangular_pullback_keeps_the_outcome(self, all_triples, reports, name, polys):
-        # phi^* of a constant triple is the conjugate by P = diag(M, M^-T),
-        # M = (D phi)^-1, a Courant automorphism
-        pulled_back = conjugated(all_triples[name], *frame_change(*triangular_frame(polys)))
-        assert pulled_back.certified
-        rep = theorem_report(pulled_back, trials=1, degree=1)
-        assert outcome(rep) == outcome(reports[name])
+        assert pullback_outcome(all_triples[name], polys) == outcome(reports[name])
+
+    @pytest.mark.parametrize("name", ["flat", "holomorphic-symplectic"])
+    @pytest.mark.parametrize("mutant", ["flipped_connection", "corrupted_bracket"])
+    def test_mutants_break_the_triangular_pullback(self, all_triples, reports, name, mutant, request, monkeypatch):
+        # the property's assertion fails on a fixed phi once the connection
+        # or the bracket is broken; the theorem suite reads the nijenhuis
+        # module's dorfman, which the corrupted_bracket fixture leaves alone
+        if mutant == "flipped_connection":
+            request.getfixturevalue(mutant)
+        else:
+            monkeypatch.setattr(hypercourant.nijenhuis, "dorfman", corrupted_dorfman)
+        assert pullback_outcome(all_triples[name], fixed_phi()) != outcome(reports[name])
 
     def test_product_reports_like_its_nonintegrable_factor(self, all_triples, reports):
         # every pair has a nonintegrable factor, first or second
@@ -768,7 +852,7 @@ class TestSharingScope:
 
         monkeypatch.setattr(hypercourant.nijenhuis, "connection", watched)
         with sharing(_all_but_images) as outer:
-            _law_checks(flat, t, x, y, fun, {v: [] for v in VARIANTS})
+            _law_checks(flat, t, x, y, fun, delta(flat, fun, x, y), {v: [] for v in VARIANTS})
             held = {key[1:] for key in outer if key[0] is dorfman}
         # the input's scope keeps the 10 brackets of the three nabla_X Y
         assert len(unscaled) == 10 and held == unscaled

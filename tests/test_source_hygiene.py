@@ -23,13 +23,17 @@ read from its head and paid once, at import.  The package carries no switch that
 turn on: no function parameter named with a leading underscore and no
 command-line option hidden from --help; a test that needs a mutant patches
 it in.  Importing the package, as every `hypercourant` command does first,
-loads none of the code-introspection modules.
+loads none of the code-introspection modules, and a `check` loads neither
+hashlib's OpenSSL backend (_hashlib) nor ssl wherever the interpreter has
+its builtin sha256 (_sha2 or _sha256), which takes the input digest.
 """
 
 from __future__ import annotations
 
 import ast
 import contextlib
+import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -42,6 +46,8 @@ from types import ModuleType
 import pytest
 
 import hypercourant
+from hypercourant.runfile import parse_structure_text
+from hypercourant.structures import EXAMPLE_NAMES, structure_file
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "hypercourant"
@@ -385,6 +391,43 @@ def test_import_loads_no_introspection_module():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+# A check of a built-in document at trials 1, degree 1, in a fresh
+# interpreter; it prints which of the OpenSSL modules it loaded.
+_CHECK = r"""
+import json, os, sys, tempfile
+
+from hypercourant.cli import main
+
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "flat.json")
+    main(["examples", "flat-quaternionic", "--emit", path])
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["options"].update(trials=1, degree=1)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    assert main(["check", path, "--report", path + ".out"]) == 0
+print(json.dumps([m for m in ("_hashlib", "ssl") if m in sys.modules]))
+"""
+
+
+@pytest.mark.skipif(
+    not any(importlib.util.find_spec(m) for m in ("_sha2", "_sha256")),
+    reason="the interpreter has no builtin sha256, so the digest needs hashlib",
+)
+def test_check_loads_no_openssl():
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    done = subprocess.run([sys.executable, "-c", _CHECK], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == []
+
+
+@pytest.mark.parametrize("name", EXAMPLE_NAMES)
+def test_input_digest_is_the_sha256_of_the_document(name):
+    text = json.dumps(structure_file(name), indent=2, sort_keys=True) + "\n"
+    assert parse_structure_text(text).digest == "sha256:" + hashlib.sha256(text.encode()).hexdigest()
 
 
 def test_catches_an_orphan_and_an_unused_import():
