@@ -187,8 +187,8 @@ def is_orthogonal(endo: GEndo) -> CheckReport:
             residual = pairing(images[a], images[b]) - pairing(basis[a], basis[b])
             if not residual.is_zero():
                 w = nonzero_witness(f"pairing defect on frame pair ({a}, {b})", residual)
-                return CheckReport("orthogonality", False, witness=w)
-    return CheckReport("orthogonality", True)
+                return CheckReport("orthogonality", w)
+    return CheckReport("orthogonality")
 
 
 def _first_matrix_defect(endo: GEndo, expect: GEndo, what: str) -> Witness | None:
@@ -213,8 +213,8 @@ def quaternionic_check(i: GEndo, j: GEndo, k: GEndo) -> CheckReport:
     ):
         w = _first_matrix_defect(endo, minus_id, what)
         if w is not None:
-            return CheckReport("quaternionic-relations", False, witness=w)
-    return CheckReport("quaternionic-relations", True)
+            return CheckReport("quaternionic-relations", w)
+    return CheckReport("quaternionic-relations")
 
 
 class HKTriple(NamedTuple):
@@ -235,16 +235,8 @@ class HKTriple(NamedTuple):
         return self.i.n
 
     @property
-    def certified_orthogonal(self) -> tuple:
-        return tuple(r.passed for r in self.orthogonality)
-
-    @property
-    def certified_quaternionic(self) -> bool:
-        return self.quaternionic.passed
-
-    @property
     def certified(self) -> bool:
-        return all(self.certified_orthogonal) and self.certified_quaternionic
+        return all(r.passed for r in (*self.orthogonality, self.quaternionic))
 
     @classmethod
     def certify(cls, i: GEndo, j: GEndo, k: GEndo | None = None) -> "HKTriple":

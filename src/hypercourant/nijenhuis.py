@@ -24,6 +24,8 @@ four-term halves with br(a,b) = 2<a,b> Df.
 Vanishing of a concomitant is decided exactly on the 2n x 2n pairs of frame
 sections: restricted to a certified triple the concomitant is bilinear over
 scalars, so it vanishes everywhere exactly when it vanishes on the frame.
+The theorem report holds only the concomitants' witnesses and the connection
+flags; vanishing, verdict and consistency are computed from them.
 The connection laws, the identities, the Delta properties and the theorem's
 connection checks are one pass, connection_pass, which draws each trial's
 (X, Y, f) once from one seeded stream and runs every selected check on it.
@@ -164,8 +166,13 @@ CONCOMITANT_KEYS = ("II", "JJ", "KK", "IJ", "JK", "KI")
 
 
 class ConcomitantStatus(NamedTuple):
-    vanishes: bool
+    """A concomitant's decision; it vanishes exactly when it has no witness."""
+
     witness: Witness | None = None
+
+    @property
+    def vanishes(self) -> bool:
+        return self.witness is None
 
     def to_dict(self) -> dict:
         out = {"vanishes": self.vanishes}
@@ -175,14 +182,32 @@ class ConcomitantStatus(NamedTuple):
 
 
 class TheoremReport(NamedTuple):
-    """The theorem alone: the concomitants, connection flags, verdict, consistency."""
+    """The theorem alone: the six concomitants and the connection flags,
+    from which its verdict and consistency are computed."""
 
     concomitants: dict
     connections_agree: bool
     parallel: dict
     torsion_formula: bool
-    verdict: str
-    consistency: str
+
+    @property
+    def verdict(self) -> str:
+        vanish = all(s.vanishes for s in self.concomitants.values())
+        return "hypercomplex" if vanish else "not-hypercomplex"
+
+    @property
+    def consistency(self) -> str:
+        """Whether the observed pattern is the one the theorem proves: "ok" or "violated"."""
+        status = self.concomitants
+        cond_pair = status["II"].vanishes and status["JJ"].vanishes
+        cond_ij = status["IJ"].vanishes
+        cond_all = all(status[k].vanishes for k in CONCOMITANT_KEYS)
+        consistent = (
+            cond_pair == cond_ij == cond_all
+            and self.torsion_formula == cond_ij
+            and (not cond_ij or (self.connections_agree and all(self.parallel.values())))
+        )
+        return "ok" if consistent else "violated"
 
     def to_dict(self) -> dict:
         return {
@@ -217,12 +242,12 @@ def concomitant_statuses(hk: HKTriple) -> dict:
         for key in CONCOMITANT_KEYS:
             a, b = key
             f, g = members[a], members[b]
-            status[key] = ConcomitantStatus(True)
+            status[key] = ConcomitantStatus()
             for (xi, x), (yi, y) in product(enumerate(frame), repeat=2):
                 residual = concomitant(f, g, x, y)
                 w = witness_for(residual, context=f"N[{a},{b}] on family pair ({xi}, {yi})")
                 if w is not None:
-                    status[key] = ConcomitantStatus(False, w)
+                    status[key] = ConcomitantStatus(w)
                     break
     return status
 
@@ -320,24 +345,7 @@ def _theorem_flags(hk: HKTriple, x, y, agree: bool, parallel: dict, torsion_ok: 
 
 def _theorem(hk: HKTriple, flags: tuple):
     """The report of the six concomitants and the flags, consistent or not."""
-    status = concomitant_statuses(hk)
-    agree, parallel, torsion_ok = flags
-    cond_pair = status["II"].vanishes and status["JJ"].vanishes
-    cond_ij = status["IJ"].vanishes
-    cond_all = all(status[k].vanishes for k in CONCOMITANT_KEYS)
-    consistent = (
-        cond_pair == cond_ij == cond_all
-        and torsion_ok == cond_ij
-        and (not cond_ij or (agree and all(parallel.values())))
-    )
-    return TheoremReport(
-        concomitants=status,
-        connections_agree=agree,
-        parallel=parallel,
-        torsion_formula=torsion_ok,
-        verdict="hypercomplex" if cond_all else "not-hypercomplex",
-        consistency="ok" if consistent else "violated",
-    )
+    return TheoremReport(concomitant_statuses(hk), *flags)
 
 
 def connection_pass(hk: HKTriple, suites, trials, seed, degree) -> tuple:
@@ -348,10 +356,12 @@ def connection_pass(hk: HKTriple, suites, trials, seed, degree) -> tuple:
     consistent or not, which holds the theorem alone: trials, seed and
     degree are the caller's to report.  All checks of an input run in one
     sharing scope, and a shared value is timed to the suite that computes it
-    first: the connections nabla_X Y to the laws, and Delta_f(X,Y), computed
-    once per input for the laws and the identities, to the first of them
-    selected.  Each suite's part is its own call, so its values outside the
-    scope are freed when it ends."""
+    first.  The brackets, derivatives and gcds behind the connections go to
+    the laws; the connections nabla_X Y are not shared, and each suite
+    computes the ones it takes again from those values.  Delta_f(X,Y),
+    computed once per input for the laws and the identities, goes to the
+    first of them selected.  Each suite's part is its own call, so its
+    values outside the scope are freed when it ends."""
     laws, identities, theorem = (s in suites for s in CONNECTION_SUITES)
     seconds = dict.fromkeys(suites, 0.0)
     law_checks = {v: [] for v in VARIANTS}

@@ -6,6 +6,8 @@ the scalar grammar, and one rational point where that residual evaluates to
 a nonzero exact value.
 
 Witnesses and reports are NamedTuple records, built once and never changed.
+A record holds evidence only and computes its verdict: a check passes
+exactly when it carries no witness.
 """
 
 from __future__ import annotations
@@ -49,12 +51,15 @@ class Witness(NamedTuple):
 
 
 class CheckReport(NamedTuple):
-    """Outcome of one identity check; witness is present exactly on failure."""
+    """Outcome of one identity check; it fails exactly when it has a witness."""
 
     check_id: str
-    passed: bool
-    trial: int | None = None
     witness: Witness | None = None
+    trial: int | None = None
+
+    @property
+    def passed(self) -> bool:
+        return self.witness is None
 
     def to_dict(self) -> dict:
         out = {"check-id": self.check_id, "pass": self.passed}
@@ -126,5 +131,4 @@ def witness_for(residual, context: str = "") -> Witness | None:
 
 def check(check_id: str, residual, trial: int | None = None) -> CheckReport:
     """Report whether a residual is identically zero."""
-    w = witness_for(residual)
-    return CheckReport(check_id=check_id, passed=w is None, trial=trial, witness=w)
+    return CheckReport(check_id, witness_for(residual), trial)

@@ -4,7 +4,9 @@ The input document is JSON with every symbolic entry written in the scalar
 grammar; exactness forbids floats anywhere.  Reports are canonical: sorted
 keys, exact rationals as "p/q" strings, and no wall-clock data unless
 explicitly requested, so a given (input, seed, version) always produces
-byte-identical output.
+byte-identical output.  Records hold evidence and compute their verdicts; a
+document's options are the read-only mapping the report prints, and its
+dimension is triple.n.
 
 The input digest is the SHA-256 of the document's UTF-8 bytes, taken with
 the interpreter's builtin module (_sha2, or _sha256 before Python 3.12), as
@@ -57,23 +59,34 @@ MAX_TRIALS = 100
 
 
 class StructureFile(NamedTuple):
-    """A validated structure document."""
+    """A validated structure document; its dimension is triple.n."""
 
-    dimension: int
     triple: HKTriple
     checks: tuple
-    trials: int
-    degree: int
-    seed: int
+    options: Mapping  # read-only: trials, degree and seed, as the report prints them
     digest: str
 
 
 class SuiteReport(NamedTuple):
     suite: str
-    status: str  # pass | fail | skipped
     checks: Sequence = ()  # an immutable default, so reports share no container
     theorem: object = None
-    reason: str = ""
+    skip_reason: str = ""
+
+    @property
+    def status(self) -> str:
+        """pass | fail | skipped"""
+        if self.skip_reason:
+            return "skipped"
+        passed = self.theorem.passed if self.theorem is not None else all(c.passed for c in self.checks)
+        return "pass" if passed else "fail"
+
+    @property
+    def reason(self) -> str:
+        """The skip reason, or why a failed theorem is an engine bug."""
+        if self.theorem is not None and not self.theorem.passed:
+            return INCONSISTENT
+        return self.skip_reason
 
     def to_dict(self) -> dict:
         out = {"suite": self.suite, "status": self.status}
@@ -87,12 +100,16 @@ class SuiteReport(NamedTuple):
 
 
 class RunReport(NamedTuple):
-    version: str
     input_digest: str
-    options: dict
+    options: Mapping
     suites: list
-    verdict: str
     timings: Mapping = MappingProxyType({})  # immutable too
+
+    version = __version__
+
+    @property
+    def verdict(self) -> str:
+        return "pass" if all(s.status == "pass" for s in self.suites) else "fail"
 
     def to_dict(self, include_timings: bool = False) -> dict:
         out = {
@@ -222,15 +239,7 @@ def parse_structure_text(text: str) -> StructureFile:
     )
     _require(options["degree"] <= MAX_DEGREE, f"option 'degree' must be at most {MAX_DEGREE}")
 
-    return StructureFile(
-        dimension=n,
-        triple=triple,
-        checks=checks,
-        trials=options["trials"],
-        degree=options["degree"],
-        seed=options["seed"],
-        digest=digest,
-    )
+    return StructureFile(triple, checks, MappingProxyType(options), digest)
 
 
 def parse_structure(source: str) -> StructureFile:
@@ -255,10 +264,6 @@ def parse_structure(source: str) -> StructureFile:
 # ---------------------------------------------------------------------------
 
 
-def _suite_status(checks) -> str:
-    return "pass" if all(c.passed for c in checks) else "fail"
-
-
 def run(sf: StructureFile) -> RunReport:
     """Run the selected suites in order; failures land in the report."""
     suites = []
@@ -267,39 +272,23 @@ def run(sf: StructureFile) -> RunReport:
     results, seconds = {}, {}
     selected = [s for s in sf.checks if s in CONNECTION_SUITES]
     if certified and selected:
-        results, seconds = connection_pass(sf.triple, selected, sf.trials, sf.seed, sf.degree)
+        results, seconds = connection_pass(sf.triple, selected, **sf.options)
 
     for suite in sf.checks:
         started = time.perf_counter()
         if suite == "axioms":
-            checks = verify_axioms(sf.dimension, sf.degree, sf.trials, sf.seed)
-            suites.append(SuiteReport(suite, _suite_status(checks), checks))
+            suites.append(SuiteReport(suite, verify_axioms(sf.triple.n, **sf.options)))
         elif suite == "certification":
-            checks = list(sf.triple.orthogonality) + [sf.triple.quaternionic]
-            suites.append(SuiteReport(suite, _suite_status(checks), checks))
+            suites.append(SuiteReport(suite, (*sf.triple.orthogonality, sf.triple.quaternionic)))
         elif not certified:
-            suites.append(
-                SuiteReport(suite, "skipped", reason="structure failed certification")
-            )
+            suites.append(SuiteReport(suite, skip_reason="structure failed certification"))
         elif suite == "theorem":
-            rep = results[suite]
-            if rep.passed:
-                suites.append(SuiteReport(suite, "pass", theorem=rep))
-            else:
-                suites.append(SuiteReport(suite, "fail", theorem=rep, reason=INCONSISTENT))
+            suites.append(SuiteReport(suite, theorem=results[suite]))
         else:
-            suites.append(SuiteReport(suite, _suite_status(results[suite]), results[suite]))
+            suites.append(SuiteReport(suite, results[suite]))
         timings[suite] = seconds.get(suite, time.perf_counter() - started)
 
-    verdict = "pass" if all(s.status == "pass" for s in suites) else "fail"
-    return RunReport(
-        version=__version__,
-        input_digest=sf.digest,
-        options={"trials": sf.trials, "degree": sf.degree, "seed": sf.seed},
-        suites=suites,
-        verdict=verdict,
-        timings=timings,
-    )
+    return RunReport(sf.digest, sf.options, suites, timings)
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +310,7 @@ def _emit_text(report: RunReport, include_timings: bool) -> str:
     lines = [
         f"hypercourant {report.version}",
         f"input      {report.input_digest}",
-        f"options    {json.dumps(report.options, sort_keys=True)}",
+        f"options    {json.dumps(dict(report.options), sort_keys=True)}",
         "",
     ]
     for s in report.suites:
@@ -337,10 +326,9 @@ def _emit_text(report: RunReport, include_timings: bool) -> str:
             for c in failed:
                 where = f" trial {c.trial}" if c.trial is not None else ""
                 lines.append(f"    FAIL {c.check_id}{where}")
-                if c.witness is not None:
-                    w = c.witness
-                    lines.append(f"         residual {w.label} = {w.expression}")
-                    lines.append(f"         at point ({', '.join(w.point)}) value {w.value}")
+                w = c.witness
+                lines.append(f"         residual {w.label} = {w.expression}")
+                lines.append(f"         at point ({', '.join(w.point)}) value {w.value}")
         if s.theorem is not None:
             t = s.theorem
             parts = []
@@ -348,7 +336,7 @@ def _emit_text(report: RunReport, include_timings: bool) -> str:
                 parts.append(f"N[{key}]{'=0' if st.vanishes else '!=0'}")
             lines.append(f"    concomitants: {' '.join(parts)}")
             for key, st in t.concomitants.items():
-                if not st.vanishes and st.witness is not None:
+                if not st.vanishes:
                     w = st.witness
                     lines.append(f"    witness {w.label}")
                     lines.append(f"         residual = {w.expression}")

@@ -63,6 +63,14 @@ closed (NON_CLOSED_B) an automorphism of the pairing only.  product_triple
 is the block-diagonal triple on the product chart, its second factor's
 coordinates renamed past the first's.
 
+The whole theorem report is checked against pure algebra on left-invariant
+triples (left_invariant): a constant triple on g + g* for a nilpotent Lie
+algebra g, moved to the chart by the left-invariant frame in exponential
+coordinates.  On constant sections of g + g* the Dorfman bracket is
+[[u + a, v + b]] = [u, v] - b ad_u + a ad_v, so the concomitant pattern and
+the connection flags are decided on integer vectors, with no scalar field
+or Cartan-layer code.
+
 Polynomial arithmetic, which the engine computes on packed monomials, is
 checked against the schoolbook product, the dict sum and the derivative on
 exponent tuples; each oracle returns its terms in the order of its own grlex
@@ -75,10 +83,12 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import cache
 from itertools import product
+from math import factorial
 
 from hypercourant import nijenhuis as nij
-from hypercourant.cartan import OneForm, VectorField, exterior_derivative, interior_product
+from hypercourant.cartan import OneForm, VectorField, exterior_derivative, interior_product, lie_bracket
 from hypercourant.courant import GSection, anchor_apply, basis_sections, d_map, dorfman, pairing
 from hypercourant.endo import GEndo, HKTriple, mat_identity, mat_mul, mat_neg, mat_transpose, mat_zero
 from hypercourant.errors import DimensionMismatch, PoleAtPoint
@@ -262,13 +272,13 @@ def family_statuses(hk, family: list) -> dict:
     out = {}
     for key in CONCOMITANT_KEYS:
         f, g = members[key[0]], members[key[1]]
-        out[key] = ConcomitantStatus(True)
+        out[key] = ConcomitantStatus()
         pairs = ((xi, yi) for xi in range(len(family)) for yi in range(len(family)))
         for xi, yi in pairs:
             residual = concomitant(f, g, family[xi], family[yi])
             w = witness_for(residual, context=f"N[{key[0]},{key[1]}] on family pair ({xi}, {yi})")
             if w is not None:
-                out[key] = ConcomitantStatus(False, w)
+                out[key] = ConcomitantStatus(w)
                 break
     return out
 
@@ -468,6 +478,119 @@ def product_triple(first, second):
         return GEndo(*(block_sum(fb[k], gb[k]) for k in "ABCD"))
 
     return HKTriple.certify(member(first.i, second.i), member(first.j, second.j))
+
+
+def _ad_matrices(brackets: dict, n: int) -> list:
+    """ad_{e_a} as integer matrices, ad[a][m][b] = c^m_ab, from `brackets`
+    {(a, b): {m: c}} for [e_a, e_b] = sum_m c e_m, indices from 1."""
+    ad = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for (a, b), image in brackets.items():
+        for m, c in image.items():
+            ad[a - 1][m - 1][b - 1] += c
+            ad[b - 1][m - 1][a - 1] -= c
+    return ad
+
+
+def _nilpotent_series(ad_x, coeffs) -> tuple:
+    """sum_k coeffs[k] ad_x^k for the nilpotent n x n matrix ad_x, k < n."""
+    n = len(ad_x)
+    out = power = mat_identity(n)
+    for c in coeffs[1:n]:
+        power = mat_mul(power, ad_x)
+        out = _mat_sum(out, tuple(tuple(f * ScalarField.const(n, c) for f in row) for row in power))
+    return out
+
+
+def _algebraic_outcome(ad: list, base) -> tuple:
+    """(pattern, connections agree, {I, J, K: parallel}, torsion formula) of
+    the constant triple `base` on g + g*, decided on the constant frame with
+    the bracket [[u + a, v + b]] = [u, v] - b ad_u + a ad_v.  The pattern
+    lists II JJ KK IJ JK KI, 0 for a vanishing concomitant, N otherwise.
+    Every value is an integer vector: the connection's factor -1/2 is
+    dropped, as a flag only asks whether a value is zero, and the torsion
+    formula's right side D<X,FY> is zero on constant sections."""
+    n = len(ad)
+    origin = (0,) * n
+    members = {}
+    for name, endo in base.members().items():
+        values = [[f.evaluate(origin) for f in row] for row in endo.matrix]
+        assert all(v.denominator == 1 for row in values for v in row), "base must have integer entries"
+        members[name] = [[int(v) for v in row] for row in values]
+
+    def apply(m, s):
+        return tuple(sum(r * c for r, c in zip(row, s)) for row in m)
+
+    def lin(*terms):
+        """The sum of c s over the (c, s) pairs."""
+        return tuple(sum(c * s[i] for c, s in terms) for i in range(2 * n))
+
+    @cache
+    def ad_of(u):
+        return tuple(tuple(sum(u[a] * ad[a][m][b] for a in range(n)) for b in range(n)) for m in range(n))
+
+    @cache
+    def br(s, t):
+        (u, alpha), (v, beta) = (s[:n], s[n:]), (t[:n], t[n:])
+        ad_u, ad_v = ad_of(u), ad_of(v)
+        form = tuple(sum(alpha[m] * ad_v[m][j] - beta[m] * ad_u[m][j] for m in range(n)) for j in range(n))
+        return apply(ad_u, v) + form
+
+    def four_terms(f, g, x, y):
+        fx, gy = apply(f, x), apply(g, y)
+        fg_xy = apply(f, apply(g, br(x, y)))
+        return lin((1, br(fx, gy)), (-1, apply(f, br(x, gy))), (-1, apply(g, br(fx, y))), (1, fg_xy))
+
+    def nab(variant, x, y):
+        """-2 nabla_X Y for the rotation (P, Q, R) the variant names."""
+        p, q, r = (members[c.upper()] for c in variant)
+        return apply(r, four_terms(q, p, y, x))
+
+    frame = [tuple(int(i == a) for i in range(2 * n)) for a in range(2 * n)]
+    pairs = list(product(frame, repeat=2))
+    zero = (0,) * (2 * n)
+
+    def vanishes(f, g):
+        f, g = members[f], members[g]
+        return all(lin((1, four_terms(f, g, x, y)), (1, four_terms(g, f, x, y))) == zero for x, y in pairs)
+
+    pattern = "".join("0" if vanishes(f, g) else "N" for f, g in CONCOMITANT_KEYS)
+    agree = all(nab("ijk", x, y) == nab("jki", x, y) == nab("kij", x, y) for x, y in pairs)
+    parallel = {
+        name: all(nab("ijk", x, apply(m, y)) == apply(m, nab("ijk", x, y)) for x, y in pairs)
+        for name, m in members.items()
+    }
+    # -2 T(X,Y) = nab(X,Y) - nab(Y,X) + [[X,Y]] - [[Y,X]]
+    torsion = all(lin((1, nab("ijk", x, y)), (-1, nab("ijk", y, x)), (1, br(x, y)), (-1, br(y, x))) == zero
+                  for x, y in pairs)
+    return pattern, agree, parallel, torsion
+
+
+def left_invariant(brackets: dict, base) -> tuple:
+    """(the left-invariant triple, its algebraic outcome) for the nilpotent
+    Lie algebra g with `brackets` ({(a, b): {m: c}} for [e_a, e_b] = sum_m
+    c e_m, indices from 1) and the constant triple `base` on g + g*.
+
+    In exponential coordinates the left-invariant frame is X_a = E e_a with
+    E = ad_x / (1 - e^-ad_x), and E^-1 = (1 - e^-ad_x) / ad_x; both series
+    stop, as ad_x is nilpotent.  The triple is base conjugated by
+    frame_change(E, E^-1), and the outcome is _algebraic_outcome's."""
+    n = base.n
+    ad = _ad_matrices(brackets, n)
+    x = [ScalarField.coordinate(n, a) for a in range(n)]
+    ad_x = tuple(tuple(sum((x[a] * ScalarField.const(n, ad[a][m][b]) for a in range(n) if ad[a][m][b]),
+                           ScalarField.zero(n)) for b in range(n)) for m in range(n))
+    # (1 - e^-z) / z = sum_k (-z)^k / (k+1)!, and its reciprocal series
+    inverse_coeffs = [Fraction((-1) ** k, factorial(k + 1)) for k in range(n)]
+    coeffs = [Fraction(1)]
+    for k in range(1, n):
+        coeffs.append(-sum(inverse_coeffs[j] * coeffs[k - j] for j in range(1, k + 1)))
+    e, e_inv = _nilpotent_series(ad_x, coeffs), _nilpotent_series(ad_x, inverse_coeffs)
+    assert mat_mul(e, e_inv) == mat_identity(n)
+    fields = [VectorField(row[a] for row in e) for a in range(n)]
+    for a, b in product(range(n), repeat=2):
+        expect = sum((fields[m].smul(ScalarField.const(n, ad[a][m][b])) for m in range(n)), VectorField.zero(n))
+        assert lie_bracket(fields[a], fields[b]) == expect, f"[X_{a + 1}, X_{b + 1}] is not left-invariant"
+    return conjugated(base, *frame_change(e, e_inv)), _algebraic_outcome(ad, base)
 
 
 def _cnorm(c):

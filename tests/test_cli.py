@@ -446,13 +446,14 @@ class TestCheck:
         assert theorem["parallel"] == {"I": False, "J": True, "K": False}
 
     def test_inconsistent_theorem_exits_one(self, capsys, tmp_path, monkeypatch):
-        # the theorem is forced inconsistent through the pass that run calls;
-        # the run reports it as a failed suite, with no error on the way out
+        # the theorem is forced inconsistent through the pass that run calls:
+        # a torsion formula that holds contradicts N[I,J] != 0; the run
+        # reports it as a failed suite, with no error on the way out
         real = runfile.connection_pass
 
-        def forced(*args):
-            results, seconds = real(*args)
-            results["theorem"] = results["theorem"]._replace(consistency="violated")
+        def forced(*args, **kwargs):
+            results, seconds = real(*args, **kwargs)
+            results["theorem"] = results["theorem"]._replace(torsion_formula=True)
             return results, seconds
 
         monkeypatch.setattr(runfile, "connection_pass", forced)

@@ -251,8 +251,8 @@ class TestHKTriple:
         ident = GEndo.identity(2)
         triple = HKTriple.certify(ident, ident)
         assert not triple.certified
-        assert triple.certified_orthogonal == (True, True, True)
-        assert not triple.certified_quaternionic
+        assert tuple(r.passed for r in triple.orthogonality) == (True, True, True)
+        assert not triple.quaternionic.passed
         with pytest.raises(UncertifiedStructure):
             triple.require_certified()
 

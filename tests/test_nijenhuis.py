@@ -21,6 +21,8 @@ from hypercourant.nijenhuis import (
     CONCOMITANT_KEYS,
     CONNECTION_SUITES,
     VARIANTS,
+    ConcomitantStatus,
+    TheoremReport,
     check_connection_laws,
     check_identities,
     concomitant,
@@ -52,6 +54,7 @@ from oracle import (
     corrupted_dorfman,
     family_statuses,
     is_jacobian,
+    left_invariant,
     linearity_defect_formula,
     loop_connection_laws,
     loop_delta_properties,
@@ -417,6 +420,13 @@ class TestTheoremReport:
             point = tuple(Fraction(v) for v in w.point)
             assert residual.evaluate(point) == Fraction(w.value) != 0
 
+    def test_flags_that_contradict_the_concomitants_read_violated(self):
+        # all six vanish, so the torsion formula must hold
+        status = dict.fromkeys(CONCOMITANT_KEYS, ConcomitantStatus())
+        rep = TheoremReport(status, True, {"I": True, "J": True, "K": True}, False)
+        assert (rep.verdict, rep.consistency, rep.passed) == ("hypercomplex", "violated", False)
+        assert rep._replace(torsion_formula=True).consistency == "ok"
+
     def test_denominators_in_two_variables(self, conjugated_x2x3, time_budget):
         # the gcds of these denominators once ran for minutes
         with time_budget(10):
@@ -541,7 +551,7 @@ class TestTheoremReport:
         # vanish but the torsion formula cannot hold, which the engine must
         # refuse to accept silently
         ident = GEndo.identity(2)
-        ok = CheckReport("forged", True)
+        ok = CheckReport("forged")
         fake = HKTriple(ident, ident, ident, (ok, ok, ok), ok)
         with pytest.raises(InconsistentEquivalence) as exc:
             theorem_report(fake, trials=2, seed=0)
@@ -615,6 +625,10 @@ def outcome(rep) -> tuple:
     """A report's vanishing pattern, verdict, consistency and flags."""
     pattern = {k: v.vanishes for k, v in rep.concomitants.items()}
     return pattern, rep.verdict, rep.consistency, rep.connections_agree, rep.parallel, rep.torsion_formula
+
+
+# the keys of the all_triples fixture
+EXAMPLES = ("flat", "holomorphic-symplectic", "nonintegrable")
 
 
 def fixed_phi() -> list:
@@ -749,30 +763,75 @@ class TestBeyondTheExamples:
             monkeypatch.setattr(hypercourant.nijenhuis, "dorfman", corrupted_dorfman)
         assert pullback_outcome(all_triples[name], fixed_phi()) != outcome(reports[name])
 
-    def test_product_reports_like_its_nonintegrable_factor(self, all_triples, reports):
-        # every pair has a nonintegrable factor, first or second
-        pairs = [("flat", "nonintegrable"), ("nonintegrable", "flat"), ("holomorphic-symplectic", "nonintegrable")]
-        for first, second in pairs:
-            one, two = all_triples[first], all_triples[second]
-            product = product_triple(one, two)
-            assert product.n == 8 and product.certified
-            rep = theorem_report(product, trials=1, degree=1)
-            a, b = reports[first], reports[second]
-            for key in CONCOMITANT_KEYS:
-                status, sa, sb = rep.concomitants[key], a.concomitants[key], b.concomitants[key]
-                assert status.vanishes == (sa.vanishes and sb.vanishes)
-                if sa.witness is not None:
-                    assert status.witness == moved(sa.witness, one.n, second=False)
-                else:
-                    assert status.witness == (sb.witness and moved(sb.witness, two.n))
-            assert rep.connections_agree == (a.connections_agree and b.connections_agree)
-            assert rep.parallel == {k: a.parallel[k] and b.parallel[k] for k in "IJK"}
-            assert rep.torsion_formula == (a.torsion_formula and b.torsion_formula)
-            both = a.verdict == b.verdict == "hypercomplex"
-            assert rep.verdict == ("hypercomplex" if both else "not-hypercomplex")
-            if (first, second) == ("flat", "nonintegrable"):
-                w = rep.concomitants["JJ"].witness
-                assert (w.label, w.point) == ("N[J,J] on family pair (4, 5).vec[5]", ("0",) * 4 + ("1", "0", "0", "0"))
+    @pytest.mark.parametrize("first, second", [(a, b) for a in EXAMPLES for b in EXAMPLES])
+    def test_product_reports_like_its_factors(self, all_triples, reports, first, second):
+        one, two = all_triples[first], all_triples[second]
+        pair = product_triple(one, two)
+        assert pair.n == 8 and pair.certified
+        rep = theorem_report(pair, trials=1, degree=1)
+        a, b = reports[first], reports[second]
+        for key in CONCOMITANT_KEYS:
+            status, sa, sb = rep.concomitants[key], a.concomitants[key], b.concomitants[key]
+            assert status.vanishes == (sa.vanishes and sb.vanishes)
+            if sa.witness is not None:
+                assert status.witness == moved(sa.witness, one.n, second=False)
+            else:
+                assert status.witness == (sb.witness and moved(sb.witness, two.n))
+        assert rep.connections_agree == (a.connections_agree and b.connections_agree)
+        assert rep.parallel == {k: a.parallel[k] and b.parallel[k] for k in "IJK"}
+        assert rep.torsion_formula == (a.torsion_formula and b.torsion_formula)
+        both = a.verdict == b.verdict == "hypercomplex"
+        assert rep.verdict == ("hypercomplex" if both else "not-hypercomplex")
+        if (first, second) == ("flat", "nonintegrable"):
+            w = rep.concomitants["JJ"].witness
+            assert (w.label, w.point) == ("N[J,J] on family pair (4, 5).vec[5]", ("0",) * 4 + ("1", "0", "0", "0"))
+
+
+def engine_outcome(rep) -> tuple:
+    """A report's pattern (II JJ KK IJ JK KI, 0 where a concomitant
+    vanishes) and flags, in the form of the algebraic outcome."""
+    pattern = "".join("0" if s.vanishes else "N" for s in rep.concomitants.values())
+    return pattern, rep.connections_agree, rep.parallel, rep.torsion_formula
+
+
+@st.composite
+def two_step_brackets(draw) -> dict:
+    """A random 2-step nilpotent bracket on R^4: an integer 2-form on
+    span(e1, e2, e3) valued in e4, or [e1, e2] in span(e3, e4).  Jacobi holds
+    for every 2-step bracket, so none is filtered out."""
+    c = st.integers(-3, 3)
+    if draw(st.booleans()):
+        return {pair: {4: draw(c)} for pair in ((1, 2), (1, 3), (2, 3))}
+    return {(1, 2): {3: draw(c), 4: draw(c)}}
+
+
+class TestLeftInvariant:
+    """The theorem report on left-invariant triples against the algebraic
+    route of oracle.left_invariant, which shares no scalar or Cartan code
+    with the engine.  The table gives [e_a, e_b] = sum c e_m as {(a, b):
+    {m: c}} and the pattern for F0 = flat and F0 = holomorphic-symplectic."""
+
+    TABLE = {
+        "h3+R-e1e2-e3": ({(1, 2): {3: 1}}, "0NNNNN", "000000"),
+        "h3+R-e1e3-e2": ({(1, 3): {2: 1}}, "N0NNNN", "0NNNNN"),
+        "h3+R-e1e2-e4": ({(1, 2): {4: 1}}, "0NNNNN", "000000"),
+        "n4-filiform": ({(1, 2): {3: 1}, (1, 3): {4: 1}}, "NNNNNN", "0NNNNN"),
+    }
+
+    @pytest.mark.parametrize("algebra", list(TABLE))
+    @pytest.mark.parametrize("base", ["flat", "holomorphic-symplectic"])
+    def test_report_is_the_algebraic_one(self, all_triples, algebra, base):
+        brackets, flat_pattern, holsymp_pattern = self.TABLE[algebra]
+        triple, algebraic = left_invariant(brackets, all_triples[base])
+        assert engine_outcome(theorem_report(triple, trials=1, degree=1)) == algebraic
+        assert algebraic[0] == (flat_pattern if base == "flat" else holsymp_pattern)
+
+    @pytest.mark.parametrize("base", ["flat", "holomorphic-symplectic"])
+    @given(brackets=two_step_brackets())
+    @settings(max_examples=2)
+    def test_two_step_report_is_the_algebraic_one(self, all_triples, base, brackets):
+        triple, algebraic = left_invariant(brackets, all_triples[base])
+        assert engine_outcome(theorem_report(triple, trials=1, degree=1)) == algebraic
 
 
 def counted_brackets(monkeypatch) -> list:
@@ -954,7 +1013,7 @@ class TestSharingScope:
 
     def test_scope_closes_when_a_suite_raises(self, flat, monkeypatch):
         ident = GEndo.identity(2)
-        ok = CheckReport("forged", True)
+        ok = CheckReport("forged")
         fake = HKTriple(ident, ident, ident, (ok, ok, ok), ok)
         with pytest.raises(InconsistentEquivalence):
             theorem_report(fake, trials=2, seed=0)

@@ -88,7 +88,13 @@ def test_witness_prints_point_and_value():
     assert (w.label, w.expression, w.point, w.value) == ("ctx.scalar", "(x2)/(x1 + 1)", ("0", "1"), "1")
 
 
+def test_a_check_with_a_witness_fails():
+    report = CheckReport("x", witness_for(parse_scalar("x1", 1)), trial=0)
+    assert not report.passed
+    assert report.to_dict()["pass"] is False
+
+
 def test_a_report_built_from_id_and_outcome_has_no_trial_and_no_witness():
-    report = CheckReport("x", True)
+    report = CheckReport("x")
     assert (report.trial, report.witness) == (None, None)
     assert report.to_dict() == {"check-id": "x", "pass": True}

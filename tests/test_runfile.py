@@ -15,7 +15,8 @@ from hypercourant.errors import (
     ScalarSyntaxError,
     UnknownVariable,
 )
-from hypercourant.report import CheckReport
+from hypercourant.parse import parse_scalar
+from hypercourant.report import CheckReport, witness_for
 from hypercourant.runfile import (
     MAX_DEGREE,
     SUITES,
@@ -98,8 +99,8 @@ def test_fuzzed_documents_parse_or_raise_engine_error(text):
 class TestParsing:
     def test_minimal_document(self):
         sf = parse_structure_text(json.dumps(small_doc()))
-        assert sf.dimension == 4
-        assert sf.trials == 2 and sf.seed == 1 and sf.degree == 1
+        assert sf.triple.n == 4
+        assert sf.options["trials"] == 2 and sf.options["seed"] == 1 and sf.options["degree"] == 1
         assert sf.digest.startswith("sha256:")
 
     def test_k_defaults_to_i_compose_j(self):
@@ -146,7 +147,7 @@ class TestParsing:
 
     def test_degree_is_bounded(self):
         sf = parse_structure_text(json.dumps(small_doc(options={"degree": MAX_DEGREE})))
-        assert sf.degree == MAX_DEGREE
+        assert sf.options["degree"] == MAX_DEGREE
         with pytest.raises(SchemaError, match=f"'degree' must be at most {MAX_DEGREE}"):
             parse_structure_text(json.dumps(small_doc(options={"degree": MAX_DEGREE + 1})))
 
@@ -225,26 +226,37 @@ class TestRun:
         # vanishes but the torsion formula fails, which contradicts the
         # proof; the suite fails and the other suites keep their results
         ident = GEndo.identity(2)
-        ok = CheckReport("forged", True)
+        ok = CheckReport("forged")
         fake = HKTriple(ident, ident, ident, (ok, ok, ok), ok)
         sf = parse_structure_text(json.dumps(small_doc(checks=["theorem", "identities"])))
-        report = run(sf._replace(dimension=2, triple=fake))
+        report = run(sf._replace(triple=fake))
         theorem, identities = report.suites
         assert theorem.status == "fail"
         assert theorem.theorem.consistency == "violated"
         assert "engine bug" in theorem.reason
-        assert len(identities.checks) == 8 * sf.trials
+        assert len(identities.checks) == 8 * sf.options["trials"]
         assert report.verdict == "fail"
         assert exit_code(report) == 1
+
+    def test_a_suite_with_one_failed_check_fails(self):
+        failed = CheckReport("y", witness_for(parse_scalar("x1", 1)))
+        suite = SuiteReport("s", (CheckReport("x"), failed))
+        assert (suite.status, suite.reason) == ("fail", "")
+        assert RunReport("-", {}, [suite]).verdict == "fail"
+
+    def test_a_skipped_suite_gives_its_skip_reason(self):
+        suite = SuiteReport("s", skip_reason="structure failed certification")
+        assert (suite.status, suite.reason) == ("skipped", "structure failed certification")
+        assert RunReport("-", {}, [suite]).verdict == "fail"
 
     def test_reports_share_no_container(self):
         # a default is fresh or immutable, so nothing done to one report's
         # checks or timings shows in another's
-        a, b = SuiteReport("s", "pass"), SuiteReport("s", "pass")
+        a, b = SuiteReport("s"), SuiteReport("s")
         with contextlib.suppress(AttributeError):
-            a.checks.append(CheckReport("x", True))
+            a.checks.append(CheckReport("x"))
         assert not b.checks
-        r, q = (RunReport("v", "-", {}, [], "pass") for _ in range(2))
+        r, q = (RunReport("-", {}, []) for _ in range(2))
         with contextlib.suppress(TypeError):
             r.timings["x"] = 1.0
         assert not q.timings

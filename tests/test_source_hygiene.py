@@ -25,7 +25,10 @@ command-line option hidden from --help; a test that needs a mutant patches
 it in.  Importing the package, as every `hypercourant` command does first,
 loads none of the code-introspection modules, and a `check` loads neither
 hashlib's OpenSSL backend (_hashlib) nor ssl wherever the interpreter has
-its builtin sha256 (_sha2 or _sha256), which takes the input digest.
+its builtin sha256 (_sha2 or _sha256), which takes the input digest.  No
+NamedTuple record stores a verdict: it has no field named passed,
+vanishes, status, verdict, consistency or version, and computes the verdict
+from its witnesses and flags instead.
 """
 
 from __future__ import annotations
@@ -428,6 +431,38 @@ def test_check_loads_no_openssl():
 def test_input_digest_is_the_sha256_of_the_document(name):
     text = json.dumps(structure_file(name), indent=2, sort_keys=True) + "\n"
     assert parse_structure_text(text).digest == "sha256:" + hashlib.sha256(text.encode()).hexdigest()
+
+
+VERDICTS = ("passed", "vanishes", "status", "verdict", "consistency", "version")
+
+
+def _stored_verdicts(tree: ast.Module) -> list:
+    """(line, class, field) of each field of a NamedTuple class named like
+    one of VERDICTS."""
+    return [
+        (item.lineno, node.name, item.target.id)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        and any(ast.unparse(base).rsplit(".", 1)[-1] == "NamedTuple" for base in node.bases)
+        for item in node.body
+        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name) and item.target.id in VERDICTS
+    ]
+
+
+def test_records_store_no_verdict():
+    found = [(path.name, *hit) for path in MODULES for hit in _stored_verdicts(_tree(path))]
+    assert not found, f"records that store a verdict: {found}"
+
+
+def test_catches_a_stored_verdict():
+    # a computed verdict, a class constant and a plain class's field are fine
+    tree = ast.parse(
+        "class R(NamedTuple):\n    witness: object = None\n    passed: bool = True\n    version = '1'\n"
+        "    @property\n    def status(self): return 'pass'\n\n"
+        "class S(typing.NamedTuple):\n    verdict: str\n\n"
+        "class Plain:\n    status: str = 'pass'\n"
+    )
+    assert _stored_verdicts(tree) == [(3, "R", "passed"), (9, "S", "verdict")]
 
 
 def test_catches_an_orphan_and_an_unused_import():

@@ -113,7 +113,7 @@ class TestStructureFiles:
         doc = structure_file(name)
         sf = parse_structure_text(json.dumps(doc))
         assert sf.triple.certified
-        assert sf.dimension == 4
+        assert sf.triple.n == 4
         assert set(sf.checks) == {
             "axioms",
             "certification",
