@@ -37,7 +37,7 @@ from .cartan import (
 )
 from .errors import DimensionMismatch
 from .report import check
-from .sampling import random_scalar, suite_rng
+from .sampling import random_scalar, require_sample, suite_rng
 from .scalar import ScalarField, sum_of_products
 
 
@@ -182,6 +182,7 @@ def verify_axioms(dim: int, degree: int = 2, trials: int = 10, seed: int = 0) ->
     """
     if dim < 1:
         raise DimensionMismatch("chart dimension must be at least 1")
+    require_sample(trials, degree)
     return [
         r
         for t in range(trials)

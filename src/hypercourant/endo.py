@@ -177,8 +177,9 @@ def lift_symplectic(omega: TwoForm, omega_inv) -> GEndo:
 # ---------------------------------------------------------------------------
 
 
-def is_orthogonal(endo: GEndo) -> CheckReport:
-    """Check <F e_a, F e_b> = <e_a, e_b> on all frame pairs, exactly."""
+def is_orthogonal(endo: GEndo, name: str) -> CheckReport:
+    """Check <F e_a, F e_b> = <e_a, e_b> on all frame pairs, exactly; a
+    defect's witness names F by `name`."""
     n = endo.n
     basis = basis_sections(n)
     images = endo.columns()
@@ -186,7 +187,7 @@ def is_orthogonal(endo: GEndo) -> CheckReport:
         for b in range(a, 2 * n):
             residual = pairing(images[a], images[b]) - pairing(basis[a], basis[b])
             if not residual.is_zero():
-                w = nonzero_witness(f"pairing defect on frame pair ({a}, {b})", residual)
+                w = nonzero_witness(f"pairing defect of {name} on frame pair ({a}, {b})", residual)
                 return CheckReport("orthogonality", w)
     return CheckReport("orthogonality")
 
@@ -245,7 +246,7 @@ class HKTriple(NamedTuple):
             raise DimensionMismatch("triple members have different dimensions")
         if k is None:
             k = i @ j
-        orth = (is_orthogonal(i), is_orthogonal(j), is_orthogonal(k))
+        orth = tuple(is_orthogonal(f, name) for f, name in zip((i, j, k), "IJK"))
         quat = quaternionic_check(i, j, k)
         return cls(i, j, k, orth, quat)
 

@@ -30,17 +30,17 @@ The connection laws, the identities, the Delta properties and the theorem's
 connection checks are one pass, connection_pass, which draws each trial's
 (X, Y, f) once from one seeded stream and runs every selected check on it.
 
-Within one input the formulas bracket the same section pairs and take the
-same derivatives and gcds many times, so each value goes through
+Within one input the formulas take the same connections, Deltas,
+brackets, derivatives and gcds many times, so each value goes through
 scalar.shared and is computed once per sharing scope.  Only the three loops
 that own a scope open one; a formula function never does, and outside a
 scope it computes every value.  A standalone concomitant therefore takes
 [[X,Y]] once in each half; a library caller who wants it shared opens
 scalar.sharing around the call.  Each kind of scope is one predicate:
   - connection_pass opens an input's (_all_but_images) per input; it holds
-    every bracket, derivative and gcd, for one input only (a pass-long one
-    raised flat's peak memory by 30 %), and no image, since images recur
-    less there and are large (+10 %);
+    every connection, Delta, bracket, derivative and gcd, for one input
+    only (a pass-long one raised flat's peak memory by 30 %), and no image,
+    since images recur less there and are large (+10 %);
   - concomitant_statuses opens one (_everything) that holds images too,
     seeded with F e_a = column a of F, as all six concomitants apply I, J,
     K to the same frame sections and brackets;
@@ -72,7 +72,7 @@ from .courant import (
 from .endo import GEndo, HKTriple
 from .errors import InconsistentEquivalence
 from .report import Witness, check, witness_for
-from .sampling import random_scalar, suite_rng
+from .sampling import random_scalar, require_sample, suite_rng
 from .scalar import ScalarField, shared, sharing
 
 VARIANTS = ("ijk", "jki", "kij")
@@ -114,6 +114,10 @@ def concomitant(f: GEndo, g: GEndo, x: GSection, y: GSection) -> GSection:
 
 def delta(hk: HKTriple, fun: ScalarField, x: GSection, y: GSection) -> GSection:
     """Delta_f(X,Y) = <X,Y>Df + <IX,Y>I Df + <JX,Y>J Df + <KX,Y>K Df."""
+    return shared(_delta, hk, fun, x, y)
+
+
+def _delta(hk: HKTriple, fun: ScalarField, x: GSection, y: GSection) -> GSection:
     hk.require_certified()
     df = d_map(fun)
     out = df.smul(pairing(x, y))
@@ -132,6 +136,10 @@ def _rotation(hk: HKTriple, variant: str) -> tuple:
 def connection(hk: HKTriple, variant: str, x: GSection, y: GSection) -> GSection:
     """The canonical connection for one cyclic rotation (P, Q, R) of the
     triple: nabla_X Y = -1/2 R H_{Q,P}(Y,X)."""
+    return shared(_connection, hk, variant, x, y)
+
+
+def _connection(hk: HKTriple, variant: str, x: GSection, y: GSection) -> GSection:
     hk.require_certified()
     p, q, r = _rotation(hk, variant)
     inner = _four_terms(_bracket, q, p, y, x)
@@ -267,6 +275,7 @@ INCONSISTENT = (
 def _inputs(hk: HKTriple, seed: int, trials: int, degree: int) -> list:
     """The `trials` random inputs of the connection level, as (trial, X, Y, f)
     tuples drawn from the seed's one stream in the order X, Y, f."""
+    require_sample(trials, degree)
     hk.require_certified()
     n = hk.n
     rng = suite_rng(seed, "connection-level")
@@ -286,12 +295,11 @@ def _timed(seconds: dict, suite: str, fn, *args):
     return out
 
 
-def _law_checks(hk: HKTriple, t: int, x, y, fun, delta_xy, out: dict) -> None:
-    """Append the two laws of each connection on one input, whose
-    Delta_f(X,Y) is delta_xy, to out[variant]; the f-scaled connections run
-    in the nested scope of _brackets_of."""
+def _law_checks(hk: HKTriple, t: int, x, y, fun, out: dict) -> None:
+    """Append the two laws of each connection on one input to out[variant];
+    the f-scaled connections run in the nested scope of _brackets_of."""
     fx, fy = x.smul(fun), y.smul(fun)
-    leibniz = y.smul(anchor_apply(x, fun)) - delta_xy
+    leibniz = y.smul(anchor_apply(x, fun)) - delta(hk, fun, x, y)
     f_nabs = [connection(hk, v, x, y).smul(fun) for v in VARIANTS]
     with sharing(_brackets_of(x, y, fx, fy)):
         for v, f_nab in zip(VARIANTS, f_nabs):
@@ -301,9 +309,8 @@ def _law_checks(hk: HKTriple, t: int, x, y, fun, delta_xy, out: dict) -> None:
             out[v].append(check(f"connection-law-leibniz-delta[{v}]", r2, t))
 
 
-def _identity_checks(hk: HKTriple, t: int, x, y, fun, delta_xy, identities: list, deltas: list) -> None:
-    """Append the four identities and the four Delta checks on one input,
-    whose Delta_f(X,Y) is delta_xy."""
+def _identity_checks(hk: HKTriple, t: int, x, y, fun, identities: list, deltas: list) -> None:
+    """Append the four identities and the four Delta checks on one input."""
     half = ScalarField.const(hk.n, Fraction(1, 2))
     i, j, k = hk.i, hk.j, hk.k
     nab_xy = connection(hk, "ijk", x, y)
@@ -323,6 +330,7 @@ def _identity_checks(hk: HKTriple, t: int, x, y, fun, delta_xy, identities: list
     identities.append(check("bracket-decomposition", lhs - rhs, t))
     r = nij_y + concomitant(i, j, y, x)
     identities.append(check("concomitant-skew", r, t))
+    delta_xy = delta(hk, fun, x, y)
     for name, endo in hk.members().items():
         r = delta(hk, fun, x, _image(endo, y)) - _image(endo, delta_xy)
         deltas.append(check(f"delta-compat-{name.lower()}", r, t))
@@ -356,26 +364,19 @@ def connection_pass(hk: HKTriple, suites, trials, seed, degree) -> tuple:
     consistent or not, which holds the theorem alone: trials, seed and
     degree are the caller's to report.  All checks of an input run in one
     sharing scope, and a shared value is timed to the suite that computes it
-    first.  The brackets, derivatives and gcds behind the connections go to
-    the laws; the connections nabla_X Y are not shared, and each suite
-    computes the ones it takes again from those values.  Delta_f(X,Y),
-    computed once per input for the laws and the identities, goes to the
-    first of them selected.  Each suite's part is its own call, so its
-    values outside the scope are freed when it ends."""
+    first.  Each suite's part is its own call, so its values outside the
+    scope are freed when it ends."""
     laws, identities, theorem = (s in suites for s in CONNECTION_SUITES)
     seconds = dict.fromkeys(suites, 0.0)
     law_checks = {v: [] for v in VARIANTS}
     identity_checks, delta_checks = [], []
     flags = (True, {"I": True, "J": True, "K": True}, True)
-    delta_suite = "connection-laws" if laws else "identities"
     for t, x, y, fun in _inputs(hk, seed, trials, degree):
         with sharing(_all_but_images):
-            if laws or identities:
-                delta_xy = _timed(seconds, delta_suite, delta, hk, fun, x, y)
             if laws:
-                _timed(seconds, "connection-laws", _law_checks, hk, t, x, y, fun, delta_xy, law_checks)
+                _timed(seconds, "connection-laws", _law_checks, hk, t, x, y, fun, law_checks)
             if identities:
-                args = (hk, t, x, y, fun, delta_xy, identity_checks, delta_checks)
+                args = (hk, t, x, y, fun, identity_checks, delta_checks)
                 _timed(seconds, "identities", _identity_checks, *args)
             if theorem:
                 flags = _timed(seconds, "theorem", _theorem_flags, hk, x, y, *flags)
@@ -422,8 +423,6 @@ def theorem_report(hk: HKTriple, trials: int = 10, seed: int = 0, degree: int = 
     The connection-level consequences are sampled on the `trials` random
     inputs of connection_pass, so at least one trial is required.
     """
-    if trials < 1:
-        raise ValueError("theorem_report needs at least one trial")
     rep = connection_pass(hk, ("theorem",), trials, seed, degree)[0]["theorem"]
     if not rep.passed:
         raise InconsistentEquivalence(INCONSISTENT, report=rep)

@@ -42,6 +42,13 @@ def random_scalar(rng: Random, nvars: int, degree: int) -> ScalarField:
     return ScalarField.from_polynomial(random_polynomial(rng, nvars, degree))
 
 
+def require_sample(trials: int, degree: int) -> None:
+    """Refuse a sample that decides nothing: no trial, or a negative degree,
+    at which every sampled section is zero."""
+    if trials < 1 or degree < 0:
+        raise ValueError(f"need trials >= 1 and degree >= 0, not trials {trials} and degree {degree}")
+
+
 def suite_rng(seed: int, suite: str) -> Random:
     """Independent deterministic stream per (seed, suite name)."""
     return Random(f"{seed}:{suite}")

@@ -45,12 +45,12 @@ packed accumulator instead of building and sorting a Polynomial per product
 and per partial sum.  A sum of one product goes through Polynomial `*`,
 whose one-term path needs neither dict nor sort.
 
-SHARING is the open sharing scope, a Scope or None.  shared(fn, a, b) is
+SHARING is the open sharing scope, a Scope or None.  shared(fn, *args) is
 the one memo call: poly_gcd, ScalarField.derivative and the nijenhuis
-brackets and images all go through it, so a value lives as long as the
-scope that holds it and nothing is kept process-wide.  sharing(keep) opens
-a scope; only the three loops of the nijenhuis module that own one call it
-(see there), and the formula functions they run never do.
+brackets, images, connections and Delta go through it, so a value lives
+as long as the scope that holds it and nothing is kept process-wide.
+sharing(keep) opens a scope; only the three loops of the nijenhuis module
+that own one call it (see there), and the formulas they run never do.
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ SHARING: ContextVar = ContextVar("hypercourant_sharing", default=None)
 
 
 class Scope(dict):
-    """A sharing scope: values fn(a, b) keyed (fn, a, b).  It reads through
+    """A sharing scope: values fn(*args) keyed (fn, *args).  It reads through
     `outer`, and holds and looks up only the keys that keep(key) admits."""
 
     def __init__(self, keep, outer):
@@ -96,20 +96,20 @@ def sharing(keep):
         SHARING.reset(token)
 
 
-def shared(fn, a, b):
-    """fn(a, b) from the first scope, the open one then its outer ones, that
+def shared(fn, *args):
+    """fn(*args) from the first scope, the open one then its outer ones, that
     holds it; else computed by fn as passed and held where the open scope's
     keep admits it, so a patched or traced fn sees every computed call."""
     scope = SHARING.get()
     if scope is None:
-        return fn(a, b)
-    key, s = (fn, a, b), scope
+        return fn(*args)
+    key, s = (fn, *args), scope
     while s is not None:
         out = s.get(key) if s.keep(key) else None
         if out is not None:
             return out
         s = s.outer
-    out = fn(a, b)
+    out = fn(*args)
     if scope.keep(key):
         scope[key] = out
     return out

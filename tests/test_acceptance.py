@@ -130,7 +130,7 @@ def test_criterion_6_concomitant_linearity(all_triples):
     saw_non_orthogonal = False
     for _ in range(5):
         f, g = rand_endo(), rand_endo()
-        saw_non_orthogonal = saw_non_orthogonal or not is_orthogonal(f).passed
+        saw_non_orthogonal = saw_non_orthogonal or not is_orthogonal(f, "F").passed
         fun = random_scalar(rng, n, 1)
         x = random_section(rng, n, 1)
         y = random_section(rng, n, 1)
@@ -170,7 +170,7 @@ def test_criterion_6_concomitant_linearity(all_triples):
     # tangent/cotangent swap: orthogonal, but S^2 = +1 rather than -1, so the
     # defect survives; SX = X and <X,X> = 1 give 8 dx1 - 8 d/dx1
     swap = GEndo(mat_zero(n), mat_identity(n), mat_identity(n), mat_zero(n))
-    assert is_orthogonal(swap).passed
+    assert is_orthogonal(swap, "F").passed
     expected = GSection.from_components(
         tuple(parse_scalar(t, n) for t in ("-8", "0", "8", "0"))
     )

@@ -139,11 +139,11 @@ class TestCompose:
 
 class TestOrthogonality:
     def test_identity_passes(self):
-        assert is_orthogonal(GEndo.identity(3)).passed
+        assert is_orthogonal(GEndo.identity(3), "F").passed
 
     def test_diagonal_lift_passes(self, lifts):
-        for endo in lifts.values():
-            assert is_orthogonal(endo).passed
+        for name, endo in lifts.items():
+            assert is_orthogonal(endo, name).passed
 
     def test_position_dependent_diagonal_lift_passes(self):
         # any invertible pointwise j with j^2 = -1 lifts orthogonally
@@ -151,19 +151,32 @@ class TestOrthogonality:
         u = parse_scalar("1 + x1^2", n)
         zero = ScalarField.zero(n)
         j = ((zero, -(u.reciprocal())), (u, zero))
-        assert is_orthogonal(lift_diagonal(j)).passed
+        assert is_orthogonal(lift_diagonal(j), "F").passed
 
     def test_scaling_fails_with_witness(self):
         two, zero = ScalarField.const(2, 2), ScalarField.zero(2)
         twice = ((two, zero), (zero, two))
         doubled = GEndo(twice, mat_zero(2), mat_zero(2), twice)
-        report = is_orthogonal(doubled)
+        report = is_orthogonal(doubled, "F")
         assert not report.passed
         w = report.witness
         assert w is not None
         residual = parse_scalar(w.expression, 2)
         point = tuple(Fraction(v) for v in w.point)
         assert residual.evaluate(point) == Fraction(w.value) != 0
+
+    def test_a_defect_names_its_member(self, lifts):
+        # J scaled by 2 is not orthogonal, nor is K = I (2J) = 2K, and both
+        # fail on the same frame pair with the same residual
+        n = lifts["J"].n
+        two = tuple(tuple(ScalarField.const(n, 2 * (a == b)) for b in range(n)) for a in range(n))
+        doubled = GEndo(two, mat_zero(n), mat_zero(n), two)
+        hk = HKTriple.certify(lifts["I"], lifts["J"] @ doubled)
+        i, j, k = (report.witness for report in hk.orthogonality)
+        assert i is None
+        assert j.label.startswith("pairing defect of J on frame pair (")
+        assert k.label == j.label.replace(" of J ", " of K ") != j.label
+        assert (j.expression, j.value) == (k.expression, k.value)
 
 
 class TestQuaternionicCheck:
@@ -194,7 +207,7 @@ class TestLiftPreconditions:
         one = ScalarField.one(2)
         j = ((zero, -one), (one, zero))
         endo = lift_diagonal(j)
-        assert is_orthogonal(endo).passed
+        assert is_orthogonal(endo, "F").passed
         assert endo @ endo == -GEndo.identity(2)
 
     def test_symplectic_r2_round_trip(self):
@@ -205,7 +218,7 @@ class TestLiftPreconditions:
         inv = ((zero, -one), (one, zero))
         endo = lift_symplectic(omega, inv)
         assert endo @ endo == -GEndo.identity(n)
-        assert is_orthogonal(endo).passed
+        assert is_orthogonal(endo, "F").passed
 
     def test_symplectic_rejects_wrong_inverse(self):
         n = 2
@@ -218,7 +231,7 @@ class TestLiftPreconditions:
     def test_symplectic_r4_omega2_is_orthogonal(self):
         omega = TwoForm(const_matrix(OMEGA_2))
         endo = lift_symplectic(omega, mat_neg(const_matrix(OMEGA_2)))
-        assert is_orthogonal(endo).passed
+        assert is_orthogonal(endo, "F").passed
 
 
 class TestHKTriple:

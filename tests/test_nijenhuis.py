@@ -14,7 +14,7 @@ import hypercourant.courant
 import hypercourant.nijenhuis
 from hypercourant import scalar
 from hypercourant.cartan import OneForm, _Components, check_fields, exterior_derivative
-from hypercourant.courant import GSection, basis_sections, dorfman, random_section
+from hypercourant.courant import GSection, basis_sections, dorfman, random_section, verify_axioms
 from hypercourant.endo import GEndo, HKTriple
 from hypercourant.errors import InconsistentEquivalence, UncertifiedStructure
 from hypercourant.nijenhuis import (
@@ -826,6 +826,19 @@ class TestLeftInvariant:
         assert engine_outcome(theorem_report(triple, trials=1, degree=1)) == algebraic
         assert algebraic[0] == (flat_pattern if base == "flat" else holsymp_pattern)
 
+    @pytest.mark.parametrize("mutant", ["flipped_connection", "corrupted_bracket"])
+    def test_mutants_break_the_oracle(self, all_triples, mutant, request, monkeypatch):
+        # on this row each mutant changes the outcome without raising; the
+        # flipped connection changes it on all eight rows, two by raising
+        # InconsistentEquivalence, and the corrupted bracket on no flat row.
+        # The theorem suite reads the nijenhuis module's dorfman.
+        triple, algebraic = left_invariant(self.TABLE["h3+R-e1e3-e2"][0], all_triples["holomorphic-symplectic"])
+        if mutant == "flipped_connection":
+            request.getfixturevalue(mutant)
+        else:
+            monkeypatch.setattr(hypercourant.nijenhuis, "dorfman", corrupted_dorfman)
+        assert engine_outcome(theorem_report(triple, trials=1, degree=1)) != algebraic
+
     @pytest.mark.parametrize("base", ["flat", "holomorphic-symplectic"])
     @given(brackets=two_step_brackets())
     @settings(max_examples=2)
@@ -845,6 +858,16 @@ def counted_brackets(monkeypatch) -> list:
     return calls
 
 
+# the length of a scope's key (fn, *args) by its kind fn
+KEY_LENGTHS = {
+    hypercourant.nijenhuis._connection: 5,
+    hypercourant.nijenhuis._delta: 5,
+    hypercourant.nijenhuis.dorfman: 3,
+    ScalarField._derivative: 3,
+    scalar._gcd_int: 3,
+}
+
+
 def input_scope(hk, monkeypatch):
     """The scope of the one input of a full pass at trials 1, filled by
     every suite of the pass: the one open when the laws start."""
@@ -862,9 +885,9 @@ def input_scope(hk, monkeypatch):
 
 
 class TestSharingScope:
-    """One memo per suite input: brackets and derivatives (and, in
-    concomitant_statuses, images) computed once inside it, and nothing left
-    behind once the input is done."""
+    """One memo per suite input: connections, Deltas, brackets and
+    derivatives (and, in concomitant_statuses, images) computed once inside
+    it, and nothing left behind once the input is done."""
 
     def test_identities_share_brackets_within_an_input(self, flat, monkeypatch):
         # 38 brackets an input without sharing
@@ -911,7 +934,7 @@ class TestSharingScope:
 
         monkeypatch.setattr(hypercourant.nijenhuis, "connection", watched)
         with sharing(_all_but_images) as outer:
-            _law_checks(flat, t, x, y, fun, delta(flat, fun, x, y), {v: [] for v in VARIANTS})
+            _law_checks(flat, t, x, y, fun, {v: [] for v in VARIANTS})
             held = {key[1:] for key in outer if key[0] is dorfman}
         # the input's scope keeps the 10 brackets of the three nabla_X Y
         assert len(unscaled) == 10 and held == unscaled
@@ -948,17 +971,47 @@ class TestSharingScope:
 
     def test_input_scope_keys_brackets_and_derivatives(self, flat, monkeypatch):
         scope = input_scope(flat, monkeypatch)
-        assert all(type(key) is tuple and len(key) == 3 for key in scope)
-        # every bracket and derivative, and no endomorphism image
-        assert {key[0] for key in scope} == {hypercourant.nijenhuis.dorfman, ScalarField._derivative}
+        assert all(type(key) is tuple and len(key) == KEY_LENGTHS[key[0]] for key in scope)
+        # every connection, Delta, bracket and derivative, and no endomorphism image
+        assert {key[0] for key in scope} == set(KEY_LENGTHS) - {scalar._gcd_int}
 
     def test_input_scope_keys_gcds_on_a_rational_triple(self, noni, monkeypatch):
         # flat's fields are polynomials and take no gcd; noni's take many,
-        # and the input's scope holds them with its brackets and derivatives
+        # and the input's scope holds them with its other values
         scope = input_scope(noni, monkeypatch)
-        assert all(type(key) is tuple and len(key) == 3 for key in scope)
-        kinds = {hypercourant.nijenhuis.dorfman, ScalarField._derivative, scalar._gcd_int}
-        assert {key[0] for key in scope} == kinds
+        assert all(type(key) is tuple and len(key) == KEY_LENGTHS[key[0]] for key in scope)
+        assert {key[0] for key in scope} == set(KEY_LENGTHS)
+
+    def test_each_connection_is_computed_once_per_input(self, flat, monkeypatch):
+        computed = []
+        direct = hypercourant.nijenhuis._connection
+
+        def counted(*args):
+            computed.append(args)
+            return direct(*args)
+
+        monkeypatch.setattr(hypercourant.nijenhuis, "_connection", counted)
+        calls = []
+        shared_connection = hypercourant.nijenhuis.connection
+
+        def called(*args):
+            calls.append(args)
+            return shared_connection(*args)
+
+        monkeypatch.setattr(hypercourant.nijenhuis, "connection", called)
+
+        def connections(suites):
+            computed.clear()
+            calls.clear()
+            connection_pass(flat, suites, 2, 101, 2)
+            return len(computed)
+
+        # 26 distinct nabla_X Y over two inputs, each computed once; the
+        # suites still ask for 42, so connection's call count keeps its meaning
+        assert connections(CONNECTION_SUITES) == 26 and len(calls) == 42
+        assert [connections((suite,)) for suite in CONNECTION_SUITES] == [18, 8, 14]
+        # alone the theorem asks for 16: its flags and its torsion both take nabla_X Y
+        assert len(calls) == 16
 
     def test_nested_scope_reads_its_outer_and_holds_what_keep_admits(self, flat):
         (_, x, y, _), = _inputs(flat, 0, 1, 1)
@@ -1111,6 +1164,18 @@ class TestConnectionPass:
 
     def test_matches_the_suite_loops_with_two_variable_denominators(self, conjugated_x2x3):
         self.assert_matches_loops(conjugated_x2x3, trials=1)
+
+    @pytest.mark.parametrize("bad", [{"trials": 0}, {"degree": -1}], ids=["no-trial", "negative-degree"])
+    @pytest.mark.parametrize(
+        "run",
+        [check_connection_laws, check_identities, theorem_report, lambda hk, **kw: verify_axioms(hk.n, **kw)],
+        ids=["connection-laws", "identities", "theorem", "axioms"],
+    )
+    def test_refuses_a_sample_that_decides_nothing(self, flat, run, bad):
+        # no trial passes vacuously, and at degree -1 every section is zero,
+        # where the theorem once raised InconsistentEquivalence on nonintegrable
+        with pytest.raises(ValueError, match="need trials >= 1 and degree >= 0"):
+            run(flat, **{"trials": 2, "degree": 1, **bad})
 
     def test_matches_the_suite_loops_under_a_mutant(self, flat, flipped_connection):
         results = self.assert_matches_loops(flat)

@@ -17,7 +17,10 @@ and `from hypercourant import *` binds no submodule.  Only scalar.py names
 the sharing scope's context variable, SHARING, and only the three loops
 that own a scope open one: every call of sharing is the item of a with
 statement in connection_pass, _law_checks or concomitant_statuses, and
-passes the scope's one rule and nothing more.  Every import sits at module
+passes the scope's one rule and nothing more.  Every call of shared passes
+a module-level name or a Class.method attribute as its first argument,
+never a lambda, a call or a local, so its memo can hit and a miss calls a
+patched global as it then is.  Every import sits at module
 level, none in a function or class body, so a module's dependencies are
 read from its head and paid once, at import.  The package carries no switch that only tests
 turn on: no function parameter named with a leading underscore and no
@@ -382,6 +385,57 @@ def test_catches_a_stray_scope():
         (7, "opened outside an owning loop"),
         (8, "more than one argument"),
         (8, "opened outside an owning loop"),
+    ]
+
+
+def _module_level_names(tree: ast.Module) -> set:
+    """Names a module binds at its top level: imports, definitions and
+    assignments."""
+    names = {name for name, _ in _imported(tree)}
+    names |= {node.name for node in tree.body if isinstance(node, DEFINITIONS)}
+    assigned = [t for node in tree.body if isinstance(node, ast.Assign) for t in node.targets]
+    return names | {t.id for t in assigned if isinstance(t, ast.Name)}
+
+
+def _stray_memo_keys(tree: ast.Module) -> list:
+    """(line, first argument) of each call of shared whose first argument is
+    not a module-level name, or an attribute of one, that no enclosing
+    function binds locally."""
+    module, found = _module_level_names(tree), []
+
+    def visit(node, local):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            params = args.posonlyargs + args.args + args.kwonlyargs + [p for p in (args.vararg, args.kwarg) if p]
+            stored = {n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+            local = local | stored | {p.arg for p in params}
+        if isinstance(node, ast.Call) and "shared" in (getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+            key = node.args[0] if node.args else None
+            base = key.value if isinstance(key, ast.Attribute) else key
+            if not (isinstance(base, ast.Name) and base.id in module and base.id not in local):
+                found.append((node.lineno, ast.unparse(key) if key else ""))
+        for child in ast.iter_child_nodes(node):
+            visit(child, local)
+
+    visit(tree, frozenset())
+    return found
+
+
+def test_memo_keys_are_module_level_functions():
+    found = [(path.name, *hit) for path in MODULES for hit in _stray_memo_keys(_tree(path))]
+    assert not found, f"shared called with a key function that is not module-level: {found}"
+
+
+def test_catches_a_stray_memo_key():
+    tree = ast.parse(
+        "from .courant import dorfman\n\nclass C:\n    def m(self): pass\n\ndef _f(a): pass\n\n"
+        "def ok(x):\n    return shared(_f, x), shared(dorfman, x, x), scalar.shared(C.m, x)\n\n"
+        "def bad(x, fn):\n    g = _f\n    a = shared(lambda y: y, x), shared(make(), x), shared(fn, x)\n"
+        "    return shared(g, x), shared(x.m, x), shared(C.m.n, x), shared()\n"
+    )
+    assert _stray_memo_keys(tree) == [
+        (13, "lambda y: y"), (13, "make()"), (13, "fn"),
+        (14, "g"), (14, "x.m"), (14, "C.m.n"), (14, ""),
     ]
 
 

@@ -78,7 +78,7 @@ class TestBuilders:
 
         w1 = const_matrix(OMEGA_1)
         endo = lift_symplectic(TwoForm(w1), mat_neg(w1))
-        assert is_orthogonal(endo).passed
+        assert is_orthogonal(endo, "F").passed
         assert endo @ endo == -GEndo.identity(4)
 
     def test_nonintegrable_certified_but_conjugated(self, noni, flat):
