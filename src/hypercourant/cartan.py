@@ -9,9 +9,18 @@ are full antisymmetric component matrices (uniform indexing beats the
 storage saving of a triangle at this scale).  The degree ladder stops at
 2-forms: d of a 2-form is deliberately not provided.
 
-Each component of a bracket, Lie derivative or interior product is one call
-to scalar.sum_of_products, which fuses the n or 2n products of the
-coordinate formula into one polynomial accumulator.
+A bracket, Lie derivative or interior product is a sum of scalars times
+component vectors, one call to scalar._sum_scaled:
+
+    [X, Y]    = sum_i X^i d_i Y - Y^i d_i X
+    L_X eta   = sum_i X^i d_i eta + eta_i dX^i
+    i_Y omega = sum_i Y^i omega_i            (omega_i the i-th row)
+
+A zero scalar is skipped before any derivative is taken.  With polynomial
+operands the whole sum is one packed-slot accumulation, in which a term of
+X^i multiplies a term of all n components at once.  An operand with a
+polynomial denominator sends each component through scalar.sum_of_products
+instead, as one sum of its n or 2n products.
 
 Values are validated where they enter: the public constructors run
 check_fields, the one entry check of the package.  Results built from
@@ -30,7 +39,7 @@ convention the engine keeps, and no __setattr__ enforces it.
 from __future__ import annotations
 
 from .errors import DimensionMismatch, IndexOutOfRange, NotAntisymmetric
-from .scalar import ScalarField, sum_of_products
+from .scalar import ScalarField, _sum_scaled
 
 
 def _check_dim(a, b):
@@ -190,18 +199,14 @@ class TwoForm:
 
 
 def lie_bracket(x: VectorField, y: VectorField) -> VectorField:
-    """[X, Y]^k = sum_i (X^i d_i Y^k - Y^i d_i X^k)."""
+    """[X, Y] = sum_i (X^i d_i Y - Y^i d_i X)."""
     _check_dim(x, y)
-    n = x.dim
     xs, ys = x.components, y.components
     return VectorField._of(
-        tuple(
-            sum_of_products(
-                n,
-                [(xi, yk.derivative(i)) for i, xi in enumerate(xs) if not xi.is_zero()],
-                [(yi, xk.derivative(i)) for i, yi in enumerate(ys) if not yi.is_zero()],
-            )
-            for xk, yk in zip(xs, ys)
+        _sum_scaled(
+            x.dim,
+            [(xi, [yk.derivative(i) for yk in ys]) for i, xi in enumerate(xs) if not xi.is_zero()],
+            [(yi, [xk.derivative(i) for xk in xs]) for i, yi in enumerate(ys) if not yi.is_zero()],
         )
     )
 
@@ -225,26 +230,17 @@ def exterior_derivative(arg):
 
 
 def lie_derivative(x: VectorField, eta: OneForm) -> OneForm:
-    """(L_X eta)_j = sum_i (X^i d_i eta_j + eta_i d_j X^i)."""
+    """L_X eta = sum_i (X^i d_i eta + eta_i dX^i)."""
     _check_dim(x, eta)
     n = x.dim
     xs, es = x.components, eta.components
-    return OneForm._of(
-        tuple(
-            sum_of_products(
-                n,
-                [(xi, ej.derivative(i)) for i, xi in enumerate(xs) if not xi.is_zero()]
-                + [(ei, xs[i].derivative(j)) for i, ei in enumerate(es) if not ei.is_zero()],
-            )
-            for j, ej in enumerate(es)
-        )
-    )
+    along = [(xi, [ej.derivative(i) for ej in es]) for i, xi in enumerate(xs) if not xi.is_zero()]
+    d = [(ei, [xi.derivative(j) for j in range(n)]) for ei, xi in zip(es, xs) if not ei.is_zero()]
+    return OneForm._of(_sum_scaled(n, along + d))
 
 
 def interior_product(y: VectorField, omega: TwoForm) -> OneForm:
-    """(i_Y omega)_j = sum_i Y^i omega_ij."""
+    """i_Y omega = sum_i Y^i omega_i, with omega_i the i-th row of omega."""
     _check_dim(y, omega)
-    n = y.dim
-    return OneForm._of(
-        tuple(sum_of_products(n, zip(y.components, col)) for col in zip(*omega.entries))
-    )
+    pairs = zip(y.components, omega.entries)
+    return OneForm._of(_sum_scaled(y.dim, [(yi, row) for yi, row in pairs if not yi.is_zero()]))

@@ -39,11 +39,24 @@ _cancel divides a quotient by that gcd, for every ScalarField operation
 but Henrici's sum, which needs two gcds.  Polynomial.evaluate substitutes
 one coordinate at a time, as the witness search does.
 
-sum_of_products is the one kernel under the Cartan, Dorfman and
-endomorphism layers: it fuses a whole sum of polynomial products into one
-packed accumulator instead of building and sorting a Polynomial per product
-and per partial sum.  A sum of one product goes through Polynomial `*`,
-whose one-term path needs neither dict nor sort.
+_sum_products is the one accumulator under the Cartan, Dorfman and
+endomorphism layers.  It adds a whole sum of polynomial products, term pair
+by term pair, into one packed key -> int dict (Monagan & Pearce), instead of
+building and sorting a Polynomial per product and per partial sum.  Each of
+its products is a polynomial f times V:
+  sum_of_products  (the pairing, the anchor, the endomorphisms) passes one
+                   polynomial as V, one int per key.
+  _sum_scaled      (the Cartan operators) passes a whole vector field or
+                   1-form as V, its L components packed into one int per key
+                   with slot k at bit offset k*W, so one multiply-add serves
+                   all L slots.  The width W is taken per call from a bound
+                   on every slot's total, plus a sign bit, so no slot
+                   borrows from its neighbour (the proof is at
+                   _sum_products).
+A product with a polynomial denominator takes the rational route instead:
+sum_of_products adds it through ScalarField `*` and `+`, and _sum_scaled then
+makes one sum_of_products per component.  A sum of one product goes through
+Polynomial `*`, whose one-term path needs neither dict nor sort.
 
 SHARING is the open sharing scope, a Scope or None.  shared(fn, *args) is
 the one memo call: poly_gcd, ScalarField.derivative and the nijenhuis
@@ -176,17 +189,41 @@ def _rational(nvars: int, terms) -> "Polynomial":
     return _canon(nvars, tuple([(k, c.numerator * (den // c.denominator)) for k, c in terms]), den)
 
 
-def _sum_products(nvars: int, triples: list) -> "Polynomial":
-    """The sum of sign * a * b over (a, b, sign) triples of polynomials, with
-    every int term product accumulated in one packed key -> coefficient dict
-    over the least common denominator.  The operand with fewer terms is the
-    outer loop.  The caller has checked the degrees."""
-    den = lcm(*[a.den * b.den for a, b, _ in triples])
+def _sum_products(nvars: int, triples: list, slots: int = 0):
+    """The sum of sign * f * V over (f, V, sign) triples with f a polynomial:
+    V one polynomial when slots is 0, which gives one polynomial, or else a
+    sequence of `slots` polynomials, which gives the tuple of their sums.
+    Every int term product goes into one packed key -> int dict over the
+    least common denominator D, with the operand of fewer terms as the outer
+    loop.  With slots 0 the caller has checked the degrees.
+
+    With slots = L > 0 the coefficients are packed too (Kronecker
+    substitution, as in Harvey 2009): _pack checks the degrees and makes
+    each V one int per key, sum_k c_k << k*W with c_k the coefficient of
+    sign * V[k] over D there, so one multiply-add serves a term pair of f
+    and all L slots of V, and each result key is split once into L signed
+    slots, each then made canonical.
+
+    No slot borrows from its neighbour.  Slot k of key K receives c1 * c_k
+    for each term c1 of f, at key k1, whose K - k1 is a key of V[k]: one c_k
+    at most per term of f.  So every slot total s_k of every key is at most
+    B = sum over the triples of |f|_1 * max|V| in absolute value, with
+    |f|_1 the sum of f's |c1| and max|V| the largest |c_k| of V.  With
+    W = bitlength(B) + 1 a sign bit wider, |s_k| < 2**(W-1), so the lowest W
+    bits of the key's int, read as a residue in (-2**(W-1), 2**(W-1)), are
+    s_0 itself; subtracting s_0 and shifting by W leaves the same sum over
+    slots 1 to L - 1.  Int sums are exact in any order, so only each key's
+    final int is split."""
+    if slots:
+        triples, den, width = _pack(nvars, triples)
+    else:
+        den = lcm(*[a.den * b.den for a, b, _ in triples])
     out: dict = {}
     get = out.get
-    for a, b, sign in triples:
-        m = sign * (den // (a.den * b.den))
-        a, b = a.packed, b.packed
+    for a, b, m in triples:
+        if not slots:
+            m *= den // (a.den * b.den)
+            a, b = a.packed, b.packed
         if len(a) > len(b):
             a, b = b, a
         for k1, c1 in a:
@@ -194,7 +231,53 @@ def _sum_products(nvars: int, triples: list) -> "Polynomial":
             for k2, c2 in b:
                 k = k1 + k2
                 out[k] = get(k, 0) + c1 * c2
-    return _collect(nvars, out, den)
+    if not slots:
+        return _collect(nvars, out, den)
+    cols = [[] for _ in range(slots)]
+    mask, half = (1 << width) - 1, 1 << (width - 1)
+    # keys in decreasing order, each split from slot 0 up
+    for k in sorted(out, reverse=True):
+        v = out[k]
+        for col in cols:
+            if not v:
+                break
+            s = v & mask
+            if s >= half:
+                s -= mask + 1
+            if s:
+                col.append((k, s))
+            v = (v - s) >> width
+    return tuple([_canon(nvars, tuple(col), den) for col in cols])
+
+
+def _pack(nvars: int, triples: list) -> tuple:
+    """For _sum_products with slots: the rows (f's terms, V's packed terms,
+    multiplier 1), D and the slot width W.  A row whose f or V is zero is
+    dropped, and a product of total degree above MAX_TOTAL_DEGREE raises
+    EngineError."""
+    den = lcm(*[f.den * v.den for f, vec, _ in triples for v in vec])
+    at = nvars * WIDTH
+    scaled = []
+    bound = 0
+    for f, vec, sign in triples:
+        # sign * V[k] over D: its coefficients times sign * D // (f.den * V[k].den)
+        vec = [(v.packed, sign * (den // (f.den * v.den))) for v in vec]
+        top = max([abs(c * s) for p, s in vec for _, c in p], default=0)
+        if top and f.packed:
+            _check_degree((f.packed[0][0] >> at) + (max([p[0][0] for p, _ in vec if p]) >> at))
+            bound += sum([abs(c) for _, c in f.packed]) * top
+            scaled.append((f.packed, vec))
+    width = bound.bit_length() + 1
+    rows = []
+    for a, vec in scaled:
+        packed: dict = {}
+        get = packed.get
+        for slot, (p, s) in enumerate(vec):
+            shift = slot * width
+            for k, c in p:
+                packed[k] = get(k, 0) + (c * s << shift)
+        rows.append((a, tuple(packed.items()), 1))
+    return rows, den, width
 
 
 _ZERO: dict = {}
@@ -857,6 +940,36 @@ def sum_of_products(nvars: int, plus: Iterable, minus: Iterable = ()) -> ScalarF
             total = ScalarField._raw(num, Polynomial.one(nvars))
             return total if rest is None else rest + total
     return ScalarField.zero(nvars) if rest is None else rest
+
+
+def _sum_scaled(nvars: int, plus: list, minus: list = ()) -> tuple:
+    """The nvars components of the sum of f * V over the (f, V) pairs of
+    `plus`, minus the sum over `minus`: f a field and V a sequence of nvars
+    fields, all on the chart, as the Cartan operators pass them.
+
+    If any f or component of V has a polynomial denominator, each component
+    is one sum_of_products of the (f, V[k]) pairs, which adds the products
+    with a denominator through ScalarField `+`.  Otherwise the pairs whose V
+    is not zero make one call to _sum_products, with V in nvars packed
+    slots; a product of total degree above MAX_TOTAL_DEGREE raises
+    EngineError.  A zero component is the shared zero, and each component
+    equals its sum_of_products."""
+    polys = []
+    for sign, pairs in ((1, plus), (-1, minus)):
+        for f, vec in pairs:
+            if not (f.den.is_one() and all([v.den.is_one() for v in vec])):
+                return tuple(
+                    sum_of_products(nvars, [(g, w[k]) for g, w in plus], [(g, w[k]) for g, w in minus])
+                    for k in range(nvars)
+                )
+            nums = [v.num for v in vec]
+            if any([p.packed for p in nums]):
+                polys.append((f.num, nums, sign))
+    zero, one = ScalarField.zero(nvars), Polynomial.one(nvars)
+    if not polys:
+        return (zero,) * nvars
+    sums = _sum_products(nvars, polys, nvars)
+    return tuple([ScalarField._raw(p, one) if p.packed else zero for p in sums])
 
 
 # ---------------------------------------------------------------------------

@@ -71,6 +71,13 @@ coordinates.  On constant sections of g + g* the Dorfman bracket is
 the connection flags are decided on integer vectors, with no scalar field
 or Cartan-layer code.
 
+The Cartan operators, which the engine computes as one sum of scalars
+times component vectors in packed slots, are checked against the formulas
+they replaced, one scalar sum_of_products per component
+(componentwise_lie_bracket, componentwise_lie_derivative and
+componentwise_interior_product), and dorfman against the same formula on
+them (componentwise_dorfman).
+
 Polynomial arithmetic, which the engine computes on packed monomials, is
 checked against the schoolbook product, the dict sum and the derivative on
 exponent tuples; each oracle returns its terms in the order of its own grlex
@@ -88,7 +95,15 @@ from itertools import product
 from math import factorial
 
 from hypercourant import nijenhuis as nij
-from hypercourant.cartan import OneForm, VectorField, exterior_derivative, interior_product, lie_bracket
+from hypercourant.cartan import (
+    OneForm,
+    TwoForm,
+    VectorField,
+    _check_dim,
+    exterior_derivative,
+    interior_product,
+    lie_bracket,
+)
 from hypercourant.courant import GSection, anchor_apply, basis_sections, d_map, dorfman, pairing
 from hypercourant.endo import GEndo, HKTriple, mat_identity, mat_mul, mat_neg, mat_transpose, mat_zero
 from hypercourant.errors import DimensionMismatch, PoleAtPoint
@@ -104,7 +119,7 @@ from hypercourant.nijenhuis import (
 from hypercourant.parse import parse_scalar
 from hypercourant.report import POINT_CANDIDATES, check, witness_for
 from hypercourant.sampling import monomials_up_to
-from hypercourant.scalar import Polynomial, ScalarField, scalar_text, sharing
+from hypercourant.scalar import Polynomial, ScalarField, scalar_text, sharing, sum_of_products
 from hypercourant.structures import conjugated, frame_change
 
 
@@ -156,6 +171,58 @@ def corrupted_dorfman(s: GSection, t: GSection) -> GSection:
     n = s.dim
     flip = interior_product(t.vec, exterior_derivative(s.form))
     return dorfman(s, t) + GSection._of((ScalarField.zero(n),) * n + (flip + flip).components)
+
+
+def componentwise_lie_bracket(x: VectorField, y: VectorField) -> VectorField:
+    """[X, Y]^k = sum_i (X^i d_i Y^k - Y^i d_i X^k)."""
+    _check_dim(x, y)
+    n = x.dim
+    xs, ys = x.components, y.components
+    return VectorField._of(
+        tuple(
+            sum_of_products(
+                n,
+                [(xi, yk.derivative(i)) for i, xi in enumerate(xs) if not xi.is_zero()],
+                [(yi, xk.derivative(i)) for i, yi in enumerate(ys) if not yi.is_zero()],
+            )
+            for xk, yk in zip(xs, ys)
+        )
+    )
+
+
+def componentwise_lie_derivative(x: VectorField, eta: OneForm) -> OneForm:
+    """(L_X eta)_j = sum_i (X^i d_i eta_j + eta_i d_j X^i)."""
+    _check_dim(x, eta)
+    n = x.dim
+    xs, es = x.components, eta.components
+    return OneForm._of(
+        tuple(
+            sum_of_products(
+                n,
+                [(xi, ej.derivative(i)) for i, xi in enumerate(xs) if not xi.is_zero()]
+                + [(ei, xs[i].derivative(j)) for i, ei in enumerate(es) if not ei.is_zero()],
+            )
+            for j, ej in enumerate(es)
+        )
+    )
+
+
+def componentwise_interior_product(y: VectorField, omega: TwoForm) -> OneForm:
+    """(i_Y omega)_j = sum_i Y^i omega_ij."""
+    _check_dim(y, omega)
+    n = y.dim
+    return OneForm._of(
+        tuple(sum_of_products(n, zip(y.components, col)) for col in zip(*omega.entries))
+    )
+
+
+def componentwise_dorfman(s: GSection, t: GSection) -> GSection:
+    """courant.dorfman's formula on the three componentwise operators."""
+    x, y = s.vec, t.vec
+    form = componentwise_lie_derivative(x, t.form) - componentwise_interior_product(
+        y, exterior_derivative(s.form)
+    )
+    return GSection._of(componentwise_lie_bracket(x, y).components + form.components)
 
 
 def halves_add(x: GSection, y: GSection) -> GSection:

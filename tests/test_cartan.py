@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hypercourant.scalar
 from hypercourant.cartan import (
     OneForm,
     TwoForm,
@@ -19,7 +20,14 @@ from hypercourant.parse import parse_scalar
 from hypercourant.sampling import random_scalar, suite_rng
 from hypercourant.scalar import ScalarField
 
-from oracle import pair_form_vector
+from hypercourant.courant import GSection, dorfman
+from oracle import (
+    componentwise_dorfman,
+    componentwise_interior_product,
+    componentwise_lie_bracket,
+    componentwise_lie_derivative,
+    pair_form_vector,
+)
 
 
 def vf(n, *texts):
@@ -286,3 +294,67 @@ class TestSparseComponents:
             assert got.components == tuple(expected)
             for c in got.components:
                 assert c is ScalarField.zero(n) or not c.is_zero()
+
+
+@st.composite
+def operator_sections(draw, n):
+    """A section's 2n components: a frame section e_a, a scaled one x_k e_a,
+    a dense polynomial section of degree <= 2, or the same with each
+    component divided by 1 + x_j^2 half of the time.  Every zero is the
+    shared one."""
+    zero, one = ScalarField.zero(n), ScalarField.one(n)
+    shape = draw(st.sampled_from(["frame", "scaled", "polynomial", "rational"]))
+    if shape in ("frame", "scaled"):
+        a = draw(st.integers(0, 2 * n - 1))
+        entry = one if shape == "frame" else ScalarField.coordinate(n, draw(st.integers(0, n - 1)))
+        return GSection._of(tuple(entry if i == a else zero for i in range(2 * n)))
+    rng = Random(draw(st.integers(0, 2**32)))
+    out = []
+    for _ in range(2 * n):
+        f = random_scalar(rng, n, draw(st.integers(0, 2)))
+        if shape == "rational" and draw(st.booleans()):
+            f = f / (one + ScalarField.coordinate(n, draw(st.integers(0, n - 1))) ** 2)
+        out.append(f if not f.is_zero() else zero)
+    return GSection._of(tuple(out))
+
+
+class TestPackedOperators:
+    """The three operators sum a scalar times a whole component vector in
+    packed slots; each must equal the formula it replaced, one
+    sum_of_products per component, with every zero the shared one."""
+
+    @given(data=st.data())
+    @settings(max_examples=120)
+    def test_operators_match_the_componentwise_formulas(self, data):
+        n = data.draw(st.integers(1, 4))
+        s, t = data.draw(operator_sections(n)), data.draw(operator_sections(n))
+        x, y, omega = s.vec, t.vec, exterior_derivative(s.form)
+        cases = [
+            (lie_bracket(x, y), componentwise_lie_bracket(x, y)),
+            (lie_derivative(x, t.form), componentwise_lie_derivative(x, t.form)),
+            (interior_product(y, omega), componentwise_interior_product(y, omega)),
+            (dorfman(s, t), componentwise_dorfman(s, t)),
+        ]
+        for got, expected in cases:
+            assert type(got) is type(expected)
+            assert got.components == expected.components
+            for c in got.components:
+                assert c is ScalarField.zero(n) or not c.is_zero()
+
+    def test_a_polynomial_bracket_is_one_accumulation(self, monkeypatch):
+        # dense polynomial sections take the packed route: one call with n
+        # slots, not one per component
+        calls = []
+        kernel = hypercourant.scalar._sum_products
+
+        def counted(nvars, triples, slots=0):
+            calls.append(slots)
+            return kernel(nvars, triples, slots)
+
+        monkeypatch.setattr(hypercourant.scalar, "_sum_products", counted)
+        rng = suite_rng(34, "packed")
+        x, y = random_vf(rng, 4), random_vf(rng, 4)
+        assert all(not c.is_zero() for c in x.components + y.components)
+        got = lie_bracket(x, y)
+        assert calls == [4]
+        assert got == componentwise_lie_bracket(x, y)

@@ -20,6 +20,7 @@ from oracle import (
 )
 
 from hypercourant import scalar
+from hypercourant.cartan import VectorField, lie_bracket
 from hypercourant.errors import (
     DimensionMismatch,
     DivisionByZero,
@@ -822,6 +823,24 @@ class TestDegreeBound:
             sum_of_products(1, [(x, x)], [(x**40000, x**25536)])
 
 
+    def test_packed_slots(self):
+        # the Cartan operators' sums check each product's degree too
+        x, zero = sf("x1", 2), ScalarField.zero(2)
+        got = scalar._sum_scaled(2, [(x**40000, [zero, x**25535])])
+        assert got[0] is zero
+        assert_same_field(got[1], x**65535)
+        for plus, minus in (
+            ([(x**40000, [zero, x**25536])], []),
+            ([(x, [x, x])], [(x**40000 + sf("1", 2), [x**25536, zero])]),
+        ):
+            with pytest.raises(EngineError, match="degree above 65535"):
+                scalar._sum_scaled(2, plus, minus)
+        # [X, Y] with X = x1^40000 d1 and Y = x1^25537 d1 has degree 65536
+        wide = VectorField((x**40000, zero)), VectorField((x**25537, zero))
+        with pytest.raises(EngineError, match="degree above 65535"):
+            lie_bracket(*wide)
+
+
 class TestSumOfProducts:
     @given(case=kernel_sums())
     @settings(max_examples=150)
@@ -872,6 +891,102 @@ class TestSumOfProducts:
             sum_of_products(3, [(sf("x1"), sf("x1", 2))])
         with pytest.raises(DimensionMismatch):
             sum_of_products(2, [], [(sf("x1"), sf("x2"))])
+
+
+# -- the packed-slot accumulator against the per-slot fold ---------------------
+
+
+def slot_fold(nvars, triples):
+    """Slot k of a packed _sum_products call as one sum_of_products of its
+    (f, V[k]) pairs, plus for sign 1 and minus for sign -1."""
+    fields = [
+        (ScalarField.from_polynomial(f), [ScalarField.from_polynomial(v) for v in vec], sign)
+        for f, vec, sign in triples
+    ]
+    return [
+        sum_of_products(
+            nvars, *[[(f, vec[k]) for f, vec, s in fields if s == side] for side in (1, -1)]
+        )
+        for k in range(len(triples[0][1]))
+    ]
+
+
+def assert_slots_match_the_fold(nvars, triples):
+    got = scalar._sum_products(nvars, triples, len(triples[0][1]))
+    expected = slot_fold(nvars, triples)
+    assert len(got) == len(expected)
+    for p, e in zip(got, expected):
+        assert p == e.num and hash(p) == hash(e.num)
+        if p.is_zero():
+            assert p is Polynomial.zero(nvars)
+        assert_canonical(p)
+    return got
+
+
+@st.composite
+def slot_sums(draw):
+    """(nvars, triples) for _sum_products in L = 1 to 8 slots: polynomials
+    whose coefficients mix ints with halves, thirds and twelfths, each slot
+    zero a third of the time, and now and then a zero scalar."""
+    n = draw(st.integers(1, 3))
+    slots = draw(st.integers(1, 8))
+    coeffs = st.one_of(st.integers(-6, 6), SMALL_DENOMINATORS)
+    mono = st.tuples(*[st.integers(0, 3)] * n)
+    poly = st.dictionaries(mono, coeffs, max_size=5).map(lambda terms: Polynomial(n, terms))
+    slot = st.one_of(st.just(Polynomial.zero(n)), poly, poly)
+    vec = st.lists(slot, min_size=slots, max_size=slots).map(tuple)
+    triples = st.lists(st.tuples(poly, vec, st.sampled_from([1, -1])), min_size=1, max_size=5)
+    return n, draw(triples)
+
+
+class TestPackedSlots:
+    """_sum_products in L slots packs each vector's coefficients into one int
+    per key; every slot must come out as its own sum_of_products."""
+
+    @given(case=slot_sums())
+    @settings(max_examples=300)
+    def test_matches_the_per_slot_fold(self, case):
+        assert_slots_match_the_fold(*case)
+
+    def test_large_coefficients_in_adjacent_slots(self):
+        n, big = 2, 10**40
+        x1, x2 = monomial(1, 0), monomial(0, 1)
+        one = Polynomial.one(n)
+        vec = (x1._times(big, 1), x1._times(-big, 1) + one, x2._times(big, 1), one._times(-big, 1))
+        f = x1 + x2._times(-big, 3)
+        got = assert_slots_match_the_fold(n, [(f, vec, 1), (x2, vec, -1)])
+        assert all(p.packed for p in got)
+
+    def test_a_slot_that_cancels_between_two_nonzero_ones(self):
+        n = 2
+        x1, x2 = monomial(1, 0), monomial(0, 1)
+        f, middle = x1 + x2, x1 * x2 + Polynomial.const(n, Fraction(1, 3))
+        zero = Polynomial.zero(n)
+        got = assert_slots_match_the_fold(n, [(f, (x1, middle, x2), 1), (f, (zero, middle, zero), -1)])
+        assert got[0] == f * x1 and got[1] is zero and got[2] == f * x2
+
+    def test_a_negative_top_slot(self):
+        n = 2
+        x1, x2 = monomial(1, 0), monomial(0, 1)
+        top = -(x1 * x2) - Polynomial.const(n, 5)
+        got = assert_slots_match_the_fold(n, [(x1 + x2, (x1, x2, top), 1)])
+        assert got[2] == -((x1 + x2) * (x1 * x2 + Polynomial.const(n, 5)))
+        assert_slots_match_the_fold(n, [(x1, (Polynomial.zero(n), top), -1)])
+
+    def test_an_all_zero_vector_and_a_zero_scalar(self):
+        n = 3
+        zero, x = Polynomial.zero(n), Polynomial.variable(n, 0)
+        for triples in (
+            [(x, (zero, zero, zero), 1)],
+            [(zero, (x, x, x), 1)],
+            [(zero, (x, zero, x), -1), (x, (zero, zero, zero), 1)],
+        ):
+            assert assert_slots_match_the_fold(n, triples) == (zero, zero, zero)
+        # the Cartan operators' entry drops a zero vector: every component is the shared zero
+        fzero, fx = ScalarField.zero(n), ScalarField.coordinate(n, 0)
+        assert scalar._sum_scaled(n, [(fx, [fzero] * n)], [(fx, [fzero] * n)]) == (fzero,) * n
+        for c in scalar._sum_scaled(n, [(fx, [fzero] * n)]):
+            assert c is fzero
 
 
 # -- gcds against a univariate operand, with rational coefficients ---------------
