@@ -21,10 +21,8 @@ import json
 import sys
 
 from . import __version__
-from .courant import verify_axioms
 from .errors import EngineError
-from .runfile import MAX_DEGREE, MAX_DIMENSION, MAX_TRIALS, RunReport, SuiteReport, emit, exit_code
-from .runfile import parse_structure, run
+from .runfile import MAX_DEGREE, MAX_TRIALS, emit, exit_code, parse_structure, run, run_axioms
 from .structures import EXAMPLE_NAMES, structure_file
 
 
@@ -69,22 +67,7 @@ def _write(data: bytes, path: str | None) -> None:
 
 
 def _cmd_verify_axioms(args) -> int:
-    # the bounds a structure document has
-    if args.trials < 1 or not 0 <= args.degree <= MAX_DEGREE:
-        print(f"error: need --trials >= 1 and --degree in 0..{MAX_DEGREE}", file=sys.stderr)
-        return 2
-    if args.trials > MAX_TRIALS:
-        print(f"error: need --trials at most {MAX_TRIALS}", file=sys.stderr)
-        return 2
-    if not 1 <= args.dim <= MAX_DIMENSION:
-        print(f"error: need --dim in 1..{MAX_DIMENSION}", file=sys.stderr)
-        return 2
-    if args.seed < 0:
-        print("error: need --seed >= 0", file=sys.stderr)
-        return 2
-    checks = verify_axioms(args.dim, args.degree, args.trials, args.seed)
-    options = {"dim": args.dim, "degree": args.degree, "seed": args.seed, "trials": args.trials}
-    report = RunReport("-", options, [SuiteReport("axioms", checks)])
+    report = run_axioms(args.dim, args.trials, args.degree, args.seed)
     _write(emit(report, args.format), args.report)
     return exit_code(report)
 

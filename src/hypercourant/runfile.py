@@ -1,12 +1,14 @@
-"""Structure documents, suite orchestration, and report emission.
+"""Input checks, suite orchestration and report emission for both commands.
 
-The input document is JSON with every symbolic entry written in the scalar
-grammar; exactness forbids floats anywhere.  Reports are canonical: sorted
-keys, exact rationals as "p/q" strings, and no wall-clock data unless
-explicitly requested, so a given (input, seed, version) always produces
-byte-identical output.  Records hold evidence and compute their verdicts; a
-document's options are the read-only mapping the report prints, and its
-dimension is triple.n.
+`check` passes a document to parse_structure and run, and `verify-axioms`
+its flags to run_axioms, which refuses a flag out of bounds with the message
+a document holding that value gets.  The input document is JSON with every
+symbolic entry written in the scalar grammar; exactness forbids floats
+anywhere.  Reports are canonical: sorted keys, exact rationals as "p/q"
+strings, and no wall-clock data unless explicitly requested, so a given
+(input, seed, version) always produces byte-identical output.  Records hold
+evidence and compute their verdicts; a document's options are the read-only
+mapping the report prints, and its dimension is triple.n.
 
 The input digest is the SHA-256 of the document's UTF-8 bytes, taken with
 the interpreter's builtin module (_sha2, or _sha256 before Python 3.12), as
@@ -180,6 +182,26 @@ def _parse_endo(spec, n: int, what: str) -> GEndo:
     )
 
 
+def _check_dimension(n) -> None:
+    _require(type(n) is int and n >= 1, "'dimension' must be an integer >= 1")
+    _require(n <= MAX_DIMENSION, f"'dimension' must be at most {MAX_DIMENSION}")
+
+
+def _check_options(given) -> dict:
+    _require(isinstance(given, dict), "'options' must be an object")
+    options = dict(_DEFAULT_OPTIONS)
+    for key, value in given.items():
+        _require(key in options, f"unknown option {key!r}")
+        _require(type(value) is int and value >= 0, f"option {key!r} must be a nonnegative integer")
+        options[key] = value
+    _require(
+        1 <= options["trials"] <= MAX_TRIALS,
+        f"option 'trials' must be at least 1 and at most {MAX_TRIALS}",
+    )
+    _require(options["degree"] <= MAX_DEGREE, f"option 'degree' must be at most {MAX_DEGREE}")
+    return options
+
+
 def parse_structure_text(text: str) -> StructureFile:
     """Parse and validate a structure document from JSON text."""
     try:
@@ -200,8 +222,7 @@ def parse_structure_text(text: str) -> StructureFile:
     _require(not unknown, f"unknown top-level keys {sorted(unknown)}")
 
     n = doc.get("dimension")
-    _require(type(n) is int and n >= 1, "'dimension' must be an integer >= 1")
-    _require(n <= MAX_DIMENSION, f"'dimension' must be at most {MAX_DIMENSION}")
+    _check_dimension(n)
     coords = tuple(f"x{k + 1}" for k in range(n))
     _require(
         doc.get("coordinates", list(coords)) == list(coords),
@@ -226,19 +247,7 @@ def parse_structure_text(text: str) -> StructureFile:
         _require(c in SUITES, f"unknown check suite {c!r} (known: {', '.join(SUITES)})")
     _require(len(set(checks)) == len(checks), "'checks' must not repeat suites")
 
-    given = doc.get("options", {})
-    _require(isinstance(given, dict), "'options' must be an object")
-    options = dict(_DEFAULT_OPTIONS)
-    for key, value in given.items():
-        _require(key in options, f"unknown option {key!r}")
-        _require(type(value) is int and value >= 0, f"option {key!r} must be a nonnegative integer")
-        options[key] = value
-    _require(
-        1 <= options["trials"] <= MAX_TRIALS,
-        f"option 'trials' must be at least 1 and at most {MAX_TRIALS}",
-    )
-    _require(options["degree"] <= MAX_DEGREE, f"option 'degree' must be at most {MAX_DEGREE}")
-
+    options = _check_options(doc.get("options", {}))
     return StructureFile(triple, checks, MappingProxyType(options), digest)
 
 
@@ -262,6 +271,13 @@ def parse_structure(source: str) -> StructureFile:
 # ---------------------------------------------------------------------------
 # orchestration
 # ---------------------------------------------------------------------------
+
+
+def run_axioms(dim: int, trials: int, degree: int, seed: int) -> RunReport:
+    """The verify-axioms report, within a document's bounds."""
+    _check_dimension(dim)
+    options = _check_options({"trials": trials, "degree": degree, "seed": seed})
+    return RunReport("-", {"dim": dim, **options}, [SuiteReport("axioms", verify_axioms(dim, **options))])
 
 
 def run(sf: StructureFile) -> RunReport:

@@ -97,13 +97,22 @@ class TestVerifyAxioms:
         )
         assert code == 2
         assert out == ""
-        assert err == f"error: need --trials >= 1 and --degree in 0..{MAX_DEGREE}\n"
+        option = flag[2:]
+        if value.startswith("-"):
+            assert err == f"error: option {option!r} must be a nonnegative integer\n"
+        elif option == "trials":
+            assert err == f"error: option 'trials' must be at least 1 and at most {MAX_TRIALS}\n"
+        else:
+            assert err == f"error: option 'degree' must be at most {MAX_DEGREE}\n"
 
     @pytest.mark.parametrize("dim", ["0", str(MAX_DIMENSION + 1), "30"])
     def test_dimension_out_of_bounds_exits_two(self, capsys, dim):
         code, out, err = run_cli(capsys, "verify-axioms", "--dim", dim, "--trials", "1")
         assert (code, out) == (2, "")
-        assert err == f"error: need --dim in 1..{MAX_DIMENSION}\n"
+        if dim == "0":
+            assert err == "error: 'dimension' must be an integer >= 1\n"
+        else:
+            assert err == f"error: 'dimension' must be at most {MAX_DIMENSION}\n"
 
     def test_bounds_are_inclusive(self, capsys):
         code, _, _ = run_cli(
@@ -123,7 +132,7 @@ class TestVerifyAxioms:
     def test_trials_above_bound_exits_two(self, capsys, trials):
         code, out, err = run_cli(capsys, "verify-axioms", "--dim", "1", "--trials", trials)
         assert (code, out) == (2, "")
-        assert err == f"error: need --trials at most {MAX_TRIALS}\n"
+        assert err == f"error: option 'trials' must be at least 1 and at most {MAX_TRIALS}\n"
 
     @pytest.mark.parametrize("seed", ["-1", "-3"])
     def test_negative_seed_exits_two(self, capsys, seed):
@@ -131,8 +140,32 @@ class TestVerifyAxioms:
         args = ("verify-axioms", "--dim", "1", "--trials", "1", "--seed")
         code, out, err = run_cli(capsys, *args, seed)
         assert (code, out) == (2, "")
-        assert err == "error: need --seed >= 0\n"
+        assert err == "error: option 'seed' must be a nonnegative integer\n"
         assert run_cli(capsys, *args, "0")[0] == 0
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("dim", 0), ("dim", MAX_DIMENSION + 1), ("trials", 0), ("trials", MAX_TRIALS + 1),
+         ("degree", -1), ("degree", MAX_DEGREE + 1), ("seed", -1)],
+    )
+    def test_flag_is_refused_as_a_document_value_is(self, capsys, tmp_path, flag, value):
+        # one bounds policy, in runfile: the flag and a document holding the
+        # value give the same single error line
+        if flag == "dim":
+            path = Path(example_doc(tmp_path, checks=["axioms"]))
+            doc = json.loads(path.read_text())
+            doc["dimension"] = value
+            path.write_text(json.dumps(doc))
+        else:
+            path = example_doc(tmp_path, checks=["axioms"], **{flag: value})
+        flags = {"dim": 2, "trials": 1, "degree": 0, "seed": 0, flag: value}
+        argv = [f"--{key}={v}" for key, v in flags.items()]
+        from_document = run_cli(capsys, "check", str(path))
+        from_flags = run_cli(capsys, "verify-axioms", *argv)
+        assert from_flags == from_document
+        code, out, err = from_flags
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
 
 
 def example_doc(tmp_path, checks=None, **options) -> str:

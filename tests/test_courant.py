@@ -186,6 +186,11 @@ class TestVerifyAxioms:
         with pytest.raises(DimensionMismatch):
             verify_axioms(0)
 
+    def test_invalid_sample(self):
+        # the library's own guard; the command line refuses the flag earlier
+        with pytest.raises(ValueError):
+            verify_axioms(2, trials=0)
+
 
 def test_section_algebra_dimension_checks():
     with pytest.raises(DimensionMismatch):

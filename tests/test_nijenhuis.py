@@ -15,7 +15,7 @@ import hypercourant.nijenhuis
 from hypercourant import scalar
 from hypercourant.cartan import OneForm, _Components, check_fields, exterior_derivative
 from hypercourant.courant import GSection, basis_sections, dorfman, random_section, verify_axioms
-from hypercourant.endo import GEndo, HKTriple
+from hypercourant.endo import GEndo, HKTriple, lift_diagonal
 from hypercourant.errors import InconsistentEquivalence, UncertifiedStructure
 from hypercourant.nijenhuis import (
     CONCOMITANT_KEYS,
@@ -43,7 +43,7 @@ from hypercourant.parse import parse_scalar
 from hypercourant.report import CheckReport, Witness
 from hypercourant.sampling import monomials_up_to, random_scalar, suite_rng
 from hypercourant.scalar import SHARING, Polynomial, ScalarField, sharing
-from hypercourant.structures import conjugated, frame_change
+from hypercourant.structures import conjugated, const_matrix, frame_change
 
 from oracle import (
     CLOSED_B,
@@ -825,6 +825,37 @@ class TestLeftInvariant:
         triple, algebraic = left_invariant(brackets, all_triples[base])
         assert engine_outcome(theorem_report(triple, trials=1, degree=1)) == algebraic
         assert algebraic[0] == (flat_pattern if base == "flat" else holsymp_pattern)
+
+    # qH x R at n = 8: e1..e4 = 1, i, j, k span H, e5 is central and
+    # w_i, w_j, w_k = e6, e7, e8.  The bracket [v, v'] = sum_q g(v q, v') w_q
+    # on F0 = flat x flat, and [v, v'] = sum_q g(q v, v') w_q on flat x the
+    # diagonal lifts of right multiplication by i and j; no other test
+    # reaches the second outcome
+    QH = {
+        "vq": (
+            {(1, 2): {6: 1}, (1, 3): {7: 1}, (1, 4): {8: 1}, (2, 3): {8: -1}, (2, 4): {7: 1}, (3, 4): {6: -1}},
+            "flat",
+            ("000000", True, {"I": True, "J": True, "K": True}, True),
+        ),
+        "qv": (
+            {(1, 2): {6: 1}, (1, 3): {7: 1}, (1, 4): {8: 1}, (2, 3): {8: 1}, (2, 4): {7: -1}, (3, 4): {6: 1}},
+            "right",
+            ("NN0NNN", False, {"I": False, "J": True, "K": False}, False),
+        ),
+    }
+    RIGHT_I = ((0, -1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1), (0, 0, -1, 0))
+    RIGHT_J = ((0, 0, -1, 0), (0, 0, 0, -1), (1, 0, 0, 0), (0, 1, 0, 0))
+
+    @pytest.mark.parametrize("row", list(QH))
+    def test_qh_report_is_the_algebraic_one(self, all_triples, row):
+        brackets, second, expected = self.QH[row]
+        flat = all_triples["flat"]
+        right = HKTriple.certify(*(lift_diagonal(const_matrix(m)) for m in (self.RIGHT_I, self.RIGHT_J)))
+        base = product_triple(flat, {"flat": flat, "right": right}[second])
+        assert base.n == 8 and base.certified
+        triple, algebraic = left_invariant(brackets, base)
+        assert algebraic == expected
+        assert engine_outcome(theorem_report(triple, trials=1, degree=1)) == algebraic
 
     @pytest.mark.parametrize("mutant", ["flipped_connection", "corrupted_bracket"])
     def test_mutants_break_the_oracle(self, all_triples, mutant, request, monkeypatch):

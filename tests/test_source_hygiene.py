@@ -31,7 +31,10 @@ hashlib's OpenSSL backend (_hashlib) nor ssl wherever the interpreter has
 its builtin sha256 (_sha2 or _sha256), which takes the input digest.  No
 NamedTuple record stores a verdict: it has no field named passed,
 vanishes, status, verdict, consistency or version, and computes the verdict
-from its witnesses and flags instead.
+from its witnesses and flags instead.  The command line neither builds a
+report nor checks a bound: cli.py calls neither RunReport nor SuiteReport
+and compares nothing with a MAX_* bound, as runfile checks both commands'
+input and builds both reports.
 """
 
 from __future__ import annotations
@@ -517,6 +520,44 @@ def test_catches_a_stored_verdict():
         "class Plain:\n    status: str = 'pass'\n"
     )
     assert _stored_verdicts(tree) == [(3, "R", "passed"), (9, "S", "verdict")]
+
+
+REPORT_RECORDS = ("RunReport", "SuiteReport")
+
+
+def _cli_policy(tree: ast.Module) -> list:
+    """(line, fault) of each call of a report record and each comparison
+    with a MAX_* bound."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if name in REPORT_RECORDS:
+                found.append((node.lineno, f"builds {name}"))
+        elif isinstance(node, ast.Compare):
+            names = {getattr(n, "id", None) or getattr(n, "attr", None) for n in ast.walk(node)}
+            found += [(node.lineno, f"compares with {b}") for b in sorted(names - {None}) if b.startswith("MAX_")]
+    return sorted(found)
+
+
+def test_cli_builds_no_report_and_checks_no_bound():
+    found = _cli_policy(_tree(PACKAGE / "cli.py"))
+    assert not found, f"cli.py does runfile's work: {found}"
+
+
+def test_catches_a_report_or_bound_in_the_cli():
+    # a bound in a help string and a call of runfile's entry point are fine
+    tree = ast.parse(
+        "def ok(a):\n    print(f'1..{MAX_DIM}')\n    return run_axioms(a.dim)\n\n"
+        "def bad(a):\n    if not 1 <= a.dim <= runfile.MAX_DIM or a.t > MAX_T:\n        return 2\n"
+        "    return runfile.RunReport('-', {}, [SuiteReport('axioms', [])])\n"
+    )
+    assert _cli_policy(tree) == [
+        (6, "compares with MAX_DIM"),
+        (6, "compares with MAX_T"),
+        (8, "builds RunReport"),
+        (8, "builds SuiteReport"),
+    ]
 
 
 def test_catches_an_orphan_and_an_unused_import():
