@@ -22,7 +22,7 @@ import sys
 
 from . import __version__
 from .errors import EngineError
-from .runfile import MAX_DEGREE, MAX_TRIALS, emit, exit_code, parse_structure, run, run_axioms
+from .runfile import MAX_DEGREE, MAX_DIMENSION, MAX_TRIALS, emit, exit_code, parse_structure, run, run_axioms
 from .structures import EXAMPLE_NAMES, structure_file
 
 
@@ -35,7 +35,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     ax = sub.add_parser("verify-axioms", help="check the bracket axioms on random sections")
-    ax.add_argument("--dim", type=int, required=True, help="chart dimension n >= 1")
+    ax.add_argument("--dim", type=int, required=True, help=f"chart dimension n, 1..{MAX_DIMENSION}")
     ax.add_argument("--degree", type=int, default=2, help=f"section degree bound, 0..{MAX_DEGREE}")
     ax.add_argument("--trials", type=int, default=20, help=f"number of random triples, 1..{MAX_TRIALS}")
     ax.add_argument("--seed", type=int, default=0, help="seed for the random sections, >= 0")

@@ -36,7 +36,8 @@ scalar.shared and is computed once per sharing scope.  Only the three loops
 that own a scope open one; a formula function never does, and outside a
 scope it computes every value.  A standalone concomitant therefore takes
 [[X,Y]] once in each half; a library caller who wants it shared opens
-scalar.sharing around the call.  Each kind of scope is one predicate:
+scalar.sharing around the call.  A lookup reads every scope of the chain,
+so each kind of scope is one predicate that decides only what it stores:
   - connection_pass opens an input's (_all_but_images) per input; it holds
     every connection, Delta, bracket, derivative and gcd, for one input
     only (a pass-long one raised flat's peak memory by 30 %), and no image,

@@ -27,7 +27,8 @@ Arithmetic on Polynomials is int arithmetic over the least common
 denominator of the operands, normalized once per result.  Values leave as
 exact rationals, int where integral and Fraction otherwise (`terms`,
 `leading_coeff`, `evaluate`); no floating point anywhere.  Values are
-immutable and safe to share; zero and one are shared per number of variables.
+immutable and safe to share.  The zero polynomial and the zero and one
+fields are one object per number of variables, copies and pickles included.
 ScalarField operators check the chart only where an operand is zero; for
 two nonzero operands the Polynomial layer raises DimensionMismatch.
 
@@ -63,7 +64,8 @@ the one memo call: poly_gcd, ScalarField.derivative and the nijenhuis
 brackets, images, connections and Delta go through it, so a value lives
 as long as the scope that holds it and nothing is kept process-wide.
 sharing(keep) opens a scope; only the three loops of the nijenhuis module
-that own one call it (see there), and the formulas they run never do.
+that own one call it (see there), and the formulas they run never do.  A
+lookup reads every scope; keep decides only what the open scope stores.
 """
 
 from __future__ import annotations
@@ -91,7 +93,7 @@ SHARING: ContextVar = ContextVar("hypercourant_sharing", default=None)
 
 class Scope(dict):
     """A sharing scope: values fn(*args) keyed (fn, *args).  It reads through
-    `outer`, and holds and looks up only the keys that keep(key) admits."""
+    `outer`, and stores a computed value only where keep(key) admits it."""
 
     def __init__(self, keep, outer):
         super().__init__()
@@ -111,14 +113,14 @@ def sharing(keep):
 
 def shared(fn, *args):
     """fn(*args) from the first scope, the open one then its outer ones, that
-    holds it; else computed by fn as passed and held where the open scope's
-    keep admits it, so a patched or traced fn sees every computed call."""
+    holds it, asking no keep; else computed by fn as passed and stored where
+    the open scope's keep admits it, so a patched fn sees every computation."""
     scope = SHARING.get()
     if scope is None:
         return fn(*args)
     key, s = (fn, *args), scope
     while s is not None:
-        out = s.get(key) if s.keep(key) else None
+        out = s.get(key)
         if out is not None:
             return out
         s = s.outer
@@ -701,25 +703,29 @@ class ScalarField:
     """A rational function num/den in reduced, denominator-monic form.
 
     Structural equality coincides with equality of rational functions, so
-    identity checks downstream are plain `==` against zero.
+    identity checks downstream are plain `==` against zero.  Every field
+    comes from _raw, which returns the shared zero and one.
     """
 
     __slots__ = ("num", "den", "_hash")
 
-    def __init__(self, num: Polynomial, den: Polynomial | None = None):
+    def __new__(cls, num: Polynomial, den: Polynomial | None = None):
         if den is None:
             den = Polynomial.one(num.nvars)
         if num.nvars != den.nvars:
             raise DimensionMismatch(f"{num.nvars} vs {den.nvars} variables")
         if den.is_zero():
             raise DivisionByZero("zero denominator polynomial")
-        f = _monic(*_cancel(num, den))
-        self.num = f.num
-        self.den = f.den
-        self._hash = None
+        return _monic(*_cancel(num, den))
 
     @classmethod
     def _raw(cls, num: Polynomial, den: Polynomial) -> "ScalarField":
+        """num/den for coprime num and monic den, so den is one when constant:
+        the one place that makes a field, and the owner of zero and one."""
+        if not num.packed:
+            return cls.zero(num.nvars)
+        if num.packed == ((0, 1),) == den.packed and num.den == 1:
+            return cls.one(num.nvars)
         f = object.__new__(cls)
         f.num = num
         f.den = den
@@ -730,14 +736,16 @@ class ScalarField:
     def zero(cls, nvars: int) -> "ScalarField":
         f = _FIELD_ZERO.get(nvars)
         if f is None:
-            f = _FIELD_ZERO[nvars] = cls._raw(Polynomial.zero(nvars), Polynomial.one(nvars))
+            f = _FIELD_ZERO[nvars] = object.__new__(cls)
+            f.num, f.den, f._hash = Polynomial.zero(nvars), Polynomial.one(nvars), None
         return f
 
     @classmethod
     def one(cls, nvars: int) -> "ScalarField":
         f = _FIELD_ONE.get(nvars)
         if f is None:
-            f = _FIELD_ONE[nvars] = cls._raw(Polynomial.one(nvars), Polynomial.one(nvars))
+            f = _FIELD_ONE[nvars] = object.__new__(cls)
+            f.num, f.den, f._hash = Polynomial.one(nvars), Polynomial.one(nvars), None
         return f
 
     @classmethod
@@ -751,10 +759,6 @@ class ScalarField:
 
     @classmethod
     def from_polynomial(cls, p: Polynomial) -> "ScalarField":
-        if p.is_zero():
-            return cls.zero(p.nvars)
-        if p.is_one():
-            return cls.one(p.nvars)
         return cls._raw(p, Polynomial.one(p.nvars))
 
     @property
@@ -787,14 +791,9 @@ class ScalarField:
         # Henrici: with reduced inputs only gcd(d1, d2) can cancel
         g0 = poly_gcd(d1, d2)
         if g0.is_one():
-            num = n1 * d2 + n2 * d1
-            if num.is_zero():
-                return ScalarField.zero(self.nvars)
-            return ScalarField._raw(num, d1 * d2)
+            return ScalarField._raw(n1 * d2 + n2 * d1, d1 * d2)
         d2r = d2.divexact(g0)
         t = n1 * d2r + n2 * d1.divexact(g0)
-        if t.is_zero():
-            return ScalarField.zero(self.nvars)
         g1 = poly_gcd(t, g0)
         if g1.is_one():
             return _monic(t, d1 * d2r)
@@ -842,11 +841,8 @@ class ScalarField:
 
     def _derivative(self, var: int) -> "ScalarField":
         if self.den.is_one():
-            d = self.num.derivative(var)
-            return ScalarField._raw(d, self.den) if not d.is_zero() else ScalarField.zero(self.nvars)
+            return ScalarField._raw(self.num.derivative(var), self.den)
         num = self.num.derivative(var) * self.den - self.num * self.den.derivative(var)
-        if num.is_zero():
-            return ScalarField.zero(self.nvars)
         return ScalarField(num, self.den * self.den)
 
     def evaluate(self, point: Sequence[Coeff]) -> Fraction:
@@ -865,6 +861,10 @@ class ScalarField:
             self._hash = h
         return h
 
+    def __reduce__(self):
+        # through the constructor, so zero and one stay shared
+        return ScalarField, (self.num, self.den)
+
     def __repr__(self) -> str:
         return f"ScalarField({scalar_text(self)!r})"
 
@@ -874,8 +874,6 @@ class ScalarField:
 
 def _monic(num: Polynomial, den: Polynomial) -> ScalarField:
     """Finish a known-reduced quotient: normalize den to leading coefficient 1."""
-    if num.is_zero():
-        return ScalarField.zero(num.nvars)
     # monic: packed leading coefficient == den (x1 + 1/2 is (2 x1 + 1) over 2)
     lc, d = den.packed[0][1], den.den
     if lc != 1 or d != 1:
@@ -936,9 +934,8 @@ def sum_of_products(nvars: int, plus: Iterable, minus: Iterable = ()) -> ScalarF
             num = a * b if sign > 0 else -(a * b)
         else:
             num = _sum_products(nvars, fused)
-        if num.packed:
-            total = ScalarField._raw(num, Polynomial.one(nvars))
-            return total if rest is None else rest + total
+        total = ScalarField._raw(num, Polynomial.one(nvars))
+        return total if rest is None else rest + total
     return ScalarField.zero(nvars) if rest is None else rest
 
 
@@ -965,11 +962,10 @@ def _sum_scaled(nvars: int, plus: list, minus: list = ()) -> tuple:
             nums = [v.num for v in vec]
             if any([p.packed for p in nums]):
                 polys.append((f.num, nums, sign))
-    zero, one = ScalarField.zero(nvars), Polynomial.one(nvars)
     if not polys:
-        return (zero,) * nvars
-    sums = _sum_products(nvars, polys, nvars)
-    return tuple([ScalarField._raw(p, one) if p.packed else zero for p in sums])
+        return (ScalarField.zero(nvars),) * nvars
+    one = Polynomial.one(nvars)
+    return tuple([ScalarField._raw(p, one) for p in _sum_products(nvars, polys, nvars)])
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 from pathlib import Path
@@ -5,7 +6,8 @@ from pathlib import Path
 import pytest
 
 from hypercourant import runfile
-from hypercourant.cli import main
+from hypercourant.cli import _build_parser, main
+from hypercourant.errors import EngineError
 from hypercourant.parse import MAX_EXPONENT
 from hypercourant.runfile import MAX_DEGREE, MAX_DIMENSION, MAX_TRIALS
 from hypercourant.scalar import MAX_TOTAL_DEGREE, scalar_text
@@ -166,6 +168,20 @@ class TestVerifyAxioms:
         code, out, err = from_flags
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+
+    @pytest.mark.parametrize(
+        "flag, low, high",
+        [("dim", 1, MAX_DIMENSION), ("degree", 0, MAX_DEGREE), ("trials", 1, MAX_TRIALS), ("seed", 0, None)],
+    )
+    def test_help_names_the_range_that_is_enforced(self, flag, low, high):
+        parser = _build_parser()
+        (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        helps = {a.dest: a.help for a in commands.choices["verify-axioms"]._actions}
+        assert helps[flag].endswith(f"{low}..{high}" if high is not None else f">= {low}")
+        flags = {"dim": 2, "trials": 1, "degree": 0, "seed": 0}
+        for value in (low - 1, high + 1) if high is not None else (low - 1,):
+            with pytest.raises(EngineError):
+                runfile.run_axioms(**{**flags, flag: value})
 
 
 def example_doc(tmp_path, checks=None, **options) -> str:

@@ -155,6 +155,13 @@ class TestParsing:
         with pytest.raises(SchemaError):
             parse_structure("/definitely/not/here.json")
 
+    @pytest.mark.parametrize("lead", ["", " \n\t"])
+    def test_document_text_is_parsed_as_text(self, lead):
+        # the document itself, not a path, as perfbench/job.py passes it
+        text = lead + json.dumps(small_doc())
+        sf, expected = parse_structure(text), parse_structure_text(text)
+        assert sf == expected and sf.digest == expected.digest
+
 
 class TestRun:
     def test_selected_suites_only(self):

@@ -7,7 +7,7 @@ from math import gcd
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracle import (
     _cnorm,
@@ -384,6 +384,34 @@ class TestGcdMemo:
         assert [key[0] for key in scope] == [scalar._gcd_int]
 
 
+class TestScopeChain:
+    """A lookup reads every scope of the chain and asks no rule; the open
+    scope's rule is asked once for each value computed."""
+
+    def test_rules_decide_only_what_is_stored(self):
+        asked, computed = [], []
+
+        def rule(name, admits):
+            def keep(key):
+                asked.append((name, key[1]))
+                return key[1] in admits
+
+            return keep
+
+        def double(x):
+            computed.append(x)
+            return 2 * x
+
+        with sharing(rule("outer", {1})) as outer:
+            assert scalar.shared(double, 1) == 2
+            with sharing(rule("inner", {2})) as inner:
+                for x in (1, 2, 3, 1, 2, 3):
+                    assert scalar.shared(double, x) == 2 * x
+        assert computed == [1, 2, 3, 3]
+        assert asked == [("outer", 1), ("inner", 2), ("inner", 3), ("inner", 3)]
+        assert dict(outer) == {(double, 1): 2} and dict(inner) == {(double, 2): 4}
+
+
 STALLED_NUMERATOR = (
     "3*x1*x2^4*x3^4 - 7*x2^5*x3^4 - 6*x2^4*x3^5 + x2^4*x3^4*x4 + x2^4*x3^4"
     " + 7*x1*x2^3*x3^3 - 23*x2^4*x3^3 - 24*x2^3*x3^4 + 8*x2^3*x3^3*x4 - 3*x2^3*x3^3"
@@ -681,10 +709,37 @@ class TestPackedArithmetic:
         assert pickle.loads(pickle.dumps(Polynomial.zero(3))) is Polynomial.zero(3)
         p = Polynomial(3, {(2, 0, 1): Fraction(3, 4), (0, 0, 0): 5})
         assert pickle.loads(pickle.dumps(p)) == copy.copy(p) == p
+        # a quotient that cancels, a power and a nested reciprocal too
+        for text in ("x1/x1", "(1+x1)/(1+x1)", "1^5", "(x1/x1)^2", "1/(1/x1)/x1"):
+            assert sf(text) is ScalarField.one(3), text
+        assert sf("0^2") is ScalarField.zero(3)
+        assert ScalarField(Polynomial.zero(3)) is ScalarField.zero(3)
+        assert ScalarField(p, p) is ScalarField.one(3)
+        for shared in (ScalarField.zero(3), ScalarField.one(3)):
+            assert pickle.loads(pickle.dumps(shared)) is copy.copy(shared) is copy.deepcopy(shared) is shared
+        f = sf("(x1/2 + 3)/(x2^2 + 1/3)")
+        for again in (pickle.loads(pickle.dumps(f)), copy.copy(f), copy.deepcopy(f)):
+            assert again == f and hash(again) == hash(f)
         doc = parse_structure_text(json.dumps(structure_file("flat-quaternionic")))
         for endo in (doc.triple.i, doc.triple.j):
             zeros = [f for b in endo.blocks().values() for row in b for f in row if f.is_zero()]
             assert len(zeros) == 56 and all(f is ScalarField.zero(4) for f in zeros)
+
+
+class TestSharedZeroAndOne:
+    @given(pair=field_pairs(), e=st.integers(-3, 3))
+    @example(pair=(sf("x1", 2), sf("x1", 2)), e=1)
+    @settings(max_examples=100)
+    def test_every_zero_or_one_result_is_shared(self, pair, e):
+        f, g = pair
+        zero, one = ScalarField.zero(f.nvars), ScalarField.one(f.nvars)
+        results = [f + g, f - g, g - g, f * g, f ** abs(e), (f + g) - g - f]
+        for d in (f, g):
+            if not d.is_zero():
+                results += [f / d, d / d, d * d.reciprocal(), d**e, d**e / d**e]
+        for got in results:
+            for value in (zero, one):
+                assert got is value or got != value, got
 
 
 class TestSubtraction:
